@@ -9,6 +9,7 @@ kind, malformed input).
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -63,7 +64,7 @@ def _over_fn(name: str):
 
 def _aggregate_fn(name: str):
     table = {
-        "mean": lambda xs: sum(xs) / len(xs),
+        "mean": lambda xs: math.fsum(xs) / len(xs),
         "maximum": max,
         "minimum": min,
         "head": lambda xs: xs[0],

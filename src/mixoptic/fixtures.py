@@ -249,10 +249,15 @@ def value_to_flower(v: Value) -> Flower:
     species = v.get("species")
     if not isinstance(species, VText):
         raise FocusError("flower record needs text field 'species'")
-    return Flower(
-        value_to_measurements(v.get("measurements")),
-        Species(species.value),
-    )
+    measurements = value_to_measurements(v.get("measurements"))
+    try:
+        kind = Species(species.value)
+    except ValueError:
+        accepted = ", ".join(repr(s.value) for s in Species)
+        raise FocusError(
+            f"unknown species {species.value!r}; expected one of {accepted}"
+        ) from None
+    return Flower(measurements, kind)
 
 
 def value_address_prism() -> Prism:

@@ -1,54 +1,64 @@
-"""The free applicative over a store shape.
+"""The power series of a traversal, as one flat value.
 
-A ``FunList`` is either ``Done(b)`` or ``More(s, rest)`` where ``rest`` is a
-FunList whose payload is a one-argument function. Evaluating a FunList means
-supplying one replacement per stored source, innermost payload first; this
-is the power-series witness used by traversals and kaleidoscopes.
+A traversal from ``S`` to ``T`` with foci ``A`` and replacements ``B`` is a
+point of the power series ∑ₙ Aⁿ × (Bⁿ → T): for each whole, some number n of
+foci and one function that takes n replacements and gives the new whole. A
+``FunList`` stores exactly that pair: ``sources``, the tuple of the n foci,
+and ``rebuild``, which takes a sequence of exactly ``len(sources)``
+replacements in source order.
+
+The applicative structure works on the pair directly, so every operation is
+one pass over the sources and nothing recurses on their number: ``fmap``
+post-composes onto ``rebuild``, ``ap`` and ``sequence`` concatenate sources
+and cut the replacements at fixed offsets, and ``map_sources`` rewrites the
+sources left to right. Internal rebuilds trust their argument's length;
+``no_fun`` is the checked view and raises ``LengthError`` on a wrong count.
+``Done``, ``More``, ``pure`` and ``singleton`` build the flat form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import LengthError
 
 
 @dataclass(frozen=True)
-class Done:
-    value: object
-
-
-@dataclass(frozen=True)
-class More:
-    source: object
-    rest: "FunList"  # payload of `rest` is a function of one argument
-
-
-FunList = Union[Done, More]
+class FunList:
+    sources: Tuple[object, ...]
+    rebuild: Callable[[Sequence[object]], object]  # takes len(sources) values
 
 
 def pure(b) -> FunList:
-    return Done(b)
+    """No sources; rebuilds to ``b``."""
+    return FunList((), lambda _bs: b)
 
 
-def fmap(f: Callable, fl: FunList) -> FunList:
-    if isinstance(fl, Done):
-        return Done(f(fl.value))
-    return More(fl.source, fmap(lambda g: lambda a: f(g(a)), fl.rest))
+Done = pure
 
 
-def ap(ff: FunList, fa: FunList) -> FunList:
-    """Applicative combination: apply the functions in ff to the values in fa."""
-    if isinstance(ff, Done):
-        return fmap(ff.value, fa)
-    flipped = fmap(lambda g: lambda x: lambda a: g(a)(x), ff.rest)
-    return More(ff.source, ap(flipped, fa))
+def More(source, rest: FunList) -> FunList:
+    """Prepend ``source``. The payload of ``rest`` is a function of one
+    argument, which receives the replacement for ``source``."""
+    return FunList((source,) + rest.sources,
+                   lambda bs: rest.rebuild(bs[1:])(bs[0]))
 
 
 def singleton(s) -> FunList:
     """One stored source whose payload is the identity on its replacement."""
-    return More(s, Done(lambda a: a))
+    return FunList((s,), lambda bs: bs[0])
+
+
+def fmap(f: Callable, fl: FunList) -> FunList:
+    rebuild = fl.rebuild
+    return FunList(fl.sources, lambda bs: f(rebuild(bs)))
+
+
+def ap(ff: FunList, fa: FunList) -> FunList:
+    """Applicative combination: apply the functions in ff to the values in fa."""
+    n, rf, ra = len(ff.sources), ff.rebuild, fa.rebuild
+    return FunList(ff.sources + fa.sources, lambda bs: rf(bs[:n])(ra(bs[n:])))
 
 
 def no_fun(fl: FunList) -> Tuple[List[object], Callable[[Sequence[object]], object]]:
@@ -57,55 +67,43 @@ def no_fun(fl: FunList) -> Tuple[List[object], Callable[[Sequence[object]], obje
     The rebuilding function demands exactly one replacement per source and
     raises LengthError otherwise.
     """
-    if isinstance(fl, Done):
-        def rebuild_done(bs, _b=fl.value):
-            if len(bs) != 0:
-                raise LengthError(f"expected 0 replacements, got {len(bs)}")
-            return _b
+    n, inner = len(fl.sources), fl.rebuild
 
-        return [], rebuild_done
+    def rebuild(bs):
+        if len(bs) != n:
+            raise LengthError(f"expected {n} replacements, got {len(bs)}")
+        return inner(bs)
 
-    tail_sources, tail_rebuild = no_fun(fl.rest)
-    sources = [fl.source] + tail_sources
-
-    def rebuild(bs, _n=len(sources), _tail=tail_rebuild):
-        if len(bs) != _n:
-            raise LengthError(f"expected {_n} replacements, got {len(bs)}")
-        return _tail(bs[1:])(bs[0])
-
-    return sources, rebuild
+    return list(fl.sources), rebuild
 
 
 def sequence(fls: Sequence[FunList]) -> FunList:
     """Combine a list of FunLists into a FunList of lists."""
-    acc: FunList = Done([])
-    for fl in reversed(fls):
-        acc = ap(fmap(lambda x: lambda xs: [x] + xs, fl), acc)
-    return acc
+    srcs: List[object] = []
+    cuts = []
+    for part in fls:
+        start = len(srcs)
+        srcs.extend(part.sources)
+        cuts.append((part.rebuild, start, len(srcs)))
+    return FunList(tuple(srcs),
+                   lambda bs: [r(bs[i:j]) for r, i, j in cuts])
 
 
 def of_extract(foci: Sequence[object], rebuild: Callable) -> FunList:
     """Build the FunList whose sources are ``foci`` and whose evaluation is
     ``rebuild`` applied to the replacements in order."""
-    return fmap(lambda bs: rebuild(bs), sequence([singleton(a) for a in foci]))
+    return FunList(tuple(foci), rebuild)
 
 
 def sources(fl: FunList) -> List[object]:
-    out = []
-    while isinstance(fl, More):
-        out.append(fl.source)
-        fl = fl.rest
-    return out
+    return list(fl.sources)
 
 
 def map_sources(f: Callable, fl: FunList) -> FunList:
-    """Rewrite every stored source, keeping the payload untouched."""
-    if isinstance(fl, Done):
-        return fl
-    return More(f(fl.source), map_sources(f, fl.rest))
+    """Rewrite every stored source, left to right, keeping the payload."""
+    return FunList(tuple(map(f, fl.sources)), fl.rebuild)
 
 
 def fuse(fl: FunList):
     """Evaluate a FunList by feeding each stored source back to the payload."""
-    srcs, rebuild = no_fun(fl)
-    return rebuild(srcs)
+    return fl.rebuild(list(fl.sources))

@@ -144,3 +144,27 @@ def _flower_json(sl, sw, pl, pw, species):
                          "petalLength": pl, "petalWidth": pw},
         "species": species,
     })
+
+
+def test_aggregate_mean_rounds_exact_mean():
+    # the exact mean sepal width is 3.5375; a naive float sum gives
+    # 3.5374999999999996 and would print 3.537
+    widths = [1.5, 2.0, 2.7, 3.1, 3.1, 7.8, 3.7, 4.4]
+    flowers = [json.loads(_flower_json(5.0, w, 1.4, 0.2, "Setosa"))
+               for w in widths]
+    result = run("aggregate", "--optic", "measure.aggregate", "--input", "-",
+                 "--arg", "mean", stdin=json.dumps(flowers))
+    assert result.exit_code == 0
+    assert result.stdout.strip() == \
+        "Iris Setosa; Sepal (5.0, 3.538); Petal (1.4, 0.2)"
+
+
+def test_unknown_species_is_one_error_line():
+    result = run("view", "--optic", "measure", "--input", "-",
+                 stdin=_flower_json(5.0, 3.6, 1.4, 0.2, "setosa"))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: unknown species 'setosa'; expected one of "
+        "'Setosa', 'Versicolor', 'Virginica'"
+    ]
