@@ -8,7 +8,7 @@ the concrete forms, a JSON-like document runtime, and a CLI.
 
 from .carriers import (
     Aggregating, Carrier, Classifying, Folding, Glassing, Grating,
-    Previewing, Replacing, Reviewing, Setting, Updating, Viewing,
+    Previewing, Replacing, Reviewing, Updating, Viewing,
 )
 from .composition import Fallback, INCOMPATIBLE, compose, join_kind, upcast
 from .effects import Opt, Writer

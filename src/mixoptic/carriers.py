@@ -84,27 +84,8 @@ class Previewing(Carrier):
 
 
 @dataclass(frozen=True)
-class Setting(Carrier):
-    """run: (A -> B) -> S -> T."""
-
-    run: Callable
-
-    def dimap(self, l, r):
-        return Setting(lambda u: lambda s: r(self.run(u)(l(s))))
-
-    def lift_product(self):
-        return Setting(lambda u: lambda pair: (pair[0], self.run(u)(pair[1])))
-
-    def lift_sum(self):
-        return Setting(
-            lambda u: lambda m: m if isinstance(m, Miss)
-            else Focus(self.run(u)(m.value))
-        )
-
-
-@dataclass(frozen=True)
 class Replacing(Carrier):
-    """run: (A -> B) -> S -> T. Like Setting but declares every capability."""
+    """run: (A -> B) -> S -> T. Declares every capability."""
 
     run: Callable
 

@@ -41,18 +41,11 @@ class _Incompatible:
 
 INCOMPATIBLE = _Incompatible()
 
-_CORE = {K.LENS, K.PRISM, K.AFFINE_TRAVERSAL, K.TRAVERSAL, K.GRATE, K.GLASS}
+# The kinds named by their capability set alone.
+_CORE = (K.ADAPTER, K.LENS, K.PRISM, K.AFFINE_TRAVERSAL, K.TRAVERSAL,
+         K.GRATE, K.GLASS)
 
-_CORE_BY_CAPS = {
-    frozenset(): K.ADAPTER,
-    frozenset({Capability.PRODUCT}): K.LENS,
-    frozenset({Capability.SUM}): K.PRISM,
-    frozenset({Capability.PRODUCT, Capability.SUM}): K.AFFINE_TRAVERSAL,
-    frozenset({Capability.PRODUCT, Capability.SUM,
-               Capability.FUNLIST_TRAVERSABLE}): K.TRAVERSAL,
-    frozenset({Capability.CLOSED}): K.GRATE,
-    frozenset({Capability.PRODUCT, Capability.CLOSED}): K.GLASS,
-}
+_CORE_BY_CAPS = {capability_set(kind): kind for kind in _CORE}
 
 
 def join_kind(k1: OpticKind, k2: OpticKind):
@@ -217,13 +210,22 @@ _PRIVATE_EMBED = {
 }
 
 
-def _find_path(start: OpticKind, goal: OpticKind, edges) -> Optional[list]:
-    frontier = [(start, [])]
-    seen = {start}
+_COERCIONS = {**_EMBED, **_PRIVATE_EMBED}
+
+
+def _embed(optic: Any, goal: OpticKind, edges) -> Optional[Any]:
+    """Apply the shortest chain of ``edges`` from the optic's kind to
+    ``goal``; None when no chain exists."""
+    if optic.kind is goal:
+        return optic
+    frontier = [(optic.kind, [])]
+    seen = {optic.kind}
     while frontier:
         kind, path = frontier.pop(0)
         if kind is goal:
-            return path
+            for step in path:
+                optic = step(optic)
+            return optic
         for (src, dst), fn in edges.items():
             if src is kind and dst not in seen:
                 seen.add(dst)
@@ -233,29 +235,19 @@ def _find_path(start: OpticKind, goal: OpticKind, edges) -> Optional[list]:
 
 def upcast(optic: Any, kind: OpticKind) -> Any:
     """Embed an optic into a more general kind; UpcastError if impossible."""
-    if optic.kind is kind:
-        return optic
-    path = _find_path(optic.kind, kind, _EMBED)
-    if path is None:
+    out = _embed(optic, kind, _EMBED)
+    if out is None:
         raise UpcastError(
             f"no embedding of {optic.kind.value} into {kind.value}"
         )
-    for step in path:
-        optic = step(optic)
-    return optic
+    return out
 
 
 def _coerce(optic: Any, kind: OpticKind) -> Any:
-    if optic.kind is kind:
-        return optic
-    edges = dict(_EMBED)
-    edges.update(_PRIVATE_EMBED)
-    path = _find_path(optic.kind, kind, edges)
-    if path is None:
+    out = _embed(optic, kind, _COERCIONS)
+    if out is None:
         raise CompositionError(optic.kind, kind)
-    for step in path:
-        optic = step(optic)
-    return optic
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +309,17 @@ def _compose_glass(o1: Glass, o2: Glass) -> Glass:
 
 def compose(o1: Any, o2: Any) -> Any:
     """Compose two optics, o1 outermost, per the kind lattice."""
-    joined = join_kind(o1.kind, o2.kind)
-    if joined is INCOMPATIBLE:
+    kind = join_kind(o1.kind, o2.kind)
+    if kind is INCOMPATIBLE:
         raise CompositionError(o1.kind, o2.kind)
 
-    if isinstance(joined, Fallback):
+    if isinstance(kind, Fallback):
         warnings.warn(
             f"{o1.kind.value} and {o2.kind.value} compose only as a setter",
             stacklevel=2,
         )
-        s1, s2 = _coerce(o1, K.SETTER), _coerce(o2, K.SETTER)
-        return Setter(over=lambda f, s: s1.over(lambda a: s2.over(f, a), s))
+        kind = K.SETTER
 
-    kind = joined
     if kind is K.ADAPTER:
         return Adapter(
             forward=lambda s: o2.forward(o1.forward(s)),

@@ -22,7 +22,7 @@ from .optics import (
 )
 
 _ALL_CARRIERS = frozenset({
-    c.Viewing, c.Previewing, c.Setting, c.Replacing, c.Classifying,
+    c.Viewing, c.Previewing, c.Replacing, c.Classifying,
     c.Aggregating, c.Updating, c.Folding, c.Reviewing, c.Grating, c.Glassing,
 })
 
@@ -72,8 +72,8 @@ def ex2prof(optic: Any) -> ProfOptic:
 
     if kind in (OpticKind.LENS, OpticKind.ACHROMATIC_LENS):
         v, u = optic.view, optic.update
-        supported = {c.Viewing, c.Previewing, c.Setting, c.Replacing,
-                     c.Folding, c.Updating, c.Glassing}
+        supported = {c.Viewing, c.Previewing, c.Replacing, c.Folding,
+                     c.Updating, c.Glassing}
 
         def t_lens(p):
             if isinstance(p, c.Glassing):
@@ -111,8 +111,7 @@ def ex2prof(optic: Any) -> ProfOptic:
         return ProfOptic(
             lambda p: p.lift_sum().dimap(match, r_prism),
             required,
-            frozenset({c.Previewing, c.Setting, c.Replacing, c.Folding,
-                       c.Reviewing}),
+            frozenset({c.Previewing, c.Replacing, c.Folding, c.Reviewing}),
         )
 
     if kind is OpticKind.AFFINE_TRAVERSAL:
@@ -134,7 +133,7 @@ def ex2prof(optic: Any) -> ProfOptic:
         return ProfOptic(
             lambda p: p.lift_product().lift_sum().dimap(l_affine, r_affine),
             required,
-            frozenset({c.Previewing, c.Setting, c.Replacing, c.Folding}),
+            frozenset({c.Previewing, c.Replacing, c.Folding}),
         )
 
     if kind is OpticKind.TRAVERSAL:

@@ -8,13 +8,13 @@ flowers and measurements as records.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import sqrt
 from typing import List, Sequence
 
 from .effects import Writer
-from .iris_data import IRIS_ROWS
 from .errors import FocusError
 from .optics import (
     AlgebraicLens, Focus, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
@@ -73,10 +73,23 @@ mail = [
 ]
 
 
+_MEASUREMENT_KEYS = ("sepalLength", "sepalWidth", "petalLength", "petalWidth")
+
+_IRIS_JSON = os.path.join(os.path.dirname(__file__), "data", "iris.json")
+
+
 def load_iris() -> List[Flower]:
+    """The 150-row iris table shipped as ``data/iris.json``, in centimetres."""
+    with open(_IRIS_JSON, encoding="utf-8") as handle:
+        rows = json.load(handle)
+    # the file writes whole numbers as 3, not 3.0
     return [
-        Flower(Measurements(sl, sw, pl, pw), Species(name))
-        for sl, sw, pl, pw, name in IRIS_ROWS
+        Flower(
+            Measurements(*(float(row["measurements"][key])
+                           for key in _MEASUREMENT_KEYS)),
+            Species(row["species"]),
+        )
+        for row in rows
     ]
 
 
@@ -212,9 +225,6 @@ def value_to_address(v: Value) -> Address:
             raise FocusError(f"address record needs text field {key!r}")
         parts.append(item.value)
     return Address(*parts)
-
-
-_MEASUREMENT_KEYS = ("sepalLength", "sepalWidth", "petalLength", "petalWidth")
 
 
 def measurements_to_value(m: Measurements) -> Value:

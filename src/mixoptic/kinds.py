@@ -1,8 +1,12 @@
-"""Optic kinds and the capability sets that drive combinators and composition.
+"""Optic kinds and the one table that drives combinators and composition.
 
 A capability names one of the monoidal actions an optic's transformer must
 be lifted through. Implications (a capability presupposing another) are
 closed over before any subset test.
+
+Each kind has one row in ``_TABLE``: its capability requirement and the
+combinators it admits. The combinators in ``optics`` check ``ADMITS``, and
+the direction sets that ``composition.join_kind`` uses are derived from it.
 """
 
 from __future__ import annotations
@@ -61,49 +65,50 @@ class OpticKind(enum.Enum):
 _C = Capability
 _ALL = frozenset(_C)
 
-# Capability requirements per kind (pre-closure).
-CAPABILITIES = {
-    OpticKind.ADAPTER: frozenset(),
-    OpticKind.LENS: frozenset({_C.PRODUCT}),
-    OpticKind.ACHROMATIC_LENS: frozenset({_C.LIST_ALGEBRA}),
-    OpticKind.PRISM: frozenset({_C.SUM}),
-    OpticKind.AFFINE_TRAVERSAL: frozenset({_C.PRODUCT, _C.SUM}),
-    OpticKind.TRAVERSAL: frozenset({_C.FUNLIST_TRAVERSABLE}),
-    OpticKind.GRATE: frozenset({_C.CLOSED}),
-    OpticKind.GLASS: frozenset({_C.PRODUCT, _C.CLOSED}),
-    OpticKind.SETTER: _ALL,
-    OpticKind.GETTER: frozenset({_C.PRODUCT}),
-    OpticKind.REVIEW: frozenset({_C.SUM}),
-    OpticKind.FOLD: frozenset({_C.FUNLIST_TRAVERSABLE}),
-    OpticKind.ALGEBRAIC_LENS: frozenset({_C.LIST_ALGEBRA}),
-    OpticKind.KALEIDOSCOPE: frozenset({_C.FUNLIST_APPLICATIVE}),
-    OpticKind.MONADIC_LENS: frozenset({_C.PRODUCT}),
+# One row per kind: the capabilities its transformer must lift through
+# (pre-closure), and the combinators it admits, named as the CLI actions
+# plus "mupdate" and "zip" (running a grate's or glass's continuation).
+_TABLE = {
+    OpticKind.ADAPTER: ((), "view preview set over tolist review"),
+    OpticKind.LENS: ((_C.PRODUCT,), "view preview set over tolist"),
+    OpticKind.ACHROMATIC_LENS: (
+        (_C.LIST_ALGEBRA,), "view over tolist review classify"),
+    OpticKind.PRISM: ((_C.SUM,), "preview set over tolist review"),
+    OpticKind.AFFINE_TRAVERSAL: (
+        (_C.PRODUCT, _C.SUM), "preview set over tolist"),
+    OpticKind.TRAVERSAL: ((_C.FUNLIST_TRAVERSABLE,), "over tolist"),
+    OpticKind.GRATE: ((_C.CLOSED,), "over zip"),
+    OpticKind.GLASS: ((_C.PRODUCT, _C.CLOSED), "over zip"),
+    OpticKind.SETTER: (_ALL, "over"),
+    OpticKind.GETTER: ((_C.PRODUCT,), "view preview tolist"),
+    OpticKind.REVIEW: ((_C.SUM,), "review"),
+    OpticKind.FOLD: ((_C.FUNLIST_TRAVERSABLE,), "tolist"),
+    OpticKind.ALGEBRAIC_LENS: ((_C.LIST_ALGEBRA,), "view over tolist classify"),
+    OpticKind.KALEIDOSCOPE: ((_C.FUNLIST_APPLICATIVE,), "over aggregate"),
+    OpticKind.MONADIC_LENS: ((_C.PRODUCT,), "view preview over tolist mupdate"),
 }
+
+# Capability requirements per kind (pre-closure).
+CAPABILITIES = {kind: frozenset(caps) for kind, (caps, _) in _TABLE.items()}
+
+# The combinators each kind admits.
+ADMITS = {kind: frozenset(names.split()) for kind, (_, names) in _TABLE.items()}
 
 
 def capability_set(kind: OpticKind) -> FrozenSet[Capability]:
     return closure(CAPABILITIES[kind])
 
 
-# Direction flags. "read" means the optic can produce foci from a whole;
-# "write" means it can produce a new whole; "build" means it can construct
-# a whole from a focus alone.
-READ_CAPABLE = frozenset({
-    OpticKind.ADAPTER, OpticKind.LENS, OpticKind.ACHROMATIC_LENS,
-    OpticKind.PRISM, OpticKind.AFFINE_TRAVERSAL, OpticKind.TRAVERSAL,
-    OpticKind.GETTER, OpticKind.FOLD, OpticKind.ALGEBRAIC_LENS,
-    OpticKind.MONADIC_LENS,
-})
+def _admitting(combinator: str) -> FrozenSet[OpticKind]:
+    return frozenset(kind for kind, names in ADMITS.items() if combinator in names)
 
-WRITE_CAPABLE = frozenset(OpticKind) - frozenset({OpticKind.GETTER, OpticKind.FOLD})
 
-BUILD_CAPABLE = frozenset({
-    OpticKind.ADAPTER, OpticKind.PRISM, OpticKind.REVIEW,
-    OpticKind.ACHROMATIC_LENS,
-})
+# Direction sets. "read" means the optic can produce foci from a whole;
+# "write" means it can produce a new whole from an old one; "build" means
+# it can construct a whole from a focus alone.
+READ_CAPABLE = _admitting("tolist")
+WRITE_CAPABLE = _admitting("over")
+BUILD_CAPABLE = _admitting("review")
 
 # Kinds whose read direction always yields exactly one focus.
-SINGLE_FOCUS = frozenset({
-    OpticKind.ADAPTER, OpticKind.LENS, OpticKind.ACHROMATIC_LENS,
-    OpticKind.GETTER, OpticKind.ALGEBRAIC_LENS, OpticKind.MONADIC_LENS,
-})
+SINGLE_FOCUS = _admitting("view")

@@ -2,8 +2,8 @@
 
 Each optic variant is a frozen dataclass bundling the functions that define
 it. The combinators (`view`, `over`, `preview`, ...) dispatch on the kind
-and raise `KindError` when an optic does not support the requested
-direction.
+and raise `KindError` when the kind table in `kinds` does not admit the
+combinator for the optic's kind.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Sequence, Tuple
 
 from .errors import EmptyInputError, EmptyTrainingError, KindError
-from .kinds import OpticKind
+from .kinds import ADMITS, OpticKind
 
 
 # ---------------------------------------------------------------------------
@@ -167,38 +167,30 @@ class MonadicLens:
 
 
 # ---------------------------------------------------------------------------
-# Combinators.
+# Combinators. Each checks ``kinds.ADMITS`` first, so the dispatch below the
+# check only meets kinds the table admits.
 
-_VIEWABLE = {
-    OpticKind.ADAPTER, OpticKind.LENS, OpticKind.ACHROMATIC_LENS,
-    OpticKind.GETTER, OpticKind.ALGEBRAIC_LENS, OpticKind.MONADIC_LENS,
-}
+
+def _admit(optic: Any, combinator: str, refusal: str) -> OpticKind:
+    kind = optic.kind
+    if combinator not in ADMITS[kind]:
+        raise KindError(f"cannot {refusal} a {kind.value}")
+    return kind
 
 
 def view(optic: Any, source: Any) -> Any:
     """Extract the unique focus of a single-focus read-capable optic."""
-    kind = optic.kind
+    kind = _admit(optic, "view", "view through")
     if kind is OpticKind.ADAPTER:
         return optic.forward(source)
     if kind is OpticKind.GETTER:
         return optic.get(source)
-    if kind in _VIEWABLE:
-        return optic.view(source)
-    raise KindError(f"cannot view through a {kind.value}")
-
-
-# kinds whose capability set stays within {product, sum}
-_PREVIEWABLE = {
-    OpticKind.ADAPTER, OpticKind.LENS, OpticKind.PRISM,
-    OpticKind.AFFINE_TRAVERSAL, OpticKind.GETTER, OpticKind.MONADIC_LENS,
-}
+    return optic.view(source)
 
 
 def preview(optic: Any, source: Any) -> Any:
     """Return the focus if present, else None."""
-    kind = optic.kind
-    if kind not in _PREVIEWABLE:
-        raise KindError(f"cannot preview through a {kind.value}")
+    kind = _admit(optic, "preview", "preview through")
     if kind is OpticKind.PRISM:
         res = optic.match(source)
         return res.value if isinstance(res, Focus) else None
@@ -210,7 +202,7 @@ def preview(optic: Any, source: Any) -> Any:
 
 def over(optic: Any, fn: Callable[[Any], Any], source: Any) -> Any:
     """Rewrite every focus with `fn`, returning the new whole."""
-    kind = optic.kind
+    kind = _admit(optic, "over", "rewrite through")
     if kind is OpticKind.ADAPTER:
         return optic.backward(fn(optic.forward(source)))
     if kind in (OpticKind.LENS, OpticKind.ACHROMATIC_LENS):
@@ -237,27 +229,19 @@ def over(optic: Any, fn: Callable[[Any], Any], source: Any) -> Any:
         return optic.classify([source], fn(optic.view(source)))
     if kind is OpticKind.KALEIDOSCOPE:
         return optic.aggregate(lambda foci: fn(foci[0]))([source])
-    if kind is OpticKind.MONADIC_LENS:
-        return optic.mupdate(source, fn(optic.view(source))).value
-    raise KindError(f"cannot rewrite through a {kind.value}")
-
-
-_SETTABLE = {
-    OpticKind.ADAPTER, OpticKind.LENS, OpticKind.PRISM,
-    OpticKind.AFFINE_TRAVERSAL,
-}
+    # monadic lens
+    return optic.mupdate(source, fn(optic.view(source))).value
 
 
 def set_value(optic: Any, source: Any, value: Any) -> Any:
     """Replace the focus with a constant; misses return the whole unchanged."""
-    if optic.kind not in _SETTABLE:
-        raise KindError(f"cannot set through a {optic.kind.value}")
+    _admit(optic, "set", "set through")
     return over(optic, lambda _: value, source)
 
 
 def to_list_of(optic: Any, source: Any) -> List[Any]:
     """Collect all foci of a read-capable optic, left to right."""
-    kind = optic.kind
+    kind = _admit(optic, "tolist", "enumerate foci of")
     if kind is OpticKind.FOLD:
         return list(optic.foci(source))
     if kind is OpticKind.TRAVERSAL:
@@ -266,29 +250,24 @@ def to_list_of(optic: Any, source: Any) -> List[Any]:
     if kind in (OpticKind.PRISM, OpticKind.AFFINE_TRAVERSAL):
         found = preview(optic, source)
         return [] if found is None else [found]
-    if kind in _VIEWABLE:
-        return [view(optic, source)]
-    raise KindError(f"cannot enumerate foci of a {kind.value}")
+    return [view(optic, source)]
 
 
 def classify(optic: Any, training: Sequence[Any], value: Any) -> Any:
     """Rebuild a whole from a focus, guided by a list of example wholes."""
-    kind = optic.kind
+    kind = _admit(optic, "classify", "classify through")
     if kind is OpticKind.ALGEBRAIC_LENS:
         if not training:
             raise EmptyTrainingError("classify requires a non-empty training list")
         return optic.classify(training, value)
-    if kind is OpticKind.ACHROMATIC_LENS:
-        if not training:
-            return optic.create(value)
-        return optic.update(training[0], value)
-    raise KindError(f"cannot classify through a {kind.value}")
+    if not training:
+        return optic.create(value)
+    return optic.update(training[0], value)
 
 
 def aggregate(optic: Any, fn: Callable[[Sequence[Any]], Any], sources: Sequence[Any]) -> Any:
     """Combine a list of wholes focus-wise with `fn`."""
-    if optic.kind is not OpticKind.KALEIDOSCOPE:
-        raise KindError(f"cannot aggregate through a {optic.kind.value}")
+    _admit(optic, "aggregate", "aggregate through")
     if not sources:
         raise EmptyInputError("aggregate requires a non-empty input list")
     return optic.aggregate(fn)(list(sources))
@@ -296,23 +275,18 @@ def aggregate(optic: Any, fn: Callable[[Sequence[Any]], Any], sources: Sequence[
 
 def mupdate(optic: Any, source: Any, value: Any) -> Any:
     """Effectful update; returns the effect wrapping the new whole."""
-    if optic.kind is not OpticKind.MONADIC_LENS:
-        raise KindError(f"cannot run an effectful update through a {optic.kind.value}")
+    _admit(optic, "mupdate", "run an effectful update through")
     return optic.mupdate(source, value)
 
 
 def review(optic: Any, value: Any) -> Any:
     """Construct a whole from a focus alone."""
-    kind = optic.kind
-    if kind is OpticKind.PRISM:
-        return optic.build(value)
-    if kind is OpticKind.REVIEW:
-        return optic.build(value)
+    kind = _admit(optic, "review", "build through")
     if kind is OpticKind.ADAPTER:
         return optic.backward(value)
     if kind is OpticKind.ACHROMATIC_LENS:
         return optic.create(value)
-    raise KindError(f"cannot build through a {kind.value}")
+    return optic.build(value)
 
 
 def grate_apply(optic: Any, continuation: Callable[[Callable[[Any], Any]], Any],
@@ -321,8 +295,6 @@ def grate_apply(optic: Any, continuation: Callable[[Callable[[Any], Any]], Any],
 
     A grate ignores ``source``; a glass requires it.
     """
-    if optic.kind is OpticKind.GRATE:
+    if _admit(optic, "zip", "zip through") is OpticKind.GRATE:
         return optic.run(continuation)
-    if optic.kind is OpticKind.GLASS:
-        return optic.run(continuation, source)
-    raise KindError(f"cannot zip through a {optic.kind.value}")
+    return optic.run(continuation, source)

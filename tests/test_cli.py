@@ -168,3 +168,13 @@ def test_unknown_species_is_one_error_line():
         "error: unknown species 'setosa'; expected one of "
         "'Setosa', 'Versicolor', 'Virginica'"
     ]
+
+
+@pytest.mark.parametrize("depth", [600, 1000])
+def test_deep_document_is_one_error_line(depth):
+    # 600 levels overflow the value conversion, 1,000 the json decoder
+    deep = "[" * depth + "1" + "]" * depth
+    result = run("tolist", "--optic", "each", "--input", "-", stdin=deep)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: document nests too deeply"]

@@ -26,6 +26,10 @@ def test_dataset_shape():
     assert set(by_species.values()) == {50}
     assert iris[4].measurements.as_tuple() == (5.0, 3.6, 1.4, 0.2)
     assert iris[4].species is Species.SETOSA
+    assert all(type(x) is float
+               for f in iris for x in f.measurements.as_tuple())
+    assert iris[-1].measurements.as_tuple() == (5.9, 3.0, 5.1, 1.8)
+    assert iris[-1].species is Species.VIRGINICA
 
 
 def test_species_rendering():

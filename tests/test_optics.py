@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from mixoptic import (
     Focus, Getter, Kaleidoscope, Miss, OpticKind, Setter,
-    aggregate, classify, compose, over, preview, review, set_value,
-    to_list_of, view,
+    aggregate, classify, compose, grate_apply, mupdate, over, preview,
+    review, set_value, to_list_of, view,
 )
 from mixoptic.errors import EmptyInputError, EmptyTrainingError, KindError
 from mixoptic.fixtures import (
@@ -17,7 +17,7 @@ from mixoptic.fixtures import (
     each, iris, measure_lens, street_lens,
 )
 
-from conftest import addr_ach, gen_address, gen_postal
+from conftest import addr_ach, gen_address, gen_postal, zoo
 
 K = OpticKind
 
@@ -166,3 +166,51 @@ def test_composite_affine_preview_and_set():
     assert set_value(first, "221b Baker St, London, UK",
                      "4 Marylebone Rd") == "4 Marylebone Rd, London, UK"
     assert set_value(first, "oops", "4 Marylebone Rd") == "oops"
+
+
+# Each combinator, under the name the kind table uses, run on one case.
+COMBINATORS = {
+    "view": lambda o, c: view(o, c["s"]),
+    "preview": lambda o, c: preview(o, c["s"]),
+    "set": lambda o, c: set_value(o, c["s"], c["b"]),
+    "over": lambda o, c: over(o, c["f"], c["s"]),
+    "tolist": lambda o, c: to_list_of(o, c["s"]),
+    "review": lambda o, c: review(o, c["b"]),
+    "classify": lambda o, c: classify(o, c["batch"], c["b"]),
+    "aggregate": lambda o, c: aggregate(o, c["agg"], c["batch"]),
+    "mupdate": lambda o, c: mupdate(o, c["s"], c["b"]),
+    "zip": lambda o, c: grate_apply(o, lambda k: c["f"](k(c["s"])), c["s"]),
+}
+
+ADMITTED = {
+    K.ADAPTER: {"view", "preview", "set", "over", "tolist", "review"},
+    K.LENS: {"view", "preview", "set", "over", "tolist"},
+    K.ACHROMATIC_LENS: {"view", "over", "tolist", "review", "classify"},
+    K.PRISM: {"preview", "set", "over", "tolist", "review"},
+    K.AFFINE_TRAVERSAL: {"preview", "set", "over", "tolist"},
+    K.TRAVERSAL: {"over", "tolist"},
+    K.GRATE: {"over", "zip"},
+    K.GLASS: {"over", "zip"},
+    K.SETTER: {"over"},
+    K.GETTER: {"view", "preview", "tolist"},
+    K.REVIEW: {"review"},
+    K.FOLD: {"tolist"},
+    K.ALGEBRAIC_LENS: {"view", "over", "tolist", "classify"},
+    K.KALEIDOSCOPE: {"over", "aggregate"},
+    K.MONADIC_LENS: {"view", "preview", "over", "tolist", "mupdate"},
+}
+
+
+@pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
+def test_admissibility_matrix(kind):
+    entry = zoo()[kind]
+    case = {"s": None, "b": None, "batch": [], "f": lambda x: x, "agg": max}
+    case.update(entry.make_case(random.Random(11)))
+    if kind is K.KALEIDOSCOPE:
+        case["s"] = case["batch"][0]
+    for name, run in COMBINATORS.items():
+        if name in ADMITTED[kind]:
+            run(entry.optic, case)
+        else:
+            with pytest.raises(KindError):
+                run(entry.optic, case)
