@@ -58,8 +58,7 @@ class Viewing(Carrier):
     def lift_product(self):
         return Viewing(lambda pair: self.run(pair[1]))
 
-    def lift_list_algebra(self):
-        return Viewing(lambda pair: self.run(pair[1]))
+    lift_list_algebra = lift_product
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,7 @@ class Previewing(Carrier):
             lambda m: None if isinstance(m, Miss) else self.run(m.value)
         )
 
-    def lift_list_algebra(self):
-        return Previewing(lambda pair: self.run(pair[1]))
+    lift_list_algebra = lift_product
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,7 @@ class Replacing(Carrier):
             else Focus(self.run(u)(m.value))
         )
 
-    def lift_list_algebra(self):
-        return Replacing(lambda u: lambda pair: (pair[0], self.run(u)(pair[1])))
+    lift_list_algebra = lift_product
 
     def lift_funlist(self):
         return Replacing(lambda u: lambda flist: fl.map_sources(self.run(u), flist))
@@ -183,8 +180,7 @@ class Folding(Carrier):
     def lift_sum(self):
         return Folding(lambda m: [] if isinstance(m, Miss) else self.run(m.value))
 
-    def lift_list_algebra(self):
-        return Folding(lambda pair: self.run(pair[1]))
+    lift_list_algebra = lift_product
 
     def lift_funlist(self):
         return Folding(

@@ -9,24 +9,19 @@ kind, malformed input).
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
 
 from . import optics as op
 from .errors import (
-    CompositionError, EmptyInputError, EmptyTrainingError, ExprError,
-    FocusError, KindError, LengthError, OpticError, ParseError, UpcastError,
+    CompositionError, EmptyInputError, EmptyTrainingError, FocusError,
+    LengthError, OpticError,
 )
-from .expr import parse_expr, resolve_expr
-from .fixtures import registry
-from .values import (
-    VList, VNum, VRec, VText, each_traversal, field_lens, parse_json,
-    serialize, variant_prism,
-)
+from .expr import _PARAMETERIZED, parse_expr, resolve_expr
+from .fixtures import mean, registry, value_to_flower
+from .values import VList, VNum, VText, each_traversal, parse_json, serialize
 
-_USAGE_ERRORS = (ExprError, ParseError, KindError, UpcastError)
 _RUNTIME_ERRORS = (FocusError, LengthError, EmptyTrainingError,
                    EmptyInputError, CompositionError)
 
@@ -64,7 +59,7 @@ def _over_fn(name: str):
 
 def _aggregate_fn(name: str):
     table = {
-        "mean": lambda xs: math.fsum(xs) / len(xs),
+        "mean": mean,
         "maximum": max,
         "minimum": min,
         "head": lambda xs: xs[0],
@@ -75,8 +70,7 @@ def _aggregate_fn(name: str):
 
 
 def _load_defs(path: str) -> dict:
-    factories = {"field": ("key", field_lens),
-                 "variant": ("tag", variant_prism)}
+    params = {"field": "key", "variant": "tag"}  # the spec key of the argument
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -90,11 +84,10 @@ def _load_defs(path: str) -> dict:
         if kind == "each":
             out[name] = each_traversal()
             continue
-        if kind in factories:
-            param, factory = factories[kind]
-            value = spec.get(param)
+        if kind in _PARAMETERIZED:
+            value = spec.get(params[kind])
             if isinstance(value, str):
-                out[name] = factory(value)
+                out[name] = _PARAMETERIZED[kind](value)
                 continue
         raise click.UsageError(f"bad definition for {name!r}")
     return out
@@ -123,17 +116,14 @@ def _fmt(x: float) -> str:
 
 def _render(value) -> str:
     """Flower records render as a one-line summary; everything else as JSON."""
-    if isinstance(value, VRec):
-        species, m = value.get("species"), value.get("measurements")
-        if isinstance(species, VText) and isinstance(m, VRec):
-            parts = [m.get(k) for k in ("sepalLength", "sepalWidth",
-                                        "petalLength", "petalWidth")]
-            if all(isinstance(p, VNum) for p in parts):
-                sl, sw, pl, pw = (p.value for p in parts)
-                return (f"Iris {species.value}; "
-                        f"Sepal ({_fmt(sl)}, {_fmt(sw)}); "
-                        f"Petal ({_fmt(pl)}, {_fmt(pw)})")
-    return serialize(value)
+    try:
+        flower = value_to_flower(value)
+    except FocusError:
+        return serialize(value)
+    m = flower.measurements
+    return (f"{flower.species}; "
+            f"Sepal ({_fmt(m.sepal_length)}, {_fmt(m.sepal_width)}); "
+            f"Petal ({_fmt(m.petal_length)}, {_fmt(m.petal_width)})")
 
 
 def _parse_arg(arg: str):
@@ -195,13 +185,10 @@ def main(action, expression, source, arg, defs):
             fn = _aggregate_fn(arg)
             batch = _require_list(_read_document(source), "aggregate")
             out = _render(op.aggregate(optic, fn, batch))
-    except _USAGE_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     except _RUNTIME_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    except OpticError as exc:  # anything else from the library is usage
+    except OpticError as exc:  # every other library error is usage
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

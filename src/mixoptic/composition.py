@@ -1,10 +1,12 @@
-"""Kind lattice, concrete composition formulas, and upcasts.
+"""Kind lattice, composition, and upcasts.
 
 ``join_kind`` is total: it returns the minimal named kind covering both
 operands, a ``Fallback`` to setter when both sides can still write but no
 named kind fits, or ``INCOMPATIBLE`` when the directions cannot meet.
-``compose`` realizes the join with explicit concrete formulas, and
-``upcast`` embeds an optic into a more general kind.
+``compose`` coerces both operands to the joined kind and applies that
+kind's one formula from ``_FORMULAS``; only the monadic lens, whose effect
+threads through a plain lens, is composed by hand. ``upcast`` embeds an
+optic into a more general kind along the public edges only.
 """
 
 from __future__ import annotations
@@ -207,6 +209,9 @@ _PRIVATE_EMBED = {
     (K.ALGEBRAIC_LENS, K.LENS): lambda o: Lens(
         view=o.view, update=lambda s, b: o.classify([s], b)
     ),
+    (K.ALGEBRAIC_LENS, K.KALEIDOSCOPE): lambda o: Kaleidoscope(
+        aggregate=lambda f: lambda ss: o.classify(ss, f([o.view(s) for s in ss]))
+    ),
 }
 
 
@@ -251,7 +256,8 @@ def _coerce(optic: Any, kind: OpticKind) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Concrete composition formulas, outer optic first.
+# Composition formulas, outer optic first. Both operands arrive already
+# coerced to the joined kind.
 
 
 def _compose_lens(o1: Lens, o2: Lens) -> Lens:
@@ -259,6 +265,28 @@ def _compose_lens(o1: Lens, o2: Lens) -> Lens:
         view=lambda s: o2.view(o1.view(s)),
         update=lambda s, b: o1.update(s, o2.update(o1.view(s), b)),
     )
+
+
+def _compose_achromatic(a1: AchromaticLens, a2: AchromaticLens) -> AchromaticLens:
+    base = _compose_lens(Lens(a1.view, a1.update), Lens(a2.view, a2.update))
+    return AchromaticLens(
+        view=base.view,
+        update=base.update,
+        create=lambda b: a1.create(a2.create(b)),
+    )
+
+
+def _compose_prism(p1: Prism, p2: Prism) -> Prism:
+    def match(s):
+        outer = p1.match(s)
+        if isinstance(outer, Miss):
+            return outer
+        inner = p2.match(outer.value)
+        if isinstance(inner, Miss):
+            return Miss(p1.build(inner.value))
+        return inner
+
+    return Prism(match=match, build=lambda b: p1.build(p2.build(b)))
 
 
 def _compose_affine(o1: AffineTraversal, o2: AffineTraversal) -> AffineTraversal:
@@ -307,6 +335,40 @@ def _compose_glass(o1: Glass, o2: Glass) -> Glass:
     return Glass(run=run)
 
 
+_FORMULAS = {
+    K.ADAPTER: lambda a1, a2: Adapter(
+        forward=lambda s: a2.forward(a1.forward(s)),
+        backward=lambda b: a1.backward(a2.backward(b)),
+    ),
+    K.LENS: _compose_lens,
+    K.ACHROMATIC_LENS: _compose_achromatic,
+    K.PRISM: _compose_prism,
+    K.AFFINE_TRAVERSAL: _compose_affine,
+    K.TRAVERSAL: _compose_traversal,
+    K.GRATE: lambda g1, g2: Grate(
+        run=lambda h: g1.run(lambda k1: g2.run(lambda k2: h(lambda s: k2(k1(s)))))
+    ),
+    K.GLASS: _compose_glass,
+    K.SETTER: lambda s1, s2: Setter(
+        over=lambda f, s: s1.over(lambda a: s2.over(f, a), s)
+    ),
+    K.GETTER: lambda g1, g2: Getter(get=lambda s: g2.get(g1.get(s))),
+    K.FOLD: lambda f1, f2: Fold(
+        foci=lambda s: [x for a in f1.foci(s) for x in f2.foci(a)]
+    ),
+    K.REVIEW: lambda r1, r2: Review(build=lambda b: r1.build(r2.build(b))),
+    K.ALGEBRAIC_LENS: lambda a1, a2: AlgebraicLens(
+        view=lambda s: a2.view(a1.view(s)),
+        classify=lambda ss, b: a1.classify(
+            ss, a2.classify([a1.view(s) for s in ss], b)
+        ),
+    ),
+    K.KALEIDOSCOPE: lambda k1, k2: Kaleidoscope(
+        aggregate=lambda f: k1.aggregate(k2.aggregate(f))
+    ),
+}
+
+
 def compose(o1: Any, o2: Any) -> Any:
     """Compose two optics, o1 outermost, per the kind lattice."""
     kind = join_kind(o1.kind, o2.kind)
@@ -320,111 +382,15 @@ def compose(o1: Any, o2: Any) -> Any:
         )
         kind = K.SETTER
 
-    if kind is K.ADAPTER:
-        return Adapter(
-            forward=lambda s: o2.forward(o1.forward(s)),
-            backward=lambda b: o1.backward(o2.backward(b)),
+    # the effect threads through the plain-lens side, whichever it is
+    if kind is K.MONADIC_LENS and o1.kind is K.MONADIC_LENS:
+        inner = _coerce(o2, K.LENS)
+        return MonadicLens(
+            view=lambda s: inner.view(o1.view(s)),
+            mupdate=lambda s, b: o1.mupdate(s, inner.update(o1.view(s), b)),
+            pure=o1.pure,
         )
-
-    if kind is K.LENS:
-        return _compose_lens(_coerce(o1, K.LENS), _coerce(o2, K.LENS))
-
-    if kind is K.ACHROMATIC_LENS:
-        a1, a2 = _coerce(o1, kind), _coerce(o2, kind)
-        base = _compose_lens(
-            Lens(a1.view, a1.update), Lens(a2.view, a2.update)
-        )
-        return AchromaticLens(
-            view=base.view,
-            update=base.update,
-            create=lambda b: a1.create(a2.create(b)),
-        )
-
-    if kind is K.PRISM:
-        p1, p2 = _coerce(o1, kind), _coerce(o2, kind)
-
-        def match(s):
-            outer = p1.match(s)
-            if isinstance(outer, Miss):
-                return outer
-            inner = p2.match(outer.value)
-            if isinstance(inner, Miss):
-                return Miss(p1.build(inner.value))
-            return inner
-
-        return Prism(match=match, build=lambda b: p1.build(p2.build(b)))
-
-    if kind is K.AFFINE_TRAVERSAL:
-        return _compose_affine(_coerce(o1, kind), _coerce(o2, kind))
-
-    if kind is K.TRAVERSAL:
-        return _compose_traversal(_coerce(o1, kind), _coerce(o2, kind))
-
-    if kind is K.GRATE:
-        g1, g2 = _coerce(o1, kind), _coerce(o2, kind)
-        return Grate(
-            run=lambda h: g1.run(
-                lambda k1: g2.run(lambda k2: h(lambda s: k2(k1(s))))
-            )
-        )
-
-    if kind is K.GLASS:
-        return _compose_glass(_coerce(o1, kind), _coerce(o2, kind))
-
-    if kind is K.SETTER:
-        s1, s2 = _coerce(o1, kind), _coerce(o2, kind)
-        return Setter(over=lambda f, s: s1.over(lambda a: s2.over(f, a), s))
-
-    if kind is K.GETTER:
-        g1, g2 = _coerce(o1, kind), _coerce(o2, kind)
-        return Getter(get=lambda s: g2.get(g1.get(s)))
-
-    if kind is K.FOLD:
-        f1, f2 = _coerce(o1, kind), _coerce(o2, kind)
-        return Fold(foci=lambda s: [x for a in f1.foci(s) for x in f2.foci(a)])
-
-    if kind is K.REVIEW:
-        r1, r2 = _coerce(o1, kind), _coerce(o2, kind)
-        return Review(build=lambda b: r1.build(r2.build(b)))
-
-    if kind is K.ALGEBRAIC_LENS:
-        a1, a2 = _coerce(o1, kind), _coerce(o2, kind)
-        return AlgebraicLens(
-            view=lambda s: a2.view(a1.view(s)),
-            classify=lambda ss, b: a1.classify(
-                ss, a2.classify([a1.view(s) for s in ss], b)
-            ),
-        )
-
-    if kind is K.KALEIDOSCOPE:
-        k1 = o1 if o1.kind in (K.ALGEBRAIC_LENS, K.KALEIDOSCOPE) \
-            else _coerce(o1, kind)
-        k2 = o2 if o2.kind in (K.ALGEBRAIC_LENS, K.KALEIDOSCOPE) \
-            else _coerce(o2, kind)
-        if k1.kind is K.ALGEBRAIC_LENS:
-            return Kaleidoscope(
-                aggregate=lambda f: lambda ss: k1.classify(
-                    ss, k2.aggregate(f)([k1.view(s) for s in ss])
-                )
-            )
-        if k2.kind is K.ALGEBRAIC_LENS:
-            return Kaleidoscope(
-                aggregate=lambda f: k1.aggregate(
-                    lambda foci: k2.classify(foci, f([k2.view(a) for a in foci]))
-                )
-            )
-        return Kaleidoscope(
-            aggregate=lambda f: k1.aggregate(k2.aggregate(f))
-        )
-
     if kind is K.MONADIC_LENS:
-        if o1.kind is K.MONADIC_LENS:
-            inner = _coerce(o2, K.LENS)
-            return MonadicLens(
-                view=lambda s: inner.view(o1.view(s)),
-                mupdate=lambda s, b: o1.mupdate(s, inner.update(o1.view(s), b)),
-                pure=o1.pure,
-            )
         outer = _coerce(o1, K.LENS)
         return MonadicLens(
             view=lambda s: o2.view(outer.view(s)),
@@ -433,5 +399,4 @@ def compose(o1: Any, o2: Any) -> Any:
             ),
             pure=o2.pure,
         )
-
-    raise CompositionError(o1.kind, o2.kind)
+    return _FORMULAS[kind](_coerce(o1, kind), _coerce(o2, kind))

@@ -1,8 +1,9 @@
 """Built-in fixtures: addresses, the iris dataset, and the logging box.
 
-The typed fixtures mirror the reference examples exactly; the ``value_*``
-factories wrap them for the document runtime used by the CLI, encoding
-flowers and measurements as records.
+The typed fixtures mirror the reference examples exactly. The ``value_*``
+optics for the document runtime used by the CLI are those same typed
+optics composed with ``Adapter``s built from the converters below, which
+encode addresses, flowers and measurements as records.
 """
 
 from __future__ import annotations
@@ -11,14 +12,15 @@ import json
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import sqrt
+from math import fsum, sqrt
 from typing import List, Sequence
 
+from .composition import compose
 from .effects import Writer
 from .errors import FocusError
 from .optics import (
-    AlgebraicLens, Focus, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
-    Traversal,
+    Adapter, AlgebraicLens, Focus, Kaleidoscope, Lens, Miss, MonadicLens,
+    Prism, Traversal,
 )
 from .values import (
     VNum, VRec, VText, Value, each_traversal, field_lens,
@@ -185,7 +187,7 @@ def aggregate_kaleidoscope() -> Kaleidoscope:
 
 
 def mean(xs: Sequence[float]) -> float:
-    return sum(xs) / len(xs)
+    return fsum(xs) / len(xs)
 
 
 def box_lens() -> MonadicLens:
@@ -270,54 +272,36 @@ def value_to_flower(v: Value) -> Flower:
     return Flower(measurements, kind)
 
 
+def value_to_text(v: Value) -> str:
+    if not isinstance(v, VText):
+        raise FocusError("expected a text document")
+    return v.value
+
+
 def value_address_prism() -> Prism:
     """The address prism over text documents."""
-    typed = address_prism()
-
-    def match(v: Value):
-        if not isinstance(v, VText):
-            raise FocusError("expected a text document")
-        res = typed.match(v.value)
-        if isinstance(res, Miss):
-            return Miss(VText(res.value))
-        return Focus(address_to_value(res.value))
-
-    return Prism(
-        match=match,
-        build=lambda v: VText(typed.build(value_to_address(v))),
+    return compose(
+        Adapter(forward=value_to_text, backward=VText),
+        compose(address_prism(),
+                Adapter(forward=address_to_value, backward=value_to_address)),
     )
 
 
 def value_measure_lens() -> AlgebraicLens:
-    typed = measure_lens()
-
-    def classify(flowers: Sequence[Value], m: Value) -> Value:
-        return flower_to_value(typed.classify(
-            [value_to_flower(f) for f in flowers],
-            value_to_measurements(m),
-        ))
-
-    return AlgebraicLens(
-        view=lambda v: measurements_to_value(value_to_flower(v).measurements),
-        classify=classify,
+    # nested to the right, so each training flower is converted once
+    return compose(
+        Adapter(forward=value_to_flower, backward=flower_to_value),
+        compose(measure_lens(), Adapter(forward=measurements_to_value,
+                                        backward=value_to_measurements)),
     )
 
 
 def value_aggregate_kaleidoscope() -> Kaleidoscope:
     """Component-wise aggregation; the fold sees plain floats."""
-    typed = aggregate_kaleidoscope()
-
-    def aggregate(f):
-        lifted = typed.aggregate(lambda xs: f(list(xs)))
-
-        def run(ms: Sequence[Value]) -> Value:
-            return measurements_to_value(
-                lifted([value_to_measurements(m) for m in ms])
-            )
-
-        return run
-
-    return Kaleidoscope(aggregate=aggregate)
+    return compose(
+        Adapter(forward=value_to_measurements, backward=measurements_to_value),
+        aggregate_kaleidoscope(),
+    )
 
 
 # built-in names resolvable in optic expressions

@@ -128,7 +128,11 @@ def _to_python(value: Value):
 
 
 def serialize(value: Value) -> str:
-    return json.dumps(_to_python(value), ensure_ascii=False)
+    try:
+        return json.dumps(_to_python(value), ensure_ascii=False)
+    except RecursionError:
+        # records parse deeper than the conversion back can recurse
+        raise ParseError("document nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------

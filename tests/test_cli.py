@@ -1,6 +1,9 @@
 """End-to-end CLI checks against the bundled documents."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,16 @@ IRIS = str(DATA / "iris.json")
 
 def run(*args, stdin=None):
     return CliRunner().invoke(main, list(args), input=stdin)
+
+
+def run_process(*args, stdin):
+    """Run the CLI in a fresh interpreter, with the stack a shell gives it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mixoptic.cli", *args], input=stdin,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_preview_home_street():
@@ -170,11 +183,26 @@ def test_unknown_species_is_one_error_line():
     ]
 
 
-@pytest.mark.parametrize("depth", [600, 1000])
-def test_deep_document_is_one_error_line(depth):
-    # 600 levels overflow the value conversion, 1,000 the json decoder
-    deep = "[" * depth + "1" + "]" * depth
-    result = run("tolist", "--optic", "each", "--input", "-", stdin=deep)
-    assert result.exit_code == 2
+def _nested_list(depth):
+    return "[" * depth + "1" + "]" * depth
+
+
+def _nested_record(depth):
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+@pytest.mark.parametrize("action,optic,deep", [
+    pytest.param("tolist", "each", _nested_list(600), id="600"),
+    pytest.param("tolist", "each", _nested_list(1000), id="1000"),
+    pytest.param("view", 'field("a")', _nested_record(600), id="record-600"),
+    pytest.param("view", 'field("a")', _nested_record(900), id="record-900"),
+])
+def test_deep_document_is_one_error_line(action, optic, deep):
+    # lists: 600 levels overflow the value conversion, 1,000 the json
+    # decoder; records parse to about 990 levels and overflow serialize.
+    # In-process, the test runner's own frames would overflow the parser
+    # before a record reached serialize, hence a fresh interpreter.
+    result = run_process(action, "--optic", optic, "--input", "-", stdin=deep)
+    assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: document nests too deeply"]

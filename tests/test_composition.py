@@ -332,6 +332,21 @@ CELLS += [
      lambda r: {"s": {"w": gen_address(r)}, "f": str.upper}),
     ("ach.prism", _box_ach(), tag_prism("t"), K.AFFINE_TRAVERSAL,
      lambda r: {"s": {"x": _tagged(_ints)(r)}, "f": lambda n: n + 1}),
+    ("adapter.adapter", swap_adapter(),
+     Adapter(forward=lambda p: p[0] - p[1], backward=lambda d: (d, 0)),
+     K.ADAPTER,
+     lambda r: {"s": _pairs(_ints)(r), "b": _ints(r)}),
+    ("adapter.alg",
+     Adapter(forward=lambda d: d["x"], backward=lambda f: {"x": f}),
+     measure_lens(), K.ALGEBRAIC_LENS,
+     lambda r: {"s": {"x": gen_flower(r)},
+                "batch": [{"x": f} for f in _batch(gen_flower)(r)],
+                "b": gen_measurements(r)}),
+    ("adapter.kal",
+     Adapter(forward=lambda d: d["m"], backward=lambda m: {"m": m}),
+     aggregate_kaleidoscope(), K.KALEIDOSCOPE,
+     lambda r: {"batch": [{"m": m} for m in _batch(gen_measurements)(r)],
+                "agg": _mean_shift}),
     ("alg.alg", measure_lens(), _measure_field_alg(), K.ALGEBRAIC_LENS,
      lambda r: {"s": gen_flower(r),
                 "batch": _batch(gen_flower)(r),
@@ -441,6 +456,24 @@ def test_incompatible_cells_raise(pair):
     outer, inner = pair
     with pytest.raises(CompositionError):
         compose(outer, inner)
+
+
+def test_compose_realizes_every_join_cell():
+    entries = zoo()
+    for k1 in ALL_KINDS:
+        for k2 in ALL_KINDS:
+            o1, o2 = entries[k1].optic, entries[k2].optic
+            joined = join_kind(k1, k2)
+            if joined is INCOMPATIBLE:
+                with pytest.raises(CompositionError):
+                    compose(o1, o2)
+            elif isinstance(joined, Fallback):
+                with pytest.warns(UserWarning):
+                    assert compose(o1, o2).kind is K.SETTER, (k1, k2)
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert compose(o1, o2).kind is joined, (k1, k2)
 
 
 def test_composition_error_names_both_kinds():
