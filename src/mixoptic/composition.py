@@ -3,16 +3,26 @@
 ``join_kind`` is total: it returns the minimal named kind covering both
 operands, a ``Fallback`` to setter when both sides can still write but no
 named kind fits, or ``INCOMPATIBLE`` when the directions cannot meet.
-``compose`` coerces both operands to the joined kind and applies that
-kind's one formula from ``_FORMULAS``; only the monadic lens, whose effect
-threads through a plain lens, is composed by hand. ``upcast`` embeds an
-optic into a more general kind along the public edges only.
+``compose`` returns a flat chain of the joined kind: an instance of that
+kind's class holding ``parts``, the tuple of its segments outermost first,
+each coerced to the kind. An operand that is a chain of the joined kind
+splices its parts in; any other operand, a chain of a lower kind included,
+is coerced once and becomes one segment. The join only climbs, so chains
+nest no deeper than the number of kind changes along them. The kind's
+functions loop over the parts, so applying a chain is linear in its depth,
+and the kinds that read before they rebuild use no stack per segment.
+Only the monadic lens, whose effect threads through a plain lens, is
+composed by hand. ``encoding.ProfOptic.then`` stays nested: it is the
+independent oracle the tests hold ``compose`` to. ``upcast`` embeds an
+optic into a more general kind along the public edges only; it and
+``compose`` follow shortest coercion paths computed once at import.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any, Optional
 
 from .errors import CompositionError, LengthError, UpcastError
@@ -218,29 +228,42 @@ _PRIVATE_EMBED = {
 _COERCIONS = {**_EMBED, **_PRIVATE_EMBED}
 
 
-def _embed(optic: Any, goal: OpticKind, edges) -> Optional[Any]:
-    """Apply the shortest chain of ``edges`` from the optic's kind to
-    ``goal``; None when no chain exists."""
+def _shortest_paths(edges) -> dict:
+    """(source kind, goal kind) -> the steps of the shortest chain of
+    ``edges`` between them, found by one breadth-first search per source;
+    absent when no chain exists."""
+    paths = {}
+    for source in OpticKind:
+        paths[(source, source)] = ()
+        frontier = [source]
+        for kind in frontier:
+            for (src, dst), fn in edges.items():
+                if src is kind and (source, dst) not in paths:
+                    paths[(source, dst)] = paths[(source, kind)] + (fn,)
+                    frontier.append(dst)
+    return paths
+
+
+_EMBED_PATHS = _shortest_paths(_EMBED)
+_COERCION_PATHS = _shortest_paths(_COERCIONS)
+
+
+def _embed(optic: Any, goal: OpticKind, paths: dict) -> Optional[Any]:
+    """Apply the path from the optic's kind to ``goal``; None when there is
+    none."""
     if optic.kind is goal:
         return optic
-    frontier = [(optic.kind, [])]
-    seen = {optic.kind}
-    while frontier:
-        kind, path = frontier.pop(0)
-        if kind is goal:
-            for step in path:
-                optic = step(optic)
-            return optic
-        for (src, dst), fn in edges.items():
-            if src is kind and dst not in seen:
-                seen.add(dst)
-                frontier.append((dst, path + [fn]))
-    return None
+    steps = paths.get((optic.kind, goal))
+    if steps is None:
+        return None
+    for step in steps:
+        optic = step(optic)
+    return optic
 
 
 def upcast(optic: Any, kind: OpticKind) -> Any:
     """Embed an optic into a more general kind; UpcastError if impossible."""
-    out = _embed(optic, kind, _EMBED)
+    out = _embed(optic, kind, _EMBED_PATHS)
     if out is None:
         raise UpcastError(
             f"no embedding of {optic.kind.value} into {kind.value}"
@@ -249,124 +272,196 @@ def upcast(optic: Any, kind: OpticKind) -> Any:
 
 
 def _coerce(optic: Any, kind: OpticKind) -> Any:
-    out = _embed(optic, kind, _COERCIONS)
+    out = _embed(optic, kind, _COERCION_PATHS)
     if out is None:
         raise CompositionError(optic.kind, kind)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Composition formulas, outer optic first. Both operands arrive already
-# coerced to the joined kind.
+# Flat chains. A composite is an instance of a subclass of its kind's class
+# that holds ``parts``; the kind's functions are methods that loop over the
+# parts. Read-then-rebuild kinds walk down once, keeping each level's whole,
+# and rebuild upwards; continuation kinds nest one function per part.
 
 
-def _compose_lens(o1: Lens, o2: Lens) -> Lens:
-    return Lens(
-        view=lambda s: o2.view(o1.view(s)),
-        update=lambda s, b: o1.update(s, o2.update(o1.view(s), b)),
-    )
+class _Chain:
+    def __init__(self, parts: tuple):
+        object.__setattr__(self, "parts", parts)  # the dataclass is frozen
+
+    def __repr__(self):
+        return f"{type(self).__name__}(parts={self.parts!r})"
 
 
-def _compose_achromatic(a1: AchromaticLens, a2: AchromaticLens) -> AchromaticLens:
-    base = _compose_lens(Lens(a1.view, a1.update), Lens(a2.view, a2.update))
-    return AchromaticLens(
-        view=base.view,
-        update=base.update,
-        create=lambda b: a1.create(a2.create(b)),
-    )
+def _down(name):
+    def run(self, s):
+        for p in self.parts:
+            s = getattr(p, name)(s)
+        return s
+
+    return run
 
 
-def _compose_prism(p1: Prism, p2: Prism) -> Prism:
-    def match(s):
-        outer = p1.match(s)
-        if isinstance(outer, Miss):
-            return outer
-        inner = p2.match(outer.value)
-        if isinstance(inner, Miss):
-            return Miss(p1.build(inner.value))
-        return inner
+def _up(name):
+    def run(self, b):
+        for p in reversed(self.parts):
+            b = getattr(p, name)(b)
+        return b
 
-    return Prism(match=match, build=lambda b: p1.build(p2.build(b)))
+    return run
 
 
-def _compose_affine(o1: AffineTraversal, o2: AffineTraversal) -> AffineTraversal:
-    def access(s):
-        outer = o1.access(s)
-        if isinstance(outer, Miss):
-            return outer
-        focus1, put1 = outer.value
-        inner = o2.access(focus1)
-        if isinstance(inner, Miss):
-            return Miss(put1(inner.value))
-        focus2, put2 = inner.value
-        return Focus((focus2, lambda b: put1(put2(b))))
-
-    return AffineTraversal(access=access)
+def _lens_update(self, s, b):
+    parts = self.parts
+    wholes = [s]
+    for p in parts[:-1]:
+        s = p.view(s)
+        wholes.append(s)
+    for p, whole in zip(reversed(parts), reversed(wholes)):
+        b = p.update(whole, b)
+    return b
 
 
-def _compose_traversal(o1: Traversal, o2: Traversal) -> Traversal:
-    def extract(s):
-        outer_foci, outer_rebuild = o1.extract(s)
-        parts = [o2.extract(a) for a in outer_foci]
-        foci = [x for inner_foci, _ in parts for x in inner_foci]
+def _classify(self, ss, b):
+    parts = self.parts
+    levels = [ss]  # every training whole is viewed once per level
+    for p in parts[:-1]:
+        ss = [p.view(s) for s in ss]
+        levels.append(ss)
+    for p, wholes in zip(reversed(parts), reversed(levels)):
+        b = p.classify(wholes, b)
+    return b
 
-        def rebuild(bs, _parts=parts, _outer=outer_rebuild, _n=len(foci)):
-            if len(bs) != _n:
-                raise LengthError(f"expected {_n} replacements, got {len(bs)}")
+
+def _match(self, s):
+    for depth, p in enumerate(self.parts):
+        res = p.match(s)
+        if isinstance(res, Miss):
+            t = res.value
+            for q in reversed(self.parts[:depth]):
+                t = q.build(t)
+            return Miss(t)
+        s = res.value
+    return Focus(s)
+
+
+def _put_all(puts, b):
+    for put in reversed(puts):
+        b = put(b)
+    return b
+
+
+def _access(self, s):
+    puts = []
+    for p in self.parts:
+        res = p.access(s)
+        if isinstance(res, Miss):
+            return Miss(_put_all(puts, res.value))
+        s, put = res.value
+        puts.append(put)
+    return Focus((s, partial(_put_all, puts)))
+
+
+def _extract(self, s):
+    levels, foci = [], [s]  # a level: (foci, rebuild) per focus above it
+    for p in self.parts:
+        level = [p.extract(a) for a in foci]
+        levels.append(level)
+        foci = [x for inner, _ in level for x in inner]
+
+    def rebuild(bs, _n=len(foci)):
+        if len(bs) != _n:
+            raise LengthError(f"expected {_n} replacements, got {len(bs)}")
+        for level in reversed(levels):
             rebuilt, cursor = [], 0
-            for inner_foci, inner_rebuild in _parts:
-                width = len(inner_foci)
+            for inner, inner_rebuild in level:
+                width = len(inner)
                 rebuilt.append(inner_rebuild(list(bs[cursor:cursor + width])))
                 cursor += width
-            return _outer(rebuilt)
+            bs = rebuilt
+        return bs[0]
 
-        return foci, rebuild
-
-    return Traversal(extract=extract)
-
-
-def _compose_glass(o1: Glass, o2: Glass) -> Glass:
-    def run(h, s):
-        return o1.run(
-            lambda k1: o2.run(lambda k2: h(lambda x: k2(k1(x))), k1(s)),
-            s,
-        )
-
-    return Glass(run=run)
+    return foci, rebuild
 
 
-_FORMULAS = {
-    K.ADAPTER: lambda a1, a2: Adapter(
-        forward=lambda s: a2.forward(a1.forward(s)),
-        backward=lambda b: a1.backward(a2.backward(b)),
-    ),
-    K.LENS: _compose_lens,
-    K.ACHROMATIC_LENS: _compose_achromatic,
-    K.PRISM: _compose_prism,
-    K.AFFINE_TRAVERSAL: _compose_affine,
-    K.TRAVERSAL: _compose_traversal,
-    K.GRATE: lambda g1, g2: Grate(
-        run=lambda h: g1.run(lambda k1: g2.run(lambda k2: h(lambda s: k2(k1(s)))))
-    ),
-    K.GLASS: _compose_glass,
-    K.SETTER: lambda s1, s2: Setter(
-        over=lambda f, s: s1.over(lambda a: s2.over(f, a), s)
-    ),
-    K.GETTER: lambda g1, g2: Getter(get=lambda s: g2.get(g1.get(s))),
-    K.FOLD: lambda f1, f2: Fold(
-        foci=lambda s: [x for a in f1.foci(s) for x in f2.foci(a)]
-    ),
-    K.REVIEW: lambda r1, r2: Review(build=lambda b: r1.build(r2.build(b))),
-    K.ALGEBRAIC_LENS: lambda a1, a2: AlgebraicLens(
-        view=lambda s: a2.view(a1.view(s)),
-        classify=lambda ss, b: a1.classify(
-            ss, a2.classify([a1.view(s) for s in ss], b)
-        ),
-    ),
-    K.KALEIDOSCOPE: lambda k1, k2: Kaleidoscope(
-        aggregate=lambda f: k1.aggregate(k2.aggregate(f))
-    ),
+def _foci(self, s):
+    found = [s]
+    for p in self.parts:
+        found = [x for a in found for x in p.foci(a)]
+    return found
+
+
+def _over(self, f, s):
+    for p in reversed(self.parts):
+        f = partial(p.over, f)
+    return f(s)
+
+
+def _thread(ks, s):
+    for k in ks:
+        s = k(s)
+    return s
+
+
+def _grate_level(g, inner, ks):
+    return g.run(lambda k: inner(ks + (k,)))
+
+
+def _grate_run(self, h):
+    def inner(ks):
+        return h(partial(_thread, ks))
+
+    for g in reversed(self.parts):
+        inner = partial(_grate_level, g, inner)
+    return inner(())
+
+
+def _glass_level(g, inner, ks, whole):
+    return g.run(lambda k: inner(ks + (k,), k(whole)), whole)
+
+
+def _glass_run(self, h, s):
+    def inner(ks, _whole):
+        return h(partial(_thread, ks))
+
+    for g in reversed(self.parts):
+        inner = partial(_glass_level, g, inner)
+    return inner((), s)
+
+
+def _chain_type(base, *runs):
+    """The subclass of ``base`` whose fields are the ``runs``, in order."""
+    names = [f.name for f in fields(base)]
+    return type(base.__name__, (_Chain, base), dict(zip(names, runs)))
+
+
+_VIEW = _down("view")
+
+_CHAINS = {
+    chain.kind: chain for chain in (
+        _chain_type(Adapter, _down("forward"), _up("backward")),
+        _chain_type(Lens, _VIEW, _lens_update),
+        _chain_type(AchromaticLens, _VIEW, _lens_update, _up("create")),
+        _chain_type(Prism, _match, _up("build")),
+        _chain_type(AffineTraversal, _access),
+        _chain_type(Traversal, _extract),
+        _chain_type(Grate, _grate_run),
+        _chain_type(Glass, _glass_run),
+        _chain_type(Setter, _over),
+        _chain_type(Getter, _down("get")),
+        _chain_type(Fold, _foci),
+        _chain_type(Review, _up("build")),
+        _chain_type(AlgebraicLens, _VIEW, _classify),
+        _chain_type(Kaleidoscope, _up("aggregate")),
+    )
 }
+
+
+def _segments(optic: Any, kind: OpticKind) -> tuple:
+    """A chain of ``kind`` splices in; any other optic is one segment."""
+    if isinstance(optic, _Chain) and optic.kind is kind:
+        return optic.parts
+    return (_coerce(optic, kind),)
 
 
 def compose(o1: Any, o2: Any) -> Any:
@@ -399,4 +494,4 @@ def compose(o1: Any, o2: Any) -> Any:
             ),
             pure=o2.pure,
         )
-    return _FORMULAS[kind](_coerce(o1, kind), _coerce(o2, kind))
+    return _CHAINS[kind](_segments(o1, kind) + _segments(o2, kind))

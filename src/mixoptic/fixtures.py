@@ -288,7 +288,8 @@ def value_address_prism() -> Prism:
 
 
 def value_measure_lens() -> AlgebraicLens:
-    # nested to the right, so each training flower is converted once
+    # the chain views each level once, so each training flower is
+    # converted once
     return compose(
         Adapter(forward=value_to_flower, backward=flower_to_value),
         compose(measure_lens(), Adapter(forward=measurements_to_value,

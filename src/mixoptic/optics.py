@@ -174,7 +174,8 @@ class MonadicLens:
 def _admit(optic: Any, combinator: str, refusal: str) -> OpticKind:
     kind = optic.kind
     if combinator not in ADMITS[kind]:
-        raise KindError(f"cannot {refusal} a {kind.value}")
+        article = "an" if kind.value[0] in "aeiou" else "a"
+        raise KindError(f"cannot {refusal} {article} {kind.value}")
     return kind
 
 

@@ -1,0 +1,179 @@
+"""Deep chains: a composite runs as one loop over its segments.
+
+The lens, affine and traversal shapes are those of the benchmark's
+``chains`` workload: fields only, fields then variants, and fields,
+variants and three ``each`` (eight foci); the prism shape is variants
+only. Up to depth 400 every action agrees with the transformer oracle,
+which nests one closure per segment; deeper, where the oracle overflows
+the stack, the lens laws are checked directly.
+"""
+
+import warnings
+from functools import reduce
+
+import pytest
+
+from mixoptic import (
+    Adapter, Fallback, INCOMPATIBLE, OpticKind, compose, ex2prof, join_kind,
+    over, prof2ex, preview, set_value, to_list_of, view,
+)
+from mixoptic.errors import CompositionError
+from mixoptic.values import (
+    VList, VNum, VRec, VTag, VText, each_traversal, field_lens, variant_prism,
+)
+
+from conftest import zoo
+
+K = OpticKind
+
+SHAPES = ("lens", "affine", "traversal")
+KINDS = {"lens": K.LENS, "affine": K.AFFINE_TRAVERSAL,
+         "traversal": K.TRAVERSAL, "prism": K.PRISM}
+
+
+def segments(depth, shape):
+    """Segment kinds; variants and ``each`` sit in the second half."""
+    half = depth // 2
+    kinds = ["variant" if shape == "prism" else "field"] * depth
+    if shape in ("affine", "traversal"):
+        for i in range(half, depth, 4):
+            kinds[i] = "variant"
+    if shape == "traversal":
+        for i in {half, (half + depth) // 2, depth - 1}:
+            kinds[i] = "each"
+    return kinds
+
+
+def leaves(kinds):
+    make = {"field": field_lens, "variant": variant_prism}
+    return [each_traversal() if k == "each" else make[k](f"{k[0]}{i % 7}")
+            for i, k in enumerate(kinds)]
+
+
+def document(kinds, miss_at=None):
+    """A document on which every segment finds its focus, except a variant
+    at ``miss_at``, whose tag differs. Built from the innermost level out,
+    with a distinct leaf per focus."""
+    docs = [VText(f"leaf{j}") for j in range(2 ** kinds.count("each"))]
+    for i in reversed(range(len(kinds))):
+        kind, name = kinds[i], f"{kinds[i][0]}{i % 7}"
+        if kind == "each":
+            docs = [VList(pair) for pair in zip(docs[::2], docs[1::2])]
+        elif kind == "variant":
+            tag = name if i != miss_at else "other"
+            docs = [VTag(tag, doc) for doc in docs]
+        else:
+            docs = [VRec(((name, doc), ("n", VNum(i)))) for doc in docs]
+    return docs[0]
+
+
+def oracle(optics, kind):
+    return prof2ex(reduce(lambda p, q: p.then(q),
+                          [ex2prof(o) for o in optics]), kind)
+
+
+def tokens(doc):
+    """The document in pre-order, walked without recursion: documents too
+    deep for ``==`` compare equal exactly when their tokens do."""
+    out, stack = [], [doc]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, VRec):
+            out.append(("rec",) + tuple(k for k, _ in v.fields))
+            stack.extend(reversed([x for _, x in v.fields]))
+        elif isinstance(v, VList):
+            out.append(("list", len(v.items)))
+            stack.extend(reversed(v.items))
+        elif isinstance(v, VTag):
+            out.append(("tag", v.tag))
+            stack.append(v.payload)
+        else:
+            out.append(v)
+    return out
+
+
+def shout(v):
+    return VText(v.value.upper()) if isinstance(v, VText) else v
+
+
+def observe(optic, kind, doc):
+    if kind is K.TRAVERSAL:
+        got = [tuple(to_list_of(optic, doc))]
+    else:
+        read = view if kind is K.LENS else preview
+        got = [read(optic, doc), tokens(set_value(optic, doc, VText("new")))]
+    return got + [tokens(over(optic, shout, doc))]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 64, 400])
+@pytest.mark.parametrize("shape", SHAPES + ("prism",))
+def test_deep_chain_matches_transformer_oracle(shape, depth):
+    kinds = segments(depth, shape)
+    optics = leaves(kinds)
+    composite = reduce(compose, optics)
+    if depth > 1:
+        assert composite.kind is KINDS[shape]
+    reference = oracle(optics, composite.kind)
+    docs = [document(kinds)]
+    if "variant" in kinds:
+        docs.append(document(kinds, miss_at=max(
+            i for i, k in enumerate(kinds) if k == "variant")))
+    for doc in docs:
+        assert observe(composite, composite.kind, doc) == \
+            observe(reference, composite.kind, doc)
+    if shape == "traversal" and depth > 2:
+        assert len(to_list_of(composite, docs[0])) == 8
+
+
+@pytest.mark.parametrize("depth", [1024, 5000])
+def test_lens_laws_hold_at_depth(depth):
+    kinds = segments(depth, "lens")
+    optic = reduce(compose, leaves(kinds))
+    doc = document(kinds)
+    new, newer = VText("new"), VText("newer")
+
+    once = set_value(optic, doc, new)
+    assert view(optic, once) == new  # put then get
+    assert tokens(set_value(optic, doc, view(optic, doc))) == tokens(doc)
+    assert tokens(set_value(optic, once, newer)) == \
+        tokens(set_value(optic, doc, newer))  # put twice
+    before, after = tokens(doc), tokens(once)
+    assert len(before) == len(after)
+    assert [b for a, b in zip(before, after) if a != b] == [new]  # only it
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_bracketing_does_not_change_the_chain(shape):
+    kinds = segments(64, shape)
+    optics = leaves(kinds)
+    left = reduce(compose, optics)
+    right = reduce(lambda inner, outer: compose(outer, inner), reversed(optics))
+    middle = compose(reduce(compose, optics[:40]), reduce(compose, optics[40:]))
+    doc = document(kinds)
+    want = observe(left, left.kind, doc)
+    for other in (right, middle):
+        assert other.kind is left.kind
+        assert observe(other, other.kind, doc) == want
+    if shape == "lens":  # one kind throughout: every bracketing splices
+        assert len(left.parts) == len(right.parts) == len(middle.parts) == 64
+
+
+def test_chain_then_leaf_has_the_joined_kind():
+    entries = zoo()
+    identity = Adapter(forward=lambda s: s, backward=lambda b: b)
+    for k1, first in entries.items():
+        chain = compose(first.optic, identity)
+        assert chain.kind is k1
+        for k2, second in entries.items():
+            joined = join_kind(k1, k2)
+            if joined is INCOMPATIBLE:
+                with pytest.raises(CompositionError):
+                    compose(chain, second.optic)
+            elif isinstance(joined, Fallback):
+                with pytest.warns(UserWarning):
+                    assert compose(chain, second.optic).kind is K.SETTER
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert compose(chain, second.optic).kind is joined, \
+                        (k1, k2)

@@ -206,3 +206,31 @@ def test_deep_document_is_one_error_line(action, optic, deep):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: document nests too deeply"]
+
+
+def test_wrong_kind_error_names_the_kind_with_its_article():
+    result = run("view", "--optic", "address.street", "--input", HOME)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: cannot view through an affine-traversal"
+    ]
+
+
+@pytest.mark.parametrize("action,optic,source,stdin,line", [
+    pytest.param("view", ".".join(['field("a")'] * 5000), "-", '{"a": "x"}',
+                 "error: expected a record with key 'a'", id="field-5000"),
+    pytest.param("aggregate", ".".join(["aggregate"] * 1200), IRIS, None,
+                 "error: measurements record needs number field "
+                 "'sepalLength'", id="aggregate-1200"),
+])
+def test_long_chain_is_one_error_line(action, optic, source, stdin, line):
+    # a chain is one flat tuple of segments, so the first segment that
+    # fails reports its own error instead of the stack overflowing
+    args = [action, "--optic", optic, "--input", source]
+    if action == "aggregate":
+        args += ["--arg", "mean"]
+    result = run_process(*args, stdin=stdin)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [line]
