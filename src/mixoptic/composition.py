@@ -2,17 +2,22 @@
 
 ``join_kind`` is total: it returns the minimal named kind covering both
 operands, a ``Fallback`` to setter when both sides can still write but no
-named kind fits, or ``INCOMPATIBLE`` when the directions cannot meet.
-``compose`` returns a flat chain of the joined kind: an instance of that
-kind's class holding ``parts``, the tuple of its segments outermost first,
-each coerced to the kind. An operand that is a chain of the joined kind
-splices its parts in; any other operand, a chain of a lower kind included,
-is coerced once and becomes one segment. The join only climbs, so chains
-nest no deeper than the number of kind changes along them. The kind's
-functions loop over the parts, so applying a chain is linear in its depth,
-and the kinds that read before they rebuild use no stack per segment.
-Only the monadic lens, whose effect threads through a plain lens, is
-composed by hand. ``encoding.ProfOptic.then`` stays nested: it is the
+named kind fits, or ``INCOMPATIBLE`` when the directions cannot meet. It
+reads a table that the cascade in ``_join`` fills at import.
+``compose(first, *rest)`` is variadic and folds from the left: each step
+joins the kind so far with the next operand's. It returns a flat chain of
+the joined kind: an instance of that kind's class holding ``parts``, the
+tuple of its segments outermost first, each coerced to the kind. An operand
+that is a chain of the joined kind splices its parts in; any other operand,
+a chain of a lower kind included, is coerced once and becomes one segment.
+While the kind stays the same the segments collect in one list, and a chain
+object is built only where the kind changes, so building is linear in the
+number of operands and chains nest no deeper than the number of kind
+changes along them. The kind's functions loop over the parts, so applying
+a chain is linear in its depth, and the kinds that read before they
+rebuild use no stack per segment. Only the monadic lens, whose effect
+threads through a plain lens, is composed by hand, two operands at a time.
+``encoding.ProfOptic.then`` stays nested: it is the
 independent oracle the tests hold ``compose`` to. ``upcast`` embeds an
 optic into a more general kind along the public edges only; it and
 ``compose`` follow shortest coercion paths computed once at import.
@@ -60,8 +65,8 @@ _CORE = (K.ADAPTER, K.LENS, K.PRISM, K.AFFINE_TRAVERSAL, K.TRAVERSAL,
 _CORE_BY_CAPS = {capability_set(kind): kind for kind in _CORE}
 
 
-def join_kind(k1: OpticKind, k2: OpticKind):
-    """Total, commutative join on optic kinds."""
+def _join(k1: OpticKind, k2: OpticKind):
+    """The cascade that defines the join; ``join_kind`` reads its table."""
     if k1 is K.ADAPTER:
         return k2
     if k2 is K.ADAPTER:
@@ -111,6 +116,14 @@ def join_kind(k1: OpticKind, k2: OpticKind):
 
     union = closure(capability_set(k1) | capability_set(k2))
     return _CORE_BY_CAPS.get(union, Fallback())
+
+
+_JOIN = {k1: {k2: _join(k1, k2) for k2 in OpticKind} for k1 in OpticKind}
+
+
+def join_kind(k1: OpticKind, k2: OpticKind):
+    """Total, commutative join on optic kinds."""
+    return _JOIN[k1][k2]
 
 
 # ---------------------------------------------------------------------------
@@ -464,34 +477,49 @@ def _segments(optic: Any, kind: OpticKind) -> tuple:
     return (_coerce(optic, kind),)
 
 
-def compose(o1: Any, o2: Any) -> Any:
-    """Compose two optics, o1 outermost, per the kind lattice."""
-    kind = join_kind(o1.kind, o2.kind)
-    if kind is INCOMPATIBLE:
-        raise CompositionError(o1.kind, o2.kind)
-
-    if isinstance(kind, Fallback):
-        warnings.warn(
-            f"{o1.kind.value} and {o2.kind.value} compose only as a setter",
-            stacklevel=2,
-        )
-        kind = K.SETTER
-
-    # the effect threads through the plain-lens side, whichever it is
-    if kind is K.MONADIC_LENS and o1.kind is K.MONADIC_LENS:
+def _compose_monadic(o1: Any, o2: Any) -> MonadicLens:
+    """The effect threads through the plain-lens side, whichever it is."""
+    if o1.kind is K.MONADIC_LENS:
         inner = _coerce(o2, K.LENS)
         return MonadicLens(
             view=lambda s: inner.view(o1.view(s)),
             mupdate=lambda s, b: o1.mupdate(s, inner.update(o1.view(s), b)),
             pure=o1.pure,
         )
-    if kind is K.MONADIC_LENS:
-        outer = _coerce(o1, K.LENS)
-        return MonadicLens(
-            view=lambda s: o2.view(outer.view(s)),
-            mupdate=lambda s, b: o2.mupdate(outer.view(s), b).map(
-                lambda a: outer.update(s, a)
-            ),
-            pure=o2.pure,
-        )
-    return _CHAINS[kind](_segments(o1, kind) + _segments(o2, kind))
+    outer = _coerce(o1, K.LENS)
+    return MonadicLens(
+        view=lambda s: o2.view(outer.view(s)),
+        mupdate=lambda s, b: o2.mupdate(outer.view(s), b).map(
+            lambda a: outer.update(s, a)
+        ),
+        pure=o2.pure,
+    )
+
+
+def compose(first: Any, *rest: Any) -> Any:
+    """Compose optics, outermost first, per the kind lattice: the left fold
+    of two-operand composition, built with one list of segments per run of
+    the same joined kind."""
+    # parts: the segments of a chain of ``kind`` not built yet, or None
+    optic, kind, parts = first, first.kind, None
+    for nxt in rest:
+        joined = join_kind(kind, nxt.kind)
+        if joined is INCOMPATIBLE:
+            raise CompositionError(kind, nxt.kind)
+        if isinstance(joined, Fallback):
+            warnings.warn(
+                f"{kind.value} and {nxt.kind.value} compose only as a setter",
+                stacklevel=2,
+            )
+            joined = K.SETTER
+        if parts is not None:
+            if joined is kind:
+                parts.extend(_segments(nxt, kind))
+                continue
+            optic = _CHAINS[kind](tuple(parts))
+        kind = joined
+        if kind is K.MONADIC_LENS:
+            optic, parts = _compose_monadic(optic, nxt), None
+        else:
+            parts = [*_segments(optic, kind), *_segments(nxt, kind)]
+    return optic if parts is None else _CHAINS[kind](tuple(parts))

@@ -5,17 +5,18 @@ Grammar::
     expr    := segment ("." segment)*
     segment := IDENT | IDENT "(" STRING ")"
 
-where STRING is double-quoted with backslash escapes. Segments resolve to
-optics through the registry (plain names) or through the parameterized
-forms ``field("key")`` and ``variant("tag")``; the whole chain composes
-left to right.
+where STRING is double-quoted with JSON's backslash escapes. The scanner
+matches each name and each argument with a compiled pattern. Segments
+resolve to optics through the registry (plain names) or through the
+parameterized forms ``field("key")`` and ``variant("tag")``; the whole chain
+is one call to the variadic ``compose``, which folds it from the left.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from .composition import compose
@@ -35,31 +36,35 @@ class Segment:
         return f"{self.name}({json.dumps(self.argument)})"
 
 
+# A name is the characters ``str.isalnum`` accepts, and "_"; it may not
+# start with a digit. A quoted argument with no backslash and no control
+# character is its own value; any other goes through the JSON decoder, which
+# reads the escapes and, as JSON does, rejects a raw control character.
+_NAME = re.compile(r"\w+")
+_PLAIN_STRING = re.compile(r'"([^"\\\x00-\x1f]*)"')
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
+
+
 def _ident(text: str, pos: int) -> Tuple[str, int]:
-    start = pos
-    while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-        pos += 1
-    if pos == start or text[start].isdigit():
-        raise ExprError("expected a name", start)
-    return text[start:pos], pos
+    found = _NAME.match(text, pos)
+    if found is None or text[pos].isdigit():
+        raise ExprError("expected a name", pos)
+    return found.group(), found.end()
 
 
 def _string(text: str, pos: int) -> Tuple[str, int]:
-    if pos >= len(text) or text[pos] != '"':
+    plain = _PLAIN_STRING.match(text, pos)
+    if plain is not None:
+        return plain.group(1), plain.end()
+    if not text.startswith('"', pos):
         raise ExprError("expected a double-quoted string", pos)
-    cursor = pos + 1
-    while cursor < len(text):
-        if text[cursor] == "\\":
-            cursor += 2
-            continue
-        if text[cursor] == '"':
-            raw = text[pos:cursor + 1]
-            try:
-                return json.loads(raw), cursor + 1
-            except ValueError:
-                raise ExprError("bad string escape", pos) from None
-        cursor += 1
-    raise ExprError("unterminated string", pos)
+    quoted = _STRING.match(text, pos)
+    if quoted is None:
+        raise ExprError("unterminated string", pos)
+    try:
+        return json.loads(quoted.group()), quoted.end()
+    except ValueError:
+        raise ExprError("bad string escape", pos) from None
 
 
 def parse_expr(text: str) -> List[Segment]:
@@ -114,6 +119,5 @@ def resolve_segment(segment: Segment, registry: Dict[str, object]):
 
 
 def resolve_expr(segments: List[Segment], registry: Dict[str, object]):
-    """Resolve every segment and fold the chain with compose."""
-    optics = [resolve_segment(seg, registry) for seg in segments]
-    return reduce(compose, optics)
+    """Resolve every segment and compose the chain in one call."""
+    return compose(*[resolve_segment(seg, registry) for seg in segments])

@@ -187,7 +187,11 @@ def aggregate_kaleidoscope() -> Kaleidoscope:
 
 
 def mean(xs: Sequence[float]) -> float:
-    return fsum(xs) / len(xs)
+    try:
+        return fsum(xs) / len(xs)
+    except OverflowError:  # the sum leaves the float range; the mean need not
+        n = len(xs)
+        return fsum(x / n for x in xs)
 
 
 def box_lens() -> MonadicLens:
@@ -282,8 +286,8 @@ def value_address_prism() -> Prism:
     """The address prism over text documents."""
     return compose(
         Adapter(forward=value_to_text, backward=VText),
-        compose(address_prism(),
-                Adapter(forward=address_to_value, backward=value_to_address)),
+        address_prism(),
+        Adapter(forward=address_to_value, backward=value_to_address),
     )
 
 
@@ -292,8 +296,8 @@ def value_measure_lens() -> AlgebraicLens:
     # converted once
     return compose(
         Adapter(forward=value_to_flower, backward=flower_to_value),
-        compose(measure_lens(), Adapter(forward=measurements_to_value,
-                                        backward=value_to_measurements)),
+        measure_lens(),
+        Adapter(forward=measurements_to_value, backward=value_to_measurements),
     )
 
 

@@ -95,8 +95,12 @@ CAPABILITIES = {kind: frozenset(caps) for kind, (caps, _) in _TABLE.items()}
 ADMITS = {kind: frozenset(names.split()) for kind, (_, names) in _TABLE.items()}
 
 
+# Closed capability sets per kind, computed once.
+_CLOSED = {kind: closure(caps) for kind, caps in CAPABILITIES.items()}
+
+
 def capability_set(kind: OpticKind) -> FrozenSet[Capability]:
-    return closure(CAPABILITIES[kind])
+    return _CLOSED[kind]
 
 
 def _admitting(combinator: str) -> FrozenSet[OpticKind]:

@@ -9,6 +9,7 @@ decimal point.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -62,6 +63,8 @@ Value = Union[VNull, VBool, VNum, VText, VList, VRec, VTag]
 
 NULL = VNull()
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def _from_pairs(pairs):
     keys = [k for k, _ in pairs]
@@ -81,12 +84,19 @@ def _from_python(obj) -> Value:
     if isinstance(obj, bool):
         return VBool(obj)
     if isinstance(obj, (int, float)):
-        return VNum(float(obj))
+        num = float(obj)  # OverflowError past the float range
+        if not -_FLOAT_MAX <= num <= _FLOAT_MAX:  # 1e400 decodes as inf
+            raise ParseError("number out of range")
+        return VNum(num)
     if isinstance(obj, str):
         return VText(obj)
     if isinstance(obj, list):
         return VList(tuple(_from_python(x) for x in obj))
     raise ParseError(f"unsupported document element {type(obj).__name__}")
+
+
+def _not_a_number(name: str):
+    raise ParseError(f"{name} is not a JSON number")
 
 
 def parse_json(text: str) -> Value:
@@ -96,10 +106,14 @@ def parse_json(text: str) -> Value:
             object_pairs_hook=lambda pairs: _from_pairs(
                 [(k, v if _is_value(v) else _from_python(v)) for k, v in pairs]
             ),
+            parse_constant=_not_a_number,
         )
         return raw if _is_value(raw) else _from_python(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except (OverflowError, ValueError):
+        # an integer past the float range, or past the digits int() reads
+        raise ParseError("number out of range") from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
 

@@ -172,6 +172,16 @@ def test_aggregate_mean_rounds_exact_mean():
         "Iris Setosa; Sepal (5.0, 3.538); Petal (1.4, 0.2)"
 
 
+def test_aggregate_mean_of_values_whose_sum_overflows():
+    flowers = [json.loads(_flower_json(1e308, 3.6, 1.4, 0.2, "Setosa"))
+               for _ in range(2)]
+    result = run("aggregate", "--optic", "measure.aggregate", "--input", "-",
+                 "--arg", "mean", stdin=json.dumps(flowers))
+    assert result.exit_code == 0
+    assert result.stdout.strip() == \
+        f"Iris Setosa; Sepal ({1e308:.1f}, 3.6); Petal (1.4, 0.2)"
+
+
 def test_unknown_species_is_one_error_line():
     result = run("view", "--optic", "measure", "--input", "-",
                  stdin=_flower_json(5.0, 3.6, 1.4, 0.2, "setosa"))
@@ -232,5 +242,24 @@ def test_long_chain_is_one_error_line(action, optic, source, stdin, line):
         args += ["--arg", "mean"]
     result = run_process(*args, stdin=stdin)
     assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [line]
+
+
+@pytest.mark.parametrize("number,line", [
+    pytest.param("9" * 309, "error: number out of range", id="int-309-digits"),
+    pytest.param("9" * 4301, "error: number out of range",
+                 id="int-4301-digits"),
+    pytest.param("1e400", "error: number out of range", id="1e400"),
+    pytest.param("NaN", "error: NaN is not a JSON number", id="NaN"),
+    pytest.param("Infinity", "error: Infinity is not a JSON number",
+                 id="Infinity"),
+    pytest.param("-Infinity", "error: -Infinity is not a JSON number",
+                 id="-Infinity"),
+])
+def test_number_a_float_cannot_hold_is_one_error_line(number, line):
+    result = run_process("tolist", "--optic", "each", "--input", "-",
+                         stdin=f"[1, {number}]")
+    assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [line]

@@ -39,6 +39,30 @@ def test_render_parse_round_trip(text):
     assert render_expr(parse_expr(text)) == text
 
 
+# every ExprError message, keyed by the expression that raises it
+MESSAGES = {
+    "": "empty expression",
+    ".street": "expected a name",
+    "address..street": "expected a name",
+    "address.": "expected a name",
+    'field("a"': "expected ')'",
+    'field("a': "unterminated string",
+    "field(a)": "expected a double-quoted string",
+    "9lives": "expected a name",
+    "a b": "unexpected character ' '",
+    r'field("\q")': "bad string escape",
+    'field("a\x01b")': "bad string escape",
+    'field("tab\there")': "bad string escape",
+    'field("a\\': "unterminated string",
+    'field("ab")x': "unexpected character 'x'",
+    'field("ab"]': "expected ')'",
+    "street(": "expected a double-quoted string",
+    "x.2fast": "expected a name",
+    "a.\u00b2b": "expected a name",
+    "caf\u00e9\u2192street": "unexpected character '\u2192'",
+}
+
+
 @pytest.mark.parametrize("text,pos", [
     ("", 0),
     (".street", 0),
@@ -49,11 +73,34 @@ def test_render_parse_round_trip(text):
     ("field(a)", 6),
     ("9lives", 0),
     ("a b", 1),
+    (r'field("\q")', 6),
+    ('field("a\x01b")', 6),
+    ('field("tab\there")', 6),
+    ('field("a\\', 6),
+    ('field("ab")x', 11),
+    ('field("ab"]', 10),
+    ("street(", 7),
+    ("x.2fast", 2),
+    ("a.\u00b2b", 2),
+    ("caf\u00e9\u2192street", 4),
 ])
 def test_parse_errors_report_position(text, pos):
     with pytest.raises(ExprError) as e:
         parse_expr(text)
     assert e.value.position == pos
+    assert str(e.value) == f"{MESSAGES[text]} (at position {pos})"
+
+
+@pytest.mark.parametrize("text,segments", [
+    (r'field("a\"b")', [("field", 'a"b', 0)]),
+    (r'field("\u00e9t\u00e9")', [("field", "\u00e9t\u00e9", 0)]),
+    ('field("\u00e9t\u00e9")', [("field", "\u00e9t\u00e9", 0)]),
+    (r'field("a\\").each', [("field", "a\\", 0), ("each", None, 13)]),
+    ('field("")', [("field", "", 0)]),
+    ("caf\u00e9.\u00bdx_1", [("caf\u00e9", None, 0), ("\u00bdx_1", None, 5)]),
+])
+def test_parse_names_and_escapes(text, segments):
+    assert parse_expr(text) == [Segment(*seg) for seg in segments]
 
 
 def test_resolve_against_registry():
