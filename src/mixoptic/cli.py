@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+import warnings
 
 import click
 
@@ -126,6 +127,10 @@ def _render(value) -> str:
             f"Petal ({_fmt(m.petal_length)}, {_fmt(m.petal_width)})")
 
 
+def _warning_line(message, *_):
+    click.echo(f"warning: {message}", err=True)
+
+
 def _parse_arg(arg: str):
     if arg is None:
         raise click.UsageError("this action needs --arg")
@@ -149,7 +154,10 @@ def main(action, expression, source, arg, defs):
         names = registry()
         if defs:
             names.update(_load_defs(defs))
-        optic = resolve_expr(parse_expr(expression), names)
+        with warnings.catch_warnings():  # a setter fallback, as one line
+            warnings.simplefilter("always")
+            warnings.showwarning = _warning_line
+            optic = resolve_expr(parse_expr(expression), names)
 
         if action == "view":
             doc = _read_document(source)

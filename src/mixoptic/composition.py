@@ -1,9 +1,10 @@
 """Kind lattice, composition, and upcasts.
 
-``join_kind`` is total: it returns the minimal named kind covering both
-operands, a ``Fallback`` to setter when both sides can still write but no
-named kind fits, or ``INCOMPATIBLE`` when the directions cannot meet. It
-reads a table that the cascade in ``_join`` fills at import.
+``join_kind`` is total: it returns the least kind both operands coerce
+to, a ``Fallback`` when that is setter and neither operand is one, or
+``INCOMPATIBLE`` when they coerce to no common kind. It reads a table built
+at import from the coercion paths alone, no set from ``kinds``; its one
+hand rule: a monadic lens joins exactly the other kinds that reach a lens.
 ``compose(first, *rest)`` is variadic and folds from the left: each step
 joins the kind so far with the next operand's. It returns a flat chain of
 the joined kind: an instance of that kind's class holding ``parts``, the
@@ -31,10 +32,7 @@ from functools import partial
 from typing import Any, Optional
 
 from .errors import CompositionError, LengthError, UpcastError
-from .kinds import (
-    BUILD_CAPABLE, Capability, OpticKind, READ_CAPABLE, SINGLE_FOCUS,
-    WRITE_CAPABLE, capability_set, closure,
-)
+from .kinds import OpticKind
 from .optics import (
     Adapter, AffineTraversal, AchromaticLens, AlgebraicLens, Focus, Fold,
     Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
@@ -42,88 +40,6 @@ from .optics import (
 )
 
 K = OpticKind
-
-
-@dataclass(frozen=True)
-class Fallback:
-    """Join outcome when only the setter interface survives."""
-
-    kind: OpticKind = K.SETTER
-
-
-class _Incompatible:
-    def __repr__(self):
-        return "INCOMPATIBLE"
-
-
-INCOMPATIBLE = _Incompatible()
-
-# The kinds named by their capability set alone.
-_CORE = (K.ADAPTER, K.LENS, K.PRISM, K.AFFINE_TRAVERSAL, K.TRAVERSAL,
-         K.GRATE, K.GLASS)
-
-_CORE_BY_CAPS = {capability_set(kind): kind for kind in _CORE}
-
-
-def _join(k1: OpticKind, k2: OpticKind):
-    """The cascade that defines the join; ``join_kind`` reads its table."""
-    if k1 is K.ADAPTER:
-        return k2
-    if k2 is K.ADAPTER:
-        return k1
-
-    # effectful lenses only thread through plain lenses
-    if K.MONADIC_LENS in (k1, k2):
-        other = k2 if k1 is K.MONADIC_LENS else k1
-        return K.MONADIC_LENS if other is K.LENS else INCOMPATIBLE
-
-    if k1 is k2:
-        return k1
-
-    if k1 in (K.GETTER, K.FOLD) or k2 in (K.GETTER, K.FOLD):
-        if k1 not in READ_CAPABLE or k2 not in READ_CAPABLE:
-            return INCOMPATIBLE
-        if k1 in SINGLE_FOCUS and k2 in SINGLE_FOCUS:
-            return K.GETTER
-        return K.FOLD
-
-    if K.REVIEW in (k1, k2):
-        other = k2 if k1 is K.REVIEW else k1
-        return K.REVIEW if other in BUILD_CAPABLE else INCOMPATIBLE
-
-    if K.SETTER in (k1, k2):
-        other = k2 if k1 is K.SETTER else k1
-        return K.SETTER if other in WRITE_CAPABLE else INCOMPATIBLE
-
-    if K.KALEIDOSCOPE in (k1, k2):
-        other = k2 if k1 is K.KALEIDOSCOPE else k1
-        if other is K.ALGEBRAIC_LENS:
-            return K.KALEIDOSCOPE
-        return Fallback()
-
-    if K.ALGEBRAIC_LENS in (k1, k2):
-        other = k2 if k1 is K.ALGEBRAIC_LENS else k1
-        if other in (K.LENS, K.ACHROMATIC_LENS):
-            return K.LENS
-        # classification does not survive; continue as a plain lens
-        union = closure(capability_set(other) | {Capability.PRODUCT})
-        return _CORE_BY_CAPS.get(union, Fallback())
-
-    if K.ACHROMATIC_LENS in (k1, k2):
-        other = k2 if k1 is K.ACHROMATIC_LENS else k1
-        union = closure(capability_set(other) | {Capability.PRODUCT})
-        return _CORE_BY_CAPS.get(union, Fallback())
-
-    union = closure(capability_set(k1) | capability_set(k2))
-    return _CORE_BY_CAPS.get(union, Fallback())
-
-
-_JOIN = {k1: {k2: _join(k1, k2) for k2 in OpticKind} for k1 in OpticKind}
-
-
-def join_kind(k1: OpticKind, k2: OpticKind):
-    """Total, commutative join on optic kinds."""
-    return _JOIN[k1][k2]
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +175,54 @@ def _shortest_paths(edges) -> dict:
 
 _EMBED_PATHS = _shortest_paths(_EMBED)
 _COERCION_PATHS = _shortest_paths(_COERCIONS)
+
+
+@dataclass(frozen=True)
+class Fallback:
+    """Join outcome when only the setter interface survives."""
+
+    kind: OpticKind = K.SETTER
+
+
+class _Incompatible:
+    def __repr__(self):
+        return "INCOMPATIBLE"
+
+
+INCOMPATIBLE = _Incompatible()
+
+# The kinds each kind coerces to, itself included: the order the join reads.
+_ABOVE = {kind: frozenset(goal for source, goal in _COERCION_PATHS
+                          if source is kind) for kind in OpticKind}
+
+
+def _join(k1: OpticKind, k2: OpticKind):
+    """The least kind both coerce to; ``join_kind`` reads its table."""
+    # effectful lenses only thread through what coerces to a plain lens
+    if K.MONADIC_LENS in (k1, k2):
+        other = k2 if k1 is K.MONADIC_LENS else k1
+        if other is not K.MONADIC_LENS and K.LENS in _ABOVE[other]:
+            return K.MONADIC_LENS
+        return INCOMPATIBLE
+    common = _ABOVE[k1] & _ABOVE[k2]
+    # the kinds in common that no other kind in common coerces to
+    least = common.difference(*(_ABOVE[c] - {c} for c in common))
+    if not least:
+        return INCOMPATIBLE
+    # achromatic-lens and prism have two, affine-traversal and review;
+    # declaration order picks affine-traversal
+    joined = next(k for k in OpticKind if k in least)
+    if joined is K.SETTER and K.SETTER not in (k1, k2):
+        return Fallback()
+    return joined
+
+
+_JOIN = {k1: {k2: _join(k1, k2) for k2 in OpticKind} for k1 in OpticKind}
+
+
+def join_kind(k1: OpticKind, k2: OpticKind):
+    """Total, commutative join on optic kinds."""
+    return _JOIN[k1][k2]
 
 
 def _embed(optic: Any, goal: OpticKind, paths: dict) -> Optional[Any]:

@@ -6,7 +6,8 @@ closed over before any subset test.
 
 Each kind has one row in ``_TABLE``: its capability requirement and the
 combinators it admits. The combinators in ``optics`` check ``ADMITS``, and
-the direction sets that ``composition.join_kind`` uses are derived from it.
+``encoding`` reads the capability sets. The join of kinds is not derived
+from this table: ``composition`` reads it off the coercion graph.
 """
 
 from __future__ import annotations
@@ -102,17 +103,3 @@ _CLOSED = {kind: closure(caps) for kind, caps in CAPABILITIES.items()}
 def capability_set(kind: OpticKind) -> FrozenSet[Capability]:
     return _CLOSED[kind]
 
-
-def _admitting(combinator: str) -> FrozenSet[OpticKind]:
-    return frozenset(kind for kind, names in ADMITS.items() if combinator in names)
-
-
-# Direction sets. "read" means the optic can produce foci from a whole;
-# "write" means it can produce a new whole from an old one; "build" means
-# it can construct a whole from a focus alone.
-READ_CAPABLE = _admitting("tolist")
-WRITE_CAPABLE = _admitting("over")
-BUILD_CAPABLE = _admitting("review")
-
-# Kinds whose read direction always yields exactly one focus.
-SINGLE_FOCUS = _admitting("view")

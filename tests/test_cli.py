@@ -246,6 +246,18 @@ def test_long_chain_is_one_error_line(action, optic, source, stdin, line):
     assert result.stderr.splitlines() == [line]
 
 
+def test_setter_fallback_is_one_warning_line():
+    result = run_process("over", "--optic", 'aggregate.field("a")',
+                         "--input", "-", "--arg", "uppercase",
+                         stdin='{"a": "x"}')
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "warning: kaleidoscope and lens compose only as a setter",
+        "error: measurements record needs number field 'sepalLength'",
+    ]
+
+
 @pytest.mark.parametrize("number,line", [
     pytest.param("9" * 309, "error: number out of range", id="int-309-digits"),
     pytest.param("9" * 4301, "error: number out of range",

@@ -6,6 +6,7 @@ observation, with composing the carrier transformers and extracting at
 the joined kind.
 """
 
+import itertools
 import random
 import zlib
 import warnings
@@ -14,15 +15,16 @@ from dataclasses import replace
 import pytest
 
 from mixoptic import (
-    Adapter, Fallback, Fold, Getter, Glass, Grate, INCOMPATIBLE,
-    Kaleidoscope, Lens, OpticKind, Prism, Review, Setter,
-    capability_set, compose, ex2prof, join_kind, prof2ex, upcast,
-    over, preview, review, to_list_of, view,
+    AchromaticLens, Adapter, Fallback, Fold, Getter, Glass, Grate,
+    INCOMPATIBLE, Kaleidoscope, Lens, OpticKind, Prism, Review, Setter,
+    Writer, capability_set, compose, ex2prof, join_kind, mupdate, prof2ex,
+    upcast, over, preview, review, to_list_of, view,
 )
 from mixoptic.errors import CompositionError, UpcastError
 from mixoptic.fixtures import (
-    Address, Box, Measurements, address_prism, aggregate_kaleidoscope,
-    box_lens, each, box_lens as _bl, measure_lens, street_lens,
+    Address, Box, Flower, Measurements, Species, address_prism,
+    aggregate_kaleidoscope, box_lens, each, box_lens as _bl, measure_lens,
+    street_lens,
 )
 from mixoptic.optics import AlgebraicLens, MonadicLens
 
@@ -89,7 +91,9 @@ SPOT_JOINS = [
     (K.KALEIDOSCOPE, K.LENS, "fallback"),
     (K.KALEIDOSCOPE, K.PRISM, "fallback"),
     (K.ALGEBRAIC_LENS, K.LENS, K.LENS),
-    (K.ALGEBRAIC_LENS, K.ACHROMATIC_LENS, K.LENS),
+    # an achromatic lens coerces to an algebraic one, so classify survives
+    (K.ALGEBRAIC_LENS, K.ACHROMATIC_LENS, K.ALGEBRAIC_LENS),
+    (K.ACHROMATIC_LENS, K.KALEIDOSCOPE, K.KALEIDOSCOPE),
     (K.ALGEBRAIC_LENS, K.PRISM, K.AFFINE_TRAVERSAL),
     (K.ACHROMATIC_LENS, K.LENS, K.LENS),
     (K.ACHROMATIC_LENS, K.ACHROMATIC_LENS, K.ACHROMATIC_LENS),
@@ -98,6 +102,8 @@ SPOT_JOINS = [
     (K.MONADIC_LENS, K.ADAPTER, K.MONADIC_LENS),
     (K.MONADIC_LENS, K.PRISM, INCOMPATIBLE),
     (K.MONADIC_LENS, K.MONADIC_LENS, INCOMPATIBLE),
+    (K.MONADIC_LENS, K.ALGEBRAIC_LENS, K.MONADIC_LENS),
+    (K.ACHROMATIC_LENS, K.MONADIC_LENS, K.MONADIC_LENS),
     (K.GETTER, K.LENS, K.GETTER),
     (K.GETTER, K.TRAVERSAL, K.FOLD),
     (K.GETTER, K.FOLD, K.FOLD),
@@ -119,6 +125,25 @@ def test_join_table_spot_checks(k1, k2, expected):
         assert isinstance(got, Fallback) and got.kind is K.SETTER
     else:
         assert got is expected
+
+
+def _then(k1, k2):
+    """The kind ``compose`` gives operands of kinds ``k1`` then ``k2``."""
+    if INCOMPATIBLE in (k1, k2):
+        return INCOMPATIBLE
+    joined = join_kind(k1, k2)
+    return K.SETTER if isinstance(joined, Fallback) else joined
+
+
+def test_only_achromatic_prism_review_depends_on_bracketing():
+    # achromatic-lens and prism have two least kinds, affine-traversal and
+    # review; the join keeps affine-traversal, which review cannot reach
+    ach, prism, rev = K.ACHROMATIC_LENS, K.PRISM, K.REVIEW
+    assert {
+        (k1, k2, k3) for k1, k2, k3 in itertools.product(ALL_KINDS, repeat=3)
+        if _then(_then(k1, k2), k3) is not _then(k1, _then(k2, k3))
+    } == {(ach, prism, rev), (prism, ach, rev),
+          (rev, ach, prism), (rev, prism, ach)}
 
 
 # -------------------------------------------------------------------- upcast
@@ -311,11 +336,18 @@ CELLS = [
 
 
 def _box_ach():
-    from mixoptic import AchromaticLens
     return AchromaticLens(
         view=lambda d: d["x"],
         update=lambda d, b: {**d, "x": b},
         create=lambda b: {"x": b},
+    )
+
+
+def _sepal_ach():
+    return AchromaticLens(
+        view=lambda m: m.sepal_length,
+        update=lambda m, b: replace(m, sepal_length=b),
+        create=lambda b: Measurements(b, b, b, b),
     )
 
 
@@ -366,12 +398,24 @@ CELLS += [
     ("kal.kal", pair_kal(), pair_kal(), K.KALEIDOSCOPE,
      lambda r: {"batch": _batch(lambda q: _pairs(_pairs(_ints))(q))(r),
                 "agg": min}),
+    ("ach.alg", _box_ach(), measure_lens(), K.ALGEBRAIC_LENS,
+     lambda r: {"s": {"x": gen_flower(r)},
+                "batch": [{"x": f} for f in _batch(gen_flower)(r)],
+                "b": gen_measurements(r)}),
+    ("alg.ach", measure_lens(), _sepal_ach(), K.ALGEBRAIC_LENS,
+     lambda r: {"s": gen_flower(r),
+                "batch": _batch(gen_flower)(r),
+                "b": round(r.uniform(0.1, 8.0), 1)}),
     ("monadic.lens", box_lens(), street_lens(), K.MONADIC_LENS,
      lambda r: {"s": Box(gen_address(r)), "b": "4 Forge Yard"}),
     ("lens.monadic", key_lens("x"), box_lens(), K.MONADIC_LENS,
      lambda r: {"s": {"x": Box(str(_ints(r)))}, "b": str(_ints(r))}),
     ("monadic.adapter", box_lens(), swap_adapter(), K.MONADIC_LENS,
      lambda r: {"s": Box(_pairs(_ints)(r)), "b": _pairs(_ints)(r)}),
+    ("ach.monadic", _box_ach(), box_lens(), K.MONADIC_LENS,
+     lambda r: {"s": {"x": Box(str(_ints(r)))}, "b": str(_ints(r))}),
+    ("monadic.ach", box_lens(), addr_ach(), K.MONADIC_LENS,
+     lambda r: {"s": Box(gen_address(r)), "b": "4 Forge Yard"}),
     ("getter.lens", Getter(get=lambda d: d["x"]), street_lens(), K.GETTER,
      lambda r: {"s": {"x": gen_address(r)}}),
     ("lens.getter", key_lens("x"), _city_getter(), K.GETTER,
@@ -431,6 +475,51 @@ def _run_cell(outer, inner, kind, make_case, label):
 def test_concrete_composition_matches_transformer_composition(
         label, outer, inner, kind, make_case):
     _run_cell(outer, inner, kind, make_case, label)
+
+
+def test_achromatic_kaleidoscope_matches_its_algebraic_upcast():
+    # the achromatic-lens transformer does not act on Aggregating, so the
+    # oracle starts from the algebraic lens the achromatic one embeds into
+    outer = _box_ach()
+    composed = compose(outer, aggregate_kaleidoscope())
+    assert composed.kind is K.KALEIDOSCOPE
+    p = ex2prof(upcast(outer, K.ALGEBRAIC_LENS)).then(
+        ex2prof(aggregate_kaleidoscope()))
+    extracted = prof2ex(p, K.KALEIDOSCOPE)
+    observe = OBSERVERS[K.KALEIDOSCOPE]
+    r = random.Random(zlib.crc32(b"ach.kal"))
+    for _ in range(110):
+        case = {"batch": [{"x": m} for m in _batch(gen_measurements)(r)],
+                "agg": _mean_shift}
+        assert observe(composed, case) == observe(extracted, case), case
+
+
+def _trained_alg():
+    # classify records how many wholes it learnt from
+    return AlgebraicLens(view=lambda d: d["box"],
+                         classify=lambda ds, b: {"box": b, "trained": len(ds)})
+
+
+def test_monadic_and_algebraic_lens_classify_against_the_one_whole():
+    # the algebraic-lens transformer does not act on Updating, so these
+    # expectations are written out: the algebraic side runs as the lens
+    # that classifies against the one whole it updates
+    alg_monadic = compose(_trained_alg(), box_lens())
+    assert alg_monadic.kind is K.MONADIC_LENS
+    s = {"box": Box("old"), "trained": 0}
+    assert view(alg_monadic, s) == "old"
+    assert mupdate(alg_monadic, s, "new") == Writer(
+        {"box": Box("new"), "trained": 1},
+        ('[box]: contents changed to "new".',))
+
+    monadic_alg = compose(box_lens(), measure_lens())
+    assert monadic_alg.kind is K.MONADIC_LENS
+    flower = Flower(Measurements(5.0, 3.6, 1.4, 0.2), Species.SETOSA)
+    m = Measurements(6.1, 3.8, 3.1, 1.8)
+    assert view(monadic_alg, Box(flower)) == flower.measurements
+    learnt = Flower(m, Species.SETOSA)
+    assert mupdate(monadic_alg, Box(flower), m) == Writer(
+        Box(learnt), (f"[box]: contents changed to {learnt}.",))
 
 
 @pytest.mark.parametrize("label,outer,inner,make_case", FALLBACK_CELLS,
