@@ -308,7 +308,8 @@ def prof2ex(p: ProfOptic, kind: OpticKind) -> Any:
             cls.__name__ for cls in needed - p.supported
         ))
         raise NormalFormError(
-            f"cannot extract a {kind.value}: transformer does not act on {missing}"
+            f"cannot extract {kind.with_article}: transformer does not act on"
+            f" {missing}"
         )
 
     def view_run(s):

@@ -22,7 +22,8 @@ class CompositionError(OpticError):
     """The two optic kinds cannot be composed."""
 
     def __init__(self, outer, inner):
-        super().__init__(f"cannot compose {outer.name} with {inner.name}")
+        super().__init__(
+            f"cannot compose {outer.with_article} with {inner.with_article}")
         self.outer = outer
         self.inner = inner
 

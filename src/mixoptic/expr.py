@@ -37,9 +37,10 @@ class Segment:
 
 
 # A name is the characters ``str.isalnum`` accepts, and "_"; it may not
-# start with a digit. A quoted argument with no backslash and no control
-# character is its own value; any other goes through the JSON decoder, which
-# reads the escapes and, as JSON does, rejects a raw control character.
+# start with a character ``str.isnumeric`` accepts (``9``, ``²``, ``½``,
+# ``Ⅻ``). A quoted argument with no backslash and no control character is
+# its own value; any other goes through the JSON decoder, which reads the
+# escapes and, as JSON does, rejects a raw control character.
 _NAME = re.compile(r"\w+")
 _PLAIN_STRING = re.compile(r'"([^"\\\x00-\x1f]*)"')
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
@@ -47,7 +48,7 @@ _STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
 
 def _ident(text: str, pos: int) -> Tuple[str, int]:
     found = _NAME.match(text, pos)
-    if found is None or text[pos].isdigit():
+    if found is None or text[pos].isnumeric():
         raise ExprError("expected a name", pos)
     return found.group(), found.end()
 

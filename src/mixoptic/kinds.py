@@ -62,6 +62,11 @@ class OpticKind(enum.Enum):
     KALEIDOSCOPE = "kaleidoscope"
     MONADIC_LENS = "monadic-lens"
 
+    @property
+    def with_article(self) -> str:
+        """The kind's name as messages print it: ``an affine-traversal``."""
+        return ("an " if self.value[0] in "aeiou" else "a ") + self.value
+
 
 _C = Capability
 _ALL = frozenset(_C)

@@ -174,8 +174,7 @@ class MonadicLens:
 def _admit(optic: Any, combinator: str, refusal: str) -> OpticKind:
     kind = optic.kind
     if combinator not in ADMITS[kind]:
-        article = "an" if kind.value[0] in "aeiou" else "a"
-        raise KindError(f"cannot {refusal} {article} {kind.value}")
+        raise KindError(f"cannot {refusal} {kind.with_article}")
     return kind
 
 

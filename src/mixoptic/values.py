@@ -3,7 +3,9 @@
 Values mirror JSON with one extension: an object with a single key starting
 with ``@`` denotes a tagged variant. Records keep their key order, numbers
 are 64-bit floats, and serialization prints integral floats without a
-decimal point.
+decimal point. The values are slotted frozen dataclasses; ``parse_json``
+makes them inside the standard decoder, numbers in its number hooks and
+records and tags in its one pairs hook, and converts the rest by exact type.
 """
 
 from __future__ import annotations
@@ -17,32 +19,32 @@ from .errors import FocusError, LengthError, ParseError
 from .optics import Focus, Lens, Miss, Prism, Traversal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VNull:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VBool:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VNum:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VText:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VList:
     items: Tuple["Value", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VRec:
     fields: Tuple[Tuple[str, "Value"], ...]  # ordered key/value pairs
 
@@ -53,7 +55,7 @@ class VRec:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VTag:
     tag: str
     payload: "Value"
@@ -66,77 +68,74 @@ NULL = VNull()
 _FLOAT_MAX = sys.float_info.max
 
 
-def _from_pairs(pairs):
-    keys = [k for k, _ in pairs]
+def _number(num):
+    # A number no float holds comes back as its error, raised when its
+    # object's values convert, after any fault the decoder met before that.
+    try:
+        if -_FLOAT_MAX <= (num := float(num)) <= _FLOAT_MAX:  # 1e400 is inf
+            return VNum(num)
+    except OverflowError:  # an integer past the float range
+        pass
+    return ParseError("number out of range")
+
+
+def _raise(error):
+    raise error
+
+
+def _list(items):
+    return VList(tuple([x if (to := _CONVERT.get(type(x))) is None else to(x)
+                        for x in items]))
+
+
+# What the decoder leaves as Python objects, by exact type; numbers, records
+# and tags leave the hooks as values.
+_CONVERT = {str: VText, list: _list, bool: VBool, type(None): lambda _: NULL,
+            ParseError: _raise}
+
+
+def _record(pairs):
+    fields = [(k, v if (to := _CONVERT.get(type(v))) is None else to(v))
+              for k, v in pairs]
+    keys = [k for k, _ in fields]
     if len(set(keys)) != len(keys):
         dup = next(k for k in keys if keys.count(k) > 1)
         raise ParseError(f"duplicate key {dup!r}")
-    if len(pairs) == 1 and keys[0].startswith("@"):
-        return VTag(keys[0][1:], pairs[0][1])
-    return VRec(tuple(pairs))
-
-
-def _from_python(obj) -> Value:
-    if _is_value(obj):
-        return obj
-    if obj is None:
-        return NULL
-    if isinstance(obj, bool):
-        return VBool(obj)
-    if isinstance(obj, (int, float)):
-        num = float(obj)  # OverflowError past the float range
-        if not -_FLOAT_MAX <= num <= _FLOAT_MAX:  # 1e400 decodes as inf
-            raise ParseError("number out of range")
-        return VNum(num)
-    if isinstance(obj, str):
-        return VText(obj)
-    if isinstance(obj, list):
-        return VList(tuple(_from_python(x) for x in obj))
-    raise ParseError(f"unsupported document element {type(obj).__name__}")
-
-
-def _not_a_number(name: str):
-    raise ParseError(f"{name} is not a JSON number")
+    if len(keys) == 1 and keys[0].startswith("@"):
+        return VTag(keys[0][1:], fields[0][1])
+    return VRec(tuple(fields))
 
 
 def parse_json(text: str) -> Value:
     try:
-        raw = json.loads(
-            text,
-            object_pairs_hook=lambda pairs: _from_pairs(
-                [(k, v if _is_value(v) else _from_python(v)) for k, v in pairs]
-            ),
-            parse_constant=_not_a_number,
-        )
-        return raw if _is_value(raw) else _from_python(raw)
+        raw = json.loads(text, object_pairs_hook=_record, parse_float=_number,
+                         parse_int=lambda digits: _number(int(digits)),
+                         parse_constant=lambda name: _raise(
+                             ParseError(f"{name} is not a JSON number")))
+        to = _CONVERT.get(type(raw))
+        return raw if to is None else to(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-    except (OverflowError, ValueError):
-        # an integer past the float range, or past the digits int() reads
+    except ValueError:  # an integer past the digits int() reads
         raise ParseError("number out of range") from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
 
 
-def _is_value(obj) -> bool:
-    return isinstance(obj, (VNull, VBool, VNum, VText, VList, VRec, VTag))
-
-
 def _to_python(value: Value):
-    if isinstance(value, VNull):
-        return None
-    if isinstance(value, VBool):
+    kind = type(value)
+    if kind is VText or kind is VBool:
         return value.value
-    if isinstance(value, VNum):
-        num = value.value
+    if kind is VNum:
+        num = value.value  # an int when built by hand
         return int(num) if float(num).is_integer() and abs(num) < 2 ** 53 else num
-    if isinstance(value, VText):
-        return value.value
-    if isinstance(value, VList):
-        return [_to_python(v) for v in value.items]
-    if isinstance(value, VRec):
+    if kind is VRec:
         return {k: _to_python(v) for k, v in value.fields}
-    if isinstance(value, VTag):
+    if kind is VList:
+        return [_to_python(v) for v in value.items]
+    if kind is VNull:
+        return None
+    if kind is VTag:
         return {"@" + value.tag: _to_python(value.payload)}
     raise TypeError(f"not a Value: {value!r}")
 

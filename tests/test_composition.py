@@ -572,6 +572,18 @@ def test_composition_error_names_both_kinds():
     assert "getter" in msg and "review" in msg
 
 
+def test_composition_error_names_kinds_with_their_articles():
+    # the left fold joins achromatic-lens and prism to affine-traversal,
+    # which review cannot reach
+    entries = zoo()
+    ach, prism, rev = (entries[k].optic for k in (
+        K.ACHROMATIC_LENS, K.PRISM, K.REVIEW))
+    with pytest.raises(CompositionError) as e:
+        compose(ach, prism, rev)
+    assert str(e.value) == (
+        "cannot compose an affine-traversal with a review")
+
+
 def test_composition_is_associative():
     o1, o2, o3 = key_lens("x"), tag_prism("t"), key_lens("y")
     left = compose(compose(o1, o2), o3)

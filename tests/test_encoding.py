@@ -57,6 +57,14 @@ def test_extraction_fails_without_needed_carriers():
     assert preview(affine, a) == Address("221b Baker St", "London", "UK")
 
 
+def test_extraction_error_names_the_kind_with_its_article():
+    with pytest.raises(NormalFormError) as e:
+        prof2ex(ex2prof(street_lens()), K.ACHROMATIC_LENS)
+    assert str(e.value) == (
+        "cannot extract an achromatic-lens: transformer does not act on "
+        "Reviewing")
+
+
 def test_extraction_fails_without_effect_constructor():
     p = ex2prof(street_lens())
     with pytest.raises(NormalFormError):

@@ -59,6 +59,8 @@ MESSAGES = {
     "street(": "expected a double-quoted string",
     "x.2fast": "expected a name",
     "a.\u00b2b": "expected a name",
+    "caf\u00e9.\u00bdx": "expected a name",
+    "\u216b": "expected a name",
     "caf\u00e9\u2192street": "unexpected character '\u2192'",
 }
 
@@ -82,6 +84,8 @@ MESSAGES = {
     ("street(", 7),
     ("x.2fast", 2),
     ("a.\u00b2b", 2),
+    ("caf\u00e9.\u00bdx", 5),
+    ("\u216b", 0),
     ("caf\u00e9\u2192street", 4),
 ])
 def test_parse_errors_report_position(text, pos):
@@ -97,7 +101,7 @@ def test_parse_errors_report_position(text, pos):
     ('field("\u00e9t\u00e9")', [("field", "\u00e9t\u00e9", 0)]),
     (r'field("a\\").each', [("field", "a\\", 0), ("each", None, 13)]),
     ('field("")', [("field", "", 0)]),
-    ("caf\u00e9.\u00bdx_1", [("caf\u00e9", None, 0), ("\u00bdx_1", None, 5)]),
+    ("caf\u00e9.x\u00bd_1", [("caf\u00e9", None, 0), ("x\u00bd_1", None, 5)]),
 ])
 def test_parse_names_and_escapes(text, segments):
     assert parse_expr(text) == [Segment(*seg) for seg in segments]

@@ -1,5 +1,9 @@
 """JSON-like document parsing, serialization, and structural optics."""
 
+import dataclasses
+import json
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +13,7 @@ from mixoptic import (
     over, preview, review, set_value, to_list_of, view,
 )
 from mixoptic.errors import FocusError, LengthError, ParseError
+from mixoptic.values import NULL
 
 json_values = st.recursive(
     st.one_of(
@@ -109,3 +114,229 @@ def test_variant_prism():
     assert review(p, VNum(1.0)) == VTag("circle", VNum(1.0))
     hit = preview(p, doc)
     assert review(p, hit) == doc
+
+
+# ---------------------------------------------------------------------------
+# The decoder route ``parse_json`` and ``serialize`` replaced, kept verbatim
+# as the oracle: ``json.loads`` to plain Python objects, then an
+# ``isinstance`` walk that builds the values, and the walk back.
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _from_pairs(pairs):
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) != len(keys):
+        dup = next(k for k in keys if keys.count(k) > 1)
+        raise ParseError(f"duplicate key {dup!r}")
+    if len(pairs) == 1 and keys[0].startswith("@"):
+        return VTag(keys[0][1:], pairs[0][1])
+    return VRec(tuple(pairs))
+
+
+def _from_python(obj):
+    if _is_value(obj):
+        return obj
+    if obj is None:
+        return NULL
+    if isinstance(obj, bool):
+        return VBool(obj)
+    if isinstance(obj, (int, float)):
+        num = float(obj)  # OverflowError past the float range
+        if not -_FLOAT_MAX <= num <= _FLOAT_MAX:  # 1e400 decodes as inf
+            raise ParseError("number out of range")
+        return VNum(num)
+    if isinstance(obj, str):
+        return VText(obj)
+    if isinstance(obj, list):
+        return VList(tuple(_from_python(x) for x in obj))
+    raise ParseError(f"unsupported document element {type(obj).__name__}")
+
+
+def _not_a_number(name: str):
+    raise ParseError(f"{name} is not a JSON number")
+
+
+def oracle_parse_json(text: str):
+    try:
+        raw = json.loads(
+            text,
+            object_pairs_hook=lambda pairs: _from_pairs(
+                [(k, v if _is_value(v) else _from_python(v)) for k, v in pairs]
+            ),
+            parse_constant=_not_a_number,
+        )
+        return raw if _is_value(raw) else _from_python(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except (OverflowError, ValueError):
+        # an integer past the float range, or past the digits int() reads
+        raise ParseError("number out of range") from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
+
+
+def _is_value(obj) -> bool:
+    return isinstance(obj, (VNull, VBool, VNum, VText, VList, VRec, VTag))
+
+
+def _to_python(value):
+    if isinstance(value, VNull):
+        return None
+    if isinstance(value, VBool):
+        return value.value
+    if isinstance(value, VNum):
+        num = value.value
+        return int(num) if float(num).is_integer() and abs(num) < 2 ** 53 else num
+    if isinstance(value, VText):
+        return value.value
+    if isinstance(value, VList):
+        return [_to_python(v) for v in value.items]
+    if isinstance(value, VRec):
+        return {k: _to_python(v) for k, v in value.fields}
+    if isinstance(value, VTag):
+        return {"@" + value.tag: _to_python(value.payload)}
+    raise TypeError(f"not a Value: {value!r}")
+
+
+def oracle_serialize(value) -> str:
+    try:
+        return json.dumps(_to_python(value), ensure_ascii=False)
+    except RecursionError:
+        # records parse deeper than the conversion back can recurse
+        raise ParseError("document nests too deeply") from None
+
+
+def typed(value):
+    """The value as a tree of node classes, payload types and payload reprs,
+    so ``-0.0`` against ``0.0`` and an int against a float payload differ."""
+    kind = type(value)
+    if kind is VList:
+        return kind, tuple(typed(v) for v in value.items)
+    if kind is VRec:
+        return kind, tuple((k, typed(v)) for k, v in value.fields)
+    if kind is VTag:
+        return kind, value.tag, typed(value.payload)
+    if kind is VNull:
+        return (kind,)
+    return kind, type(value.value), repr(value.value)
+
+
+_numbers = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(17, 25).flatmap(
+        lambda n: st.integers(10 ** (n - 1), 10 ** n - 1)).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([
+        "-0", "0", "-0.0", "1e400", "-1e400", "1E-400", "2.5e308",
+        "9" * 309, "-" + "9" * 400, "1" * 4300, "1" * 4301, "12.5e-3",
+    ]),
+)
+_strings = st.builds(
+    json.dumps, st.text(max_size=6), ensure_ascii=st.booleans())
+_keys = st.sampled_from(["a", "b", "é", "@t", "@", "@é", "k→"]).map(
+    json.dumps)
+_leaves = st.one_of(
+    _numbers, _strings,
+    st.sampled_from(["null", "true", "false", "NaN", "Infinity",
+                     "-Infinity"]),
+)
+
+
+def _containers(children):
+    pairs = st.tuples(_keys, children).map(lambda kv: f"{kv[0]}: {kv[1]}")
+    return st.one_of(
+        st.lists(children, max_size=4).map(
+            lambda xs: "[" + ", ".join(xs) + "]"),
+        st.lists(pairs, max_size=4).map(lambda xs: "{" + ", ".join(xs) + "}"),
+    )
+
+
+json_texts = st.recursive(_leaves, _containers, max_leaves=16)
+# texts cut short or with a stray character, for the decoder's own errors
+broken_texts = st.tuples(json_texts, st.integers(0, 200),
+                         st.sampled_from(["", "]", "}", ",", "x"])).map(
+    lambda t: t[0][:t[1]] + t[2])
+
+
+def check_against_oracle(text):
+    try:
+        expected = oracle_parse_json(text)
+    except ParseError as error:
+        with pytest.raises(ParseError) as got:
+            parse_json(text)
+        assert str(got.value) == str(error)
+        assert (got.value.line, got.value.column) == (error.line, error.column)
+        return
+    doc = parse_json(text)
+    assert typed(doc) == typed(expected)
+    assert serialize(doc) == oracle_serialize(expected)
+
+
+@given(json_texts)
+def test_parse_and_serialize_match_the_replaced_route(text):
+    check_against_oracle(text)
+
+
+@given(broken_texts)
+def test_parse_errors_match_the_replaced_route(text):
+    check_against_oracle(text)
+
+
+@pytest.mark.parametrize("text", [
+    "-0", "[-0, -0.0]", "1e400", "[1e400]", "9" * 400, "1" * 4301,
+    '{"a": 1e400, "b": {"c": 1, "c": 2}}',
+    '[1e400, {"a": 1, "a": 2}]',
+    '[{"a": 1, "a": 2}, 1e400]',
+    '[1e400, NaN]',
+    '[1e400, }',
+    '{"a": [1e400], "a": 2}',
+    '{"@t": ' + "9" * 400 + "}",
+    '{"x": [' + "1" * 4301 + ", 1e400]}",
+    "[" * 600 + "]" * 600, '{"a": ' * 300 + "[1]" + "}" * 300,
+    '"caf\\u00e9 →"', "12345678901234567890123",
+], ids=lambda text: text[:32])
+def test_fault_order_and_edge_numbers_match_the_replaced_route(text):
+    check_against_oracle(text)
+
+
+def test_serialize_matches_the_replaced_route_on_built_values():
+    built = VRec((
+        ("n", VNum(3)), ("big", VNum(2 ** 60)), ("f", VNum(2.0 ** 60)),
+        ("neg", VNum(-0.0)), ("xs", VList((VBool(False), NULL, VText("é")))),
+        ("t", VTag("k", VNum(1.5))),
+    ))
+    assert serialize(built) == oracle_serialize(built)
+
+
+# ---------------------------------------------------------------------------
+# The value classes' contract.
+
+
+def test_values_are_frozen():
+    samples = [VBool(True), VNum(1.0), VText("a"), VList(()), VRec(()),
+               VTag("t", NULL)]
+    for value in samples:
+        name = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+    # a name that is no field has no slot; CPython 3.11's frozen __setattr__
+    # then fails in its super() call rather than with FrozenInstanceError
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        NULL.extra = 1
+    assert not hasattr(VText("a"), "__dict__")
+
+
+def test_value_equality_hash_and_repr():
+    assert VBool(True) != VNum(1.0)
+    assert VNum(1) == VNum(1.0) and hash(VNum(1)) == hash(VNum(1.0))
+    assert VNull() == NULL and hash(VNull()) == hash(NULL)
+    assert repr(parse_json('{"a": [1, "x", null, true, {"@t": 2}]}')) == (
+        "VRec(fields=(('a', VList(items=(VNum(value=1.0), VText(value='x'), "
+        "VNull(), VBool(value=True), VTag(tag='t', "
+        "payload=VNum(value=2.0))))),))")
+
+
+def test_serialize_prints_an_int_payload_as_an_integer():
+    assert serialize(VNum(3)) == "3"
+    assert serialize(VList((VNum(3), VNum(-0.0), VNum(2.5)))) == "[3, 0, 2.5]"
