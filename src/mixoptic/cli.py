@@ -17,7 +17,7 @@ import click
 from . import optics as op
 from .errors import (
     CompositionError, EmptyInputError, EmptyTrainingError, FocusError,
-    LengthError, OpticError,
+    LengthError, OpticError, ParseError,
 )
 from .expr import _PARAMETERIZED, parse_expr, resolve_expr
 from .fixtures import mean, registry, value_to_flower
@@ -85,7 +85,7 @@ def _load_defs(path: str) -> dict:
         if kind == "each":
             out[name] = each_traversal()
             continue
-        if kind in _PARAMETERIZED:
+        if isinstance(kind, str) and kind in _PARAMETERIZED:
             value = spec.get(params[kind])
             if isinstance(value, str):
                 out[name] = _PARAMETERIZED[kind](value)
@@ -95,13 +95,18 @@ def _load_defs(path: str) -> dict:
 
 
 def _read_document(source: str):
-    if source == "-":
-        return parse_json(sys.stdin.read())
     try:
-        with open(source, encoding="utf-8") as handle:
-            return parse_json(handle.read())
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as handle:
+                text = handle.read()
     except OSError as exc:
         raise click.UsageError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+    return parse_json(text)
 
 
 def _require_list(doc, action: str):

@@ -27,9 +27,9 @@ optic into a more general kind along the public edges only; it and
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
 from functools import partial
-from typing import Any, Optional
+from operator import itemgetter
+from typing import Any, NamedTuple, Optional
 
 from .errors import CompositionError, LengthError, UpcastError
 from .kinds import OpticKind
@@ -38,6 +38,7 @@ from .optics import (
     Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
     Review, Setter, Traversal,
 )
+from .records import record
 
 K = OpticKind
 
@@ -177,8 +178,8 @@ _EMBED_PATHS = _shortest_paths(_EMBED)
 _COERCION_PATHS = _shortest_paths(_COERCIONS)
 
 
-@dataclass(frozen=True)
-class Fallback:
+@record
+class Fallback(NamedTuple):
     """Join outcome when only the setter interface survives."""
 
     kind: OpticKind = K.SETTER
@@ -263,8 +264,19 @@ def _coerce(optic: Any, kind: OpticKind) -> Any:
 
 
 class _Chain:
+    """A chain is the one-item tuple of its parts, so it is as immutable and
+    compared as its kind's records are; its kind's fields are methods."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple):
+        return tuple.__new__(cls, (parts,))
+
     def __init__(self, parts: tuple):
-        object.__setattr__(self, "parts", parts)  # the dataclass is frozen
+        """Every chain passes here once it is built; ``__new__`` stored the
+        parts."""
+
+    parts = property(itemgetter(0))
 
     def __repr__(self):
         return f"{type(self).__name__}(parts={self.parts!r})"
@@ -408,8 +420,8 @@ def _glass_run(self, h, s):
 
 def _chain_type(base, *runs):
     """The subclass of ``base`` whose fields are the ``runs``, in order."""
-    names = [f.name for f in fields(base)]
-    return type(base.__name__, (_Chain, base), dict(zip(names, runs)))
+    return type(base.__name__, (_Chain, base),
+                dict(zip(base._fields, runs), __slots__=()))
 
 
 _VIEW = _down("view")

@@ -7,12 +7,13 @@ surface: ``pure``, ``map``, ``bind`` and ``strength``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
+
+from .records import record
 
 
-@dataclass(frozen=True)
-class Writer:
+@record
+class Writer(NamedTuple):
     """A value together with an append-only log of text lines."""
 
     value: object
@@ -53,11 +54,11 @@ class _Absent:
 _ABSENT = _Absent()
 
 
-@dataclass(frozen=True)
-class Opt:
+@record
+class Opt(NamedTuple):
     """An optional value: either present with a payload or absent."""
 
-    _value: object = _ABSENT
+    payload: object = _ABSENT
 
     @staticmethod
     def pure(value) -> "Opt":
@@ -69,23 +70,23 @@ class Opt:
 
     @property
     def present(self) -> bool:
-        return self._value is not _ABSENT
+        return self.payload is not _ABSENT
 
     @property
     def value(self):
         if not self.present:
             raise ValueError("no value in an absent Opt")
-        return self._value
+        return self.payload
 
     def map(self, f: Callable) -> "Opt":
         if not self.present:
             return self
-        return Opt(f(self._value))
+        return Opt(f(self.payload))
 
     def bind(self, k: Callable[[object], "Opt"]) -> "Opt":
         if not self.present:
             return self
-        return k(self._value)
+        return k(self.payload)
 
     def strength(self, left) -> "Opt":
         return self.map(lambda v: (left, v))

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .composition import compose
 from .errors import ExprError
+from .records import record
 from .values import each_traversal, field_lens, variant_prism
 
 
-@dataclass(frozen=True)
-class Segment:
+@record
+class Segment(NamedTuple):
     name: str
     argument: Optional[str]
     position: int  # offset of the segment's first character

@@ -1,33 +1,34 @@
 """Concrete optic representations and the combinators that run them.
 
-Each optic variant is a frozen dataclass bundling the functions that define
-it. The combinators (`view`, `over`, `preview`, ...) dispatch on the kind
-and raise `KindError` when the kind table in `kinds` does not admit the
-combinator for the optic's kind.
+Each optic variant is an immutable record (``records.record``), the tuple
+of functions that defines it: a lens is ``(view, update)``. The combinators
+(`view`, `over`, `preview`, ...) dispatch on the kind and raise `KindError`
+when the kind table in `kinds` does not admit the combinator for the
+optic's kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import EmptyInputError, EmptyTrainingError, KindError
 from .kinds import ADMITS, OpticKind
+from .records import record
 
 
 # ---------------------------------------------------------------------------
 # Partial-match results.
 
 
-@dataclass(frozen=True)
-class Miss:
+@record
+class Miss(NamedTuple):
     """No focus; carries the fully rebuilt whole."""
 
     value: Any
 
 
-@dataclass(frozen=True)
-class Focus:
+@record
+class Focus(NamedTuple):
     """A focus was found; payload depends on the optic variant."""
 
     value: Any
@@ -37,24 +38,24 @@ class Focus:
 # Concrete optics.
 
 
-@dataclass(frozen=True)
-class Adapter:
+@record
+class Adapter(NamedTuple):
     forward: Callable[[Any], Any]
     backward: Callable[[Any], Any]
 
     kind = OpticKind.ADAPTER
 
 
-@dataclass(frozen=True)
-class Lens:
+@record
+class Lens(NamedTuple):
     view: Callable[[Any], Any]
     update: Callable[[Any, Any], Any]
 
     kind = OpticKind.LENS
 
 
-@dataclass(frozen=True)
-class AchromaticLens:
+@record
+class AchromaticLens(NamedTuple):
     """A lens that can also conjure a whole from a focus alone."""
 
     view: Callable[[Any], Any]
@@ -64,16 +65,16 @@ class AchromaticLens:
     kind = OpticKind.ACHROMATIC_LENS
 
 
-@dataclass(frozen=True)
-class Prism:
+@record
+class Prism(NamedTuple):
     match: Callable[[Any], Any]  # s -> Miss t | Focus a
     build: Callable[[Any], Any]
 
     kind = OpticKind.PRISM
 
 
-@dataclass(frozen=True)
-class AffineTraversal:
+@record
+class AffineTraversal(NamedTuple):
     """At most one focus; `access` returns Miss t or Focus (a, b -> t)."""
 
     access: Callable[[Any], Any]
@@ -81,8 +82,8 @@ class AffineTraversal:
     kind = OpticKind.AFFINE_TRAVERSAL
 
 
-@dataclass(frozen=True)
-class Traversal:
+@record
+class Traversal(NamedTuple):
     """`extract` returns (foci, rebuild); rebuild demands the same arity."""
 
     extract: Callable[[Any], Tuple[Sequence[Any], Callable[[Sequence[Any]], Any]]]
@@ -90,8 +91,8 @@ class Traversal:
     kind = OpticKind.TRAVERSAL
 
 
-@dataclass(frozen=True)
-class Grate:
+@record
+class Grate(NamedTuple):
     """`run` turns a continuation ((s -> a) -> b) into a t."""
 
     run: Callable[[Callable[[Callable[[Any], Any]], Any]], Any]
@@ -99,8 +100,8 @@ class Grate:
     kind = OpticKind.GRATE
 
 
-@dataclass(frozen=True)
-class Glass:
+@record
+class Glass(NamedTuple):
     """Like a grate but with access to the concrete whole: run(f, s) -> t."""
 
     run: Callable[[Callable[[Callable[[Any], Any]], Any], Any], Any]
@@ -108,36 +109,36 @@ class Glass:
     kind = OpticKind.GLASS
 
 
-@dataclass(frozen=True)
-class Setter:
+@record
+class Setter(NamedTuple):
     over: Callable[[Callable[[Any], Any], Any], Any]
 
     kind = OpticKind.SETTER
 
 
-@dataclass(frozen=True)
-class Getter:
+@record
+class Getter(NamedTuple):
     get: Callable[[Any], Any]
 
     kind = OpticKind.GETTER
 
 
-@dataclass(frozen=True)
-class Review:
+@record
+class Review(NamedTuple):
     build: Callable[[Any], Any]
 
     kind = OpticKind.REVIEW
 
 
-@dataclass(frozen=True)
-class Fold:
+@record
+class Fold(NamedTuple):
     foci: Callable[[Any], Sequence[Any]]
 
     kind = OpticKind.FOLD
 
 
-@dataclass(frozen=True)
-class AlgebraicLens:
+@record
+class AlgebraicLens(NamedTuple):
     """A lens whose update direction consumes a list of wholes."""
 
     view: Callable[[Any], Any]
@@ -146,8 +147,8 @@ class AlgebraicLens:
     kind = OpticKind.ALGEBRAIC_LENS
 
 
-@dataclass(frozen=True)
-class Kaleidoscope:
+@record
+class Kaleidoscope(NamedTuple):
     """`aggregate` lifts a list-level focus function to the wholes."""
 
     aggregate: Callable[[Callable[[Sequence[Any]], Any]], Callable[[Sequence[Any]], Any]]
@@ -155,8 +156,8 @@ class Kaleidoscope:
     kind = OpticKind.KALEIDOSCOPE
 
 
-@dataclass(frozen=True)
-class MonadicLens:
+@record
+class MonadicLens(NamedTuple):
     """A lens whose update runs in an effect; `pure` injects into it."""
 
     view: Callable[[Any], Any]

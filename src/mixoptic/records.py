@@ -1,0 +1,28 @@
+"""Small immutable records.
+
+A record is a ``typing.NamedTuple`` class under ``@record``. It is built by
+position or by keyword, with defaults; its fields cannot be assigned; and it
+equals another record only of the same class with equal fields, as a
+frozen dataclass does, so ``Focus(1) != Miss(1)``. A NamedTuple class is
+made without the code generation a dataclass runs when it is defined.
+"""
+
+from __future__ import annotations
+
+
+def _eq(self, other):
+    if type(other) is type(self):
+        return tuple.__eq__(self, other)
+    # tuple's own comparison, tried next, would take a record for a tuple
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _ne(self, other):
+    equal = _eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+def record(cls):
+    """Compare instances of the NamedTuple class ``cls`` by class first."""
+    cls.__eq__, cls.__ne__ = _eq, _ne
+    return cls

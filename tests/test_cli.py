@@ -275,3 +275,26 @@ def test_number_a_float_cannot_hold_is_one_error_line(number, line):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [line]
+
+
+@pytest.mark.parametrize("kind", [["each"], {"a": 1}],
+                         ids=["list", "record"])
+def test_defs_kind_of_no_name_is_a_usage_error(kind, tmp_path):
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps({"x": {"kind": kind}}))
+    result = run_process("view", "--optic", "x", "--defs", str(defs),
+                         "--input", "-", stdin="1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == "Error: bad definition for 'x'"
+
+
+def test_input_that_is_not_utf8_is_one_error_line(tmp_path):
+    source = tmp_path / "doc.json"
+    source.write_bytes(b'{"a": "\xff"}')
+    result = run("view", "--optic", 'field("a")', "--input", str(source))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: invalid UTF-8 at byte 7: invalid start byte"
+    ]

@@ -1,0 +1,72 @@
+"""The package namespace: every public name resolves, on first access, and
+the CLI loads only the modules it runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mixoptic
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PUBLIC = [
+    "AchromaticLens", "Adapter", "AffineTraversal", "Aggregating",
+    "AlgebraicLens", "Capability", "CapabilityError", "Carrier",
+    "Classifying", "CompositionError", "EmptyInputError",
+    "EmptyTrainingError", "ExprError", "Fallback", "Focus", "FocusError",
+    "Fold", "Folding", "Getter", "Glass", "Glassing", "Grate", "Grating",
+    "INCOMPATIBLE", "Kaleidoscope", "KindError", "LengthError", "Lens",
+    "Miss", "MonadicLens", "NormalFormError", "Opt", "OpticError",
+    "OpticKind", "ParseError", "Previewing", "Prism", "ProfOptic",
+    "Replacing", "Review", "Reviewing", "Setter", "Traversal", "UpcastError",
+    "Updating", "VBool", "VList", "VNull", "VNum", "VRec", "VTag", "VText",
+    "Value", "Viewing", "Writer", "aggregate", "capability_set", "carriers",
+    "classify", "closure", "compose", "composition", "each_traversal",
+    "effects", "encoding", "errors", "ex2prof", "field_lens", "funlist",
+    "grate_apply", "join_kind", "kinds", "mupdate", "optics", "over",
+    "parse_json", "preview", "prof2ex", "review", "serialize", "set_value",
+    "to_list_of", "upcast", "values", "variant_prism", "view",
+]
+
+
+def fresh(code):
+    """Run ``code`` in a fresh interpreter and return its standard output."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+
+
+def test_public_names_resolve():
+    assert sorted(mixoptic.__all__) == PUBLIC
+    for name in PUBLIC:
+        getattr(mixoptic, name)
+    assert mixoptic.funlist is sys.modules["mixoptic.funlist"]
+    assert mixoptic.Lens is mixoptic.optics.Lens
+    assert mixoptic.Value is mixoptic.values.Value
+    assert set(PUBLIC) <= set(dir(mixoptic))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_optic"):
+        mixoptic.no_such_optic
+    assert not hasattr(mixoptic, "cli_main")
+
+
+def test_star_import_binds_every_public_name():
+    names = fresh("from mixoptic import *\n"
+                  "print(*sorted(n for n in dir() if not n.startswith('_')))")
+    assert names == PUBLIC
+
+
+def test_cli_import_loads_no_transformer_modules():
+    loaded = fresh("import sys, mixoptic.cli\n"
+                   "print(*sorted(m for m in sys.modules "
+                   "if m.startswith('mixoptic')))")
+    assert "mixoptic.optics" in loaded
+    for module in ("carriers", "encoding", "funlist"):
+        assert f"mixoptic.{module}" not in loaded

@@ -1,0 +1,125 @@
+"""The contract of the small immutable records: the concrete optics, the
+partial-match results, ``Fallback``, ``expr.Segment`` and the effects.
+
+Each is built by position and by keyword, cannot be assigned, prints as
+``Class(field=...)`` and equals only a record of its own class with equal
+fields.
+"""
+
+import pytest
+
+from mixoptic import (
+    Adapter, AffineTraversal, AchromaticLens, AlgebraicLens, Fallback, Focus,
+    Fold, Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens,
+    OpticKind, Opt, Prism, Review, Setter, Traversal, Writer, compose,
+)
+from mixoptic.expr import Segment, parse_expr
+
+K = OpticKind
+
+# kind -> (class, its fields in order)
+OPTICS = {
+    K.ADAPTER: (Adapter, ("forward", "backward")),
+    K.LENS: (Lens, ("view", "update")),
+    K.ACHROMATIC_LENS: (AchromaticLens, ("view", "update", "create")),
+    K.PRISM: (Prism, ("match", "build")),
+    K.AFFINE_TRAVERSAL: (AffineTraversal, ("access",)),
+    K.TRAVERSAL: (Traversal, ("extract",)),
+    K.GRATE: (Grate, ("run",)),
+    K.GLASS: (Glass, ("run",)),
+    K.SETTER: (Setter, ("over",)),
+    K.GETTER: (Getter, ("get",)),
+    K.REVIEW: (Review, ("build",)),
+    K.FOLD: (Fold, ("foci",)),
+    K.ALGEBRAIC_LENS: (AlgebraicLens, ("view", "classify")),
+    K.KALEIDOSCOPE: (Kaleidoscope, ("aggregate",)),
+    K.MONADIC_LENS: (MonadicLens, ("view", "mupdate", "pure")),
+}
+
+
+def functions(n):
+    """``n`` distinct functions, named so that a repr is predictable."""
+    out = []
+    for i in range(n):
+        def fn(x, _i=i):
+            return x
+        fn.__qualname__ = f"f{i}"
+        out.append(fn)
+    return out
+
+
+def test_every_kind_has_a_class():
+    assert set(OPTICS) == set(K)
+
+
+@pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
+def test_optic_records(kind):
+    cls, names = OPTICS[kind]
+    fns = functions(len(names))
+    optic = cls(*fns)
+    assert cls(**dict(zip(names, fns))) == optic
+    assert hash(cls(*fns)) == hash(optic)
+    assert optic.kind is kind and cls.kind is kind
+    assert [getattr(optic, name) for name in names] == fns
+    assert repr(optic).startswith(f"{cls.__name__}({names[0]}=<function f0")
+    if len(fns) > 1:
+        assert cls(*reversed(fns)) != optic
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(optic, name, fns[0])
+    with pytest.raises(TypeError):
+        cls(*fns, fns[0])
+
+
+@pytest.mark.parametrize("kind", [k for k in K if k is not K.MONADIC_LENS],
+                         ids=lambda k: k.value)
+def test_chain_records(kind):
+    cls, names = OPTICS[kind]
+    first, second = cls(*functions(len(names))), cls(*functions(len(names)))
+    chain = compose(first, second)
+    assert isinstance(chain, cls) and chain.kind is kind
+    assert chain.parts == (first, second)
+    assert repr(chain) == f"{cls.__name__}(parts=({first!r}, {second!r}))"
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(chain, name, None)
+
+
+def test_records_of_different_classes_differ():
+    f, g = functions(2)
+    assert Focus(1) != Miss(1) and not Focus(1) == Miss(1)
+    assert Focus(1) == Focus(1) and Focus(1) != Focus(2)
+    assert Focus(1) != (1,) and (1,) != Focus(1)
+    assert Lens(f, g) != Prism(f, g) and Lens(f, g) != (f, g)
+    assert Getter(f) != Review(f)
+    with pytest.raises(AttributeError):
+        Focus(1).value = 2
+
+
+def test_fallback_record():
+    assert Fallback() == Fallback() == Fallback(K.SETTER)
+    assert Fallback().kind is K.SETTER
+    assert repr(Fallback()) == f"Fallback(kind={K.SETTER!r})"
+    with pytest.raises(AttributeError):
+        Fallback().kind = K.LENS
+
+
+def test_segment_record():
+    seg = Segment("field", "k", 0)
+    assert seg == Segment(name="field", argument="k", position=0)
+    assert seg != Segment("field", "k", 1)
+    assert parse_expr('a.field("k")') == [Segment("a", None, 0),
+                                           Segment("field", "k", 2)]
+    assert repr(seg) == "Segment(name='field', argument='k', position=0)"
+    with pytest.raises(AttributeError):
+        seg.name = "x"
+
+
+def test_effect_records():
+    assert Writer(1) == Writer(1, ()) == Writer(value=1, log=())
+    assert Writer(1, ("a",)) != Writer(1, ("b",))
+    assert Writer(1) != Opt(1)
+    assert repr(Writer(1, ("a",))) == "Writer(value=1, log=('a',))"
+    assert Opt(1) == Opt.pure(1) and Opt() == Opt.absent() != Opt(None)
+    with pytest.raises(AttributeError):
+        Writer(1).log = ("x",)
