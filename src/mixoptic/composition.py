@@ -8,15 +8,20 @@ hand rule: a monadic lens joins exactly the other kinds that reach a lens.
 ``compose(first, *rest)`` is variadic and folds from the left: each step
 joins the kind so far with the next operand's. It returns a flat chain of
 the joined kind: an instance of that kind's class holding ``parts``, the
-tuple of its segments outermost first, each coerced to the kind. An operand
-that is a chain of the joined kind splices its parts in; any other operand,
-a chain of a lower kind included, is coerced once and becomes one segment.
+tuple of its segments outermost first, each coerced to the kind; but a
+traversal chain keeps a segment as the first of lens, prism,
+affine-traversal and traversal it coerces to, so its single-focus segments
+run natively. An operand that is a chain of the joined kind splices its
+parts in; any other operand, a chain of a lower kind included, is coerced
+once and becomes one segment.
 While the kind stays the same the segments collect in one list, and a chain
 object is built only where the kind changes, so building is linear in the
 number of operands and chains nest no deeper than the number of kind
 changes along them. The kind's functions loop over the parts, so applying
 a chain is linear in its depth, and the kinds that read before they
-rebuild use no stack per segment. Only the monadic lens, whose effect
+rebuild use no stack per segment. A traversal chain's ``extract`` walks down
+once, keeping one flat list per level, and its rebuild walks back up, so it
+makes no pair or closure per focus. Only the monadic lens, whose effect
 threads through a plain lens, is composed by hand, two operands at a time.
 ``encoding.ProfOptic.then`` stays nested: it is the
 independent oracle the tests hold ``compose`` to. ``upcast`` embeds an
@@ -352,22 +357,49 @@ def _access(self, s):
 
 
 def _extract(self, s):
-    levels, foci = [], [s]  # a level: (foci, rebuild) per focus above it
+    # a level: its part and one flat list its rebuild reads: a lens's
+    # wholes; per whole, what the prism's match or the affine's access
+    # returned; per whole of a traversal, the inner rebuild and its width
+    levels, foci = [], [s]
     for p in self.parts:
-        level = [p.extract(a) for a in foci]
-        levels.append(level)
-        foci = [x for inner, _ in level for x in inner]
+        wholes, kind = foci, p.kind
+        if kind is K.LENS:
+            memo, foci = wholes, list(map(p.view, wholes))
+        elif kind is K.PRISM:
+            memo = list(map(p.match, wholes))
+            foci = [res.value for res in memo if not isinstance(res, Miss)]
+        elif kind is K.AFFINE_TRAVERSAL:
+            memo = list(map(p.access, wholes))
+            foci = [res.value[0] for res in memo if not isinstance(res, Miss)]
+        else:
+            memo, foci = [], []
+            for inner, inner_rebuild in map(p.extract, wholes):
+                foci += inner
+                memo += (inner_rebuild, len(inner))
+        levels.append((p, memo))
 
     def rebuild(bs, _n=len(foci)):
         if len(bs) != _n:
             raise LengthError(f"expected {_n} replacements, got {len(bs)}")
-        for level in reversed(levels):
-            rebuilt, cursor = [], 0
-            for inner, inner_rebuild in level:
-                width = len(inner)
-                rebuilt.append(inner_rebuild(list(bs[cursor:cursor + width])))
-                cursor += width
-            bs = rebuilt
+        bs = list(bs)
+        for p, memo in reversed(levels):
+            kind = p.kind
+            if kind is K.LENS:
+                bs = list(map(p.update, memo, bs))
+            elif kind is K.TRAVERSAL:
+                rebuilt, cursor, pairs = [], 0, iter(memo)
+                for inner_rebuild, width in zip(pairs, pairs):
+                    rebuilt.append(inner_rebuild(bs[cursor:cursor + width]))
+                    cursor += width
+                bs = rebuilt
+            elif kind is K.PRISM:
+                build, bs = p.build, iter(bs)
+                bs = [res.value if isinstance(res, Miss) else build(next(bs))
+                      for res in memo]
+            else:
+                bs = iter(bs)
+                bs = [res.value if isinstance(res, Miss)
+                      else res.value[1](next(bs)) for res in memo]
         return bs[0]
 
     return foci, rebuild
@@ -446,10 +478,22 @@ _CHAINS = {
 }
 
 
+# The kind a segment of a traversal chain keeps: the first of lens, prism,
+# affine-traversal and traversal that its optic's kind coerces to.
+_TRAVERSAL_SEGMENT = {
+    kind: next(k for k in (K.LENS, K.PRISM, K.AFFINE_TRAVERSAL, K.TRAVERSAL)
+               if k in above)
+    for kind, above in _ABOVE.items() if K.TRAVERSAL in above
+}
+
+
 def _segments(optic: Any, kind: OpticKind) -> tuple:
-    """A chain of ``kind`` splices in; any other optic is one segment."""
+    """A chain of ``kind`` splices in; any other optic is one segment, and
+    in a traversal chain it keeps the kind ``_TRAVERSAL_SEGMENT`` names."""
     if isinstance(optic, _Chain) and optic.kind is kind:
         return optic.parts
+    if kind is K.TRAVERSAL:
+        kind = _TRAVERSAL_SEGMENT.get(optic.kind, kind)
     return (_coerce(optic, kind),)
 
 

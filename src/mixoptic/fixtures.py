@@ -95,7 +95,12 @@ def load_iris() -> List[Flower]:
     ]
 
 
-iris = load_iris()
+def __getattr__(name):
+    # ``iris`` is read on first use and then kept as a module global
+    if name == "iris":
+        globals()["iris"] = found = load_iris()
+        return found
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,14 @@ def field_lens(key: str) -> Lens:
         return found
 
     def update(value, new):
-        view(value)  # same shape checks
-        return VRec(tuple(
-            (k, new if k == key else v) for k, v in value.fields
-        ))
+        # the pair view reads is the first with the key; the rest are shared
+        if not isinstance(value, VRec):
+            raise FocusError(f"expected a record with key {key!r}")
+        fields = value.fields
+        for i, (k, _) in enumerate(fields):
+            if k == key:
+                return VRec(fields[:i] + ((key, new),) + fields[i + 1:])
+        raise FocusError(f"record has no key {key!r}")
 
     return Lens(view=view, update=update)
 

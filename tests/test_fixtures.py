@@ -19,6 +19,14 @@ from mixoptic.fixtures import (
 from conftest import gen_address
 
 
+def test_iris_is_read_once():
+    import mixoptic.fixtures as fixtures
+
+    assert fixtures.iris is iris
+    with pytest.raises(AttributeError, match="no_such_fixture"):
+        fixtures.no_such_fixture
+
+
 def test_dataset_shape():
     assert len(iris) == 150
     by_species = {s: sum(1 for f in iris if f.species is s)

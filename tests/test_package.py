@@ -70,3 +70,9 @@ def test_cli_import_loads_no_transformer_modules():
     assert "mixoptic.optics" in loaded
     for module in ("carriers", "encoding", "funlist"):
         assert f"mixoptic.{module}" not in loaded
+
+
+def test_cli_import_leaves_iris_unread():
+    loaded = fresh("import sys, mixoptic.cli\n"
+                   "print('iris' in vars(sys.modules['mixoptic.fixtures']))")
+    assert loaded == ["False"]

@@ -1,0 +1,148 @@
+"""Traversal chains run their single-focus segments as they are.
+
+A traversal chain keeps each lens, prism and affine-traversal segment of
+that kind, and its ``extract`` walks down once, keeping one flat list per
+level. The reference for a chain is the same parts each coerced to a
+traversal, the form every segment had before. The zoo below has one optic
+per kind that a traversal chain holds, all over one nested document shape,
+so that any chain of them applies to a document built for it.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mixoptic import (
+    AchromaticLens, Adapter, AffineTraversal, Focus, Lens, Miss, OpticKind,
+    Prism, Traversal, VNum, compose, each_traversal, field_lens, over,
+    parse_json, to_list_of, variant_prism,
+)
+from mixoptic.composition import _CHAINS, _coerce
+from mixoptic.errors import LengthError
+from mixoptic.expr import parse_expr, resolve_expr
+from mixoptic.fixtures import each, registry
+
+from conftest import key_lens, tag_prism
+
+K = OpticKind
+
+
+def box_adapter():
+    return Adapter(forward=lambda s: s["box"], backward=lambda b: {"box": b})
+
+
+def key_achromatic():
+    base = key_lens("k")
+    return AchromaticLens(view=base.view, update=base.update,
+                          create=lambda b: {"k": b, "n": -1})
+
+
+def opt_affine():
+    def access(s):
+        if "opt" not in s:
+            return Miss(s)
+        return Focus((s["opt"], lambda b: {**s, "opt": b}))
+
+    return AffineTraversal(access=access)
+
+
+def keyed(inner):
+    return st.builds(lambda d, n: {"k": d, "n": n}, inner, st.integers(0, 9))
+
+
+# kind -> (its optic, the documents it applies to, given its focus's)
+ZOO = {
+    K.ADAPTER: (box_adapter(), lambda inner: st.builds(
+        lambda d: {"box": d}, inner)),
+    K.LENS: (key_lens("k"), keyed),
+    K.ACHROMATIC_LENS: (key_achromatic(), keyed),
+    K.PRISM: (tag_prism("hit"), lambda inner: st.tuples(
+        st.sampled_from(["hit", "miss"]), inner)),
+    K.AFFINE_TRAVERSAL: (opt_affine(), lambda inner: st.one_of(
+        st.builds(lambda d: {"opt": d}, inner),
+        st.builds(lambda n: {"n": n}, st.integers(0, 9)))),
+    K.TRAVERSAL: (each(), lambda inner: st.lists(inner, max_size=2)),
+}
+
+# the segment kind each operand keeps in a traversal chain
+NATIVE = {K.ADAPTER: K.LENS, K.LENS: K.LENS, K.ACHROMATIC_LENS: K.LENS,
+          K.PRISM: K.PRISM, K.AFFINE_TRAVERSAL: K.AFFINE_TRAVERSAL,
+          K.TRAVERSAL: K.TRAVERSAL}
+
+
+@st.composite
+def chains(draw):
+    """2 to 8 zoo kinds, one a traversal, and a document for them."""
+    kinds = draw(st.lists(st.sampled_from(list(ZOO)), min_size=1, max_size=7))
+    kinds.insert(draw(st.integers(0, len(kinds))), K.TRAVERSAL)
+    docs = st.integers(0, 99)
+    for kind in reversed(kinds):
+        docs = ZOO[kind][1](docs)
+    return kinds, draw(docs)
+
+
+def recording(calls):
+    def f(n):
+        calls.append(n)
+        return n * 2 + 1
+
+    return f
+
+
+def length_error(rebuild, n):
+    with pytest.raises(LengthError) as caught:
+        rebuild([0] * n)
+    return str(caught.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains())
+def test_native_segments_match_the_all_traversal_chain(chain):
+    kinds, doc = chain
+    native = compose(*(ZOO[k][0] for k in kinds))
+    assert native.kind is K.TRAVERSAL
+    reference = _CHAINS[K.TRAVERSAL](
+        tuple(_coerce(p, K.TRAVERSAL) for p in native.parts))
+    if len(native.parts) == len(kinds):  # no lower-kind run before it
+        assert [p.kind for p in native.parts] == [NATIVE[k] for k in kinds]
+
+    found = to_list_of(native, doc)
+    assert found == to_list_of(reference, doc)
+    got, want = [], []
+    assert over(native, recording(got), doc) == \
+        over(reference, recording(want), doc)
+    assert got == want == found
+
+    _, rebuild = native.extract(doc)
+    _, reference_rebuild = reference.extract(doc)
+    for wrong in [len(found) + 1] + ([len(found) - 1] if found else []):
+        assert length_error(rebuild, wrong) == \
+            length_error(reference_rebuild, wrong)
+
+
+def test_prism_misses_keep_their_wholes():
+    optic = compose(each(), tag_prism("hit"), key_lens("k"))
+    doc = [("hit", {"k": 1}), ("miss", {"k": 2}), ("hit", {"k": 3})]
+    assert to_list_of(optic, doc) == [1, 3]
+    assert over(optic, lambda n: -n, doc) == \
+        [("hit", {"k": -1}), ("miss", {"k": 2}), ("hit", {"k": -3})]
+
+
+def test_reads_never_build_the_write_path():
+    def refuse(*_):
+        raise AssertionError("a read ran the write path")
+
+    lens = Lens(view=field_lens("a").view, update=refuse)
+    prism = Prism(match=variant_prism("t").match, build=refuse)
+    doc = parse_json('[{"a": {"@t": 1}}, {"a": {"@u": 2}}, {"a": {"@t": 3}}]')
+    assert to_list_of(compose(each_traversal(), lens, prism), doc) == \
+        [VNum(1.0), VNum(3.0)]
+
+
+def test_single_focus_segments_stay_native():
+    names = registry()
+    city = resolve_expr(parse_expr('each.field("address").city'), names)
+    assert [type(p) for p in city.parts] == [Traversal, Lens, Lens]
+    street = resolve_expr(parse_expr('each.field("postal").address.street'),
+                          names)
+    assert [p.kind for p in street.parts] == \
+        [K.TRAVERSAL, K.LENS, K.PRISM, K.LENS]

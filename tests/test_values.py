@@ -86,6 +86,52 @@ def test_field_lens_misses_raise():
         view(field_lens("x"), parse_json("[1]"))
 
 
+def test_field_lens_update_refuses_what_view_refuses():
+    for key, text in (("z", '{"x": 1}'), ("x", "[1]")):
+        lens = field_lens(key)
+        with pytest.raises(FocusError) as read:
+            view(lens, parse_json(text))
+        with pytest.raises(FocusError) as write:
+            lens.update(parse_json(text), VNum(9.0))
+        assert str(write.value) == str(read.value)
+
+
+def test_field_lens_update_replaces_the_pair_view_reads():
+    # parse_json refuses a repeated key; a record built by hand can hold one
+    doc = VRec((("a", VNum(1.0)), ("b", VNum(2.0)), ("a", VNum(3.0))))
+    lens = field_lens("a")
+    out = set_value(lens, doc, VNum(9.0))
+    assert out.fields == (("a", VNum(9.0)), ("b", VNum(2.0)), ("a", VNum(3.0)))
+    assert view(lens, out) == VNum(9.0)  # get after set
+    assert out.fields[1] is doc.fields[1]  # the other pairs are shared
+
+
+def test_set_and_over_leave_the_parsed_input_unchanged():
+    from mixoptic.expr import parse_expr, resolve_expr
+    from mixoptic.fixtures import registry
+
+    text = json.dumps([
+        {"name": "Ada", "postal": "1 High Ln, York, UK",
+         "address": {"street": "1 High Ln", "city": "York", "country": "UK"},
+         "tags": ["home", {"@work": [1, 2.5]}]},
+        {"name": "Alan", "postal": "no separators",
+         "address": {"street": "2 Elm Way", "city": "Bath", "country": "UK"},
+         "tags": []},
+    ])
+    doc = parse_json(text)
+    before = serialize(doc)
+    names = registry()
+    for expr in ('field("address").city', 'field("postal").address.street',
+                 'field("tags").each.variant("work").each', 'field("name")'):
+        optic = resolve_expr(parse_expr(expr), names)
+        if "each" not in expr:
+            for record in doc.items:
+                set_value(optic, record, VText("new"))
+        every = resolve_expr(parse_expr("each." + expr), names)
+        over(every, lambda v: VText(serialize(v).upper()), doc)
+        assert serialize(doc) == before, expr
+
+
 def test_each_traversal():
     doc = parse_json("[1, 2, 3]")
     t = each_traversal()
