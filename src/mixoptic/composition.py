@@ -1,38 +1,30 @@
 """Kind lattice, composition, and upcasts.
 
-``join_kind`` is total: it returns the least kind both operands coerce
-to, a ``Fallback`` when that is setter and neither operand is one, or
-``INCOMPATIBLE`` when they coerce to no common kind. It reads a table built
-at import from the coercion paths alone, no set from ``kinds``; its one
-hand rule: a monadic lens joins exactly the other kinds that reach a lens.
-``compose(first, *rest)`` is variadic and folds from the left: each step
-joins the kind so far with the next operand's. It returns a flat chain of
-the joined kind: an instance of that kind's class holding ``parts``, the
-tuple of its segments outermost first, each coerced to the kind; but a
-traversal chain keeps a segment as the first of lens, prism,
-affine-traversal and traversal it coerces to, so its single-focus segments
-run natively. An operand that is a chain of the joined kind splices its
-parts in; any other operand, a chain of a lower kind included, is coerced
-once and becomes one segment.
-While the kind stays the same the segments collect in one list, and a chain
-object is built only where the kind changes, so building is linear in the
-number of operands and chains nest no deeper than the number of kind
-changes along them. The kind's functions loop over the parts, so applying
-a chain is linear in its depth, and the kinds that read before they
-rebuild use no stack per segment. A traversal chain's ``extract`` walks down
-once, keeping one flat list per level, and its rebuild walks back up, so it
-makes no pair or closure per focus. Only the monadic lens, whose effect
-threads through a plain lens, is composed by hand, two operands at a time.
-``encoding.ProfOptic.then`` stays nested: it is the
-independent oracle the tests hold ``compose`` to. ``upcast`` embeds an
-optic into a more general kind along the public edges only; it and
-``compose`` follow shortest coercion paths computed once at import.
+``join_kind`` is total: the least kind both operands coerce to, a
+``Fallback`` when that is setter and neither operand is one, or
+``INCOMPATIBLE``. It reads a table built at import from the coercion paths,
+with one hand rule: a monadic lens joins the kinds that reach a lens.
+``compose(first, *rest)`` takes that join over all its operands at once;
+where it fails or falls back, ``compose`` raises or warns once, naming the
+first pair where the left fold of ``join_kind`` does. Achromatic-lens and
+prism join to affine-traversal, which review cannot reach, so only the
+flat ``compose(ach, prism, review)`` is a review; nested, it raises.
+For every kind the result is a flat chain: an instance of the kind's class
+holding ``parts``, its segments outermost first, each coerced to the first
+kind of the chain's ``_NATIVE`` row it reaches. A chain of the join
+splices its parts in. Segments collect in one list while the left fold's
+join stays the same, so building is linear in the operands, and the kind's
+functions loop over the parts, so applying is linear in depth.
+``encoding.ProfOptic.then`` stays nested: it is the independent oracle the
+tests hold ``compose`` to. ``upcast`` embeds an optic into a more general
+kind along the public edges only; it and ``compose`` follow shortest
+coercion paths computed once at import.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
@@ -76,28 +68,6 @@ def _prism_to_affine(o):
     return AffineTraversal(access=access)
 
 
-def _affine_to_traversal(o):
-    def extract(s):
-        res = o.access(s)
-        if isinstance(res, Miss):
-            def rebuild_none(bs, _t=res.value):
-                if len(bs) != 0:
-                    raise LengthError(f"expected 0 replacements, got {len(bs)}")
-                return _t
-
-            return [], rebuild_none
-        focus, put = res.value
-
-        def rebuild_one(bs, _put=put):
-            if len(bs) != 1:
-                raise LengthError(f"expected 1 replacement, got {len(bs)}")
-            return _put(bs[0])
-
-        return [focus], rebuild_one
-
-    return Traversal(extract=extract)
-
-
 _EMBED = {
     (K.ADAPTER, K.LENS): _adapter_to_lens,
     (K.ADAPTER, K.PRISM): _adapter_to_prism,
@@ -126,7 +96,8 @@ _EMBED = {
     ),
     (K.PRISM, K.AFFINE_TRAVERSAL): _prism_to_affine,
     (K.PRISM, K.REVIEW): lambda o: Review(build=o.build),
-    (K.AFFINE_TRAVERSAL, K.TRAVERSAL): _affine_to_traversal,
+    # a traversal chain runs an affine segment natively
+    (K.AFFINE_TRAVERSAL, K.TRAVERSAL): lambda o: _CHAINS[K.TRAVERSAL]((o,)),
     (K.TRAVERSAL, K.FOLD): lambda o: Fold(foci=lambda s: list(o.extract(s)[0])),
     (K.TRAVERSAL, K.SETTER): lambda o: Setter(
         over=lambda f, s: (lambda foci, rebuild: rebuild([f(a) for a in foci]))(
@@ -202,15 +173,15 @@ _ABOVE = {kind: frozenset(goal for source, goal in _COERCION_PATHS
                           if source is kind) for kind in OpticKind}
 
 
-def _join(k1: OpticKind, k2: OpticKind):
-    """The least kind both coerce to; ``join_kind`` reads its table."""
+@lru_cache(maxsize=None)
+def _join(kinds: frozenset):
+    """The least kind all ``kinds`` coerce to, computed once per set."""
     # effectful lenses only thread through what coerces to a plain lens
-    if K.MONADIC_LENS in (k1, k2):
-        other = k2 if k1 is K.MONADIC_LENS else k1
-        if other is not K.MONADIC_LENS and K.LENS in _ABOVE[other]:
+    if K.MONADIC_LENS in kinds:
+        if all(K.LENS in _ABOVE[k] for k in kinds):
             return K.MONADIC_LENS
         return INCOMPATIBLE
-    common = _ABOVE[k1] & _ABOVE[k2]
+    common = frozenset.intersection(*(_ABOVE[k] for k in kinds))
     # the kinds in common that no other kind in common coerces to
     least = common.difference(*(_ABOVE[c] - {c} for c in common))
     if not least:
@@ -218,12 +189,13 @@ def _join(k1: OpticKind, k2: OpticKind):
     # achromatic-lens and prism have two, affine-traversal and review;
     # declaration order picks affine-traversal
     joined = next(k for k in OpticKind if k in least)
-    if joined is K.SETTER and K.SETTER not in (k1, k2):
+    if joined is K.SETTER and K.SETTER not in kinds:
         return Fallback()
     return joined
 
 
-_JOIN = {k1: {k2: _join(k1, k2) for k2 in OpticKind} for k1 in OpticKind}
+_JOIN = {k1: {k2: _join(frozenset({k1, k2})) for k2 in OpticKind}
+         for k1 in OpticKind}
 
 
 def join_kind(k1: OpticKind, k2: OpticKind):
@@ -278,8 +250,8 @@ class _Chain:
         return tuple.__new__(cls, (parts,))
 
     def __init__(self, parts: tuple):
-        """Every chain passes here once it is built; ``__new__`` stored the
-        parts."""
+        """Every chain but a monadic one, which checks its effects, passes
+        here once it is built; ``__new__`` stored the parts."""
 
     parts = property(itemgetter(0))
 
@@ -305,15 +277,43 @@ def _up(name):
     return run
 
 
-def _lens_update(self, s, b):
-    parts = self.parts
+def _wholes(parts, s):
+    """The whole each part reads: ``s``, then each part's focus but the
+    last part's."""
     wholes = [s]
     for p in parts[:-1]:
         s = p.view(s)
         wholes.append(s)
-    for p, whole in zip(reversed(parts), reversed(wholes)):
+    return wholes
+
+
+def _lens_update(self, s, b):
+    parts = self.parts
+    for p, whole in zip(reversed(parts), reversed(_wholes(parts, s))):
         b = p.update(whole, b)
     return b
+
+
+def _mupdate(self, s, b):
+    # the Kleisli rebuild: a lens maps its update over the effect, a
+    # monadic lens binds its own, so the innermost log comes first
+    parts, m = self.parts, self.pure(b)
+    for p, whole in zip(reversed(parts), reversed(_wholes(parts, s))):
+        if p.kind is K.MONADIC_LENS:
+            m = m.bind(partial(p.mupdate, whole))
+        else:
+            m = m.map(partial(p.update, whole))
+    return m
+
+
+def _pure(self):
+    return next(p.pure for p in self.parts if p.kind is K.MONADIC_LENS)
+
+
+def _one_pure(self, parts):
+    """The monadic segments of a chain run in one effect."""
+    if len({p.pure for p in parts if p.kind is K.MONADIC_LENS}) > 1:
+        raise CompositionError(K.MONADIC_LENS, K.MONADIC_LENS)
 
 
 def _classify(self, ss, b):
@@ -450,10 +450,10 @@ def _glass_run(self, h, s):
     return inner((), s)
 
 
-def _chain_type(base, *runs):
+def _chain_type(base, *runs, **methods):
     """The subclass of ``base`` whose fields are the ``runs``, in order."""
     return type(base.__name__, (_Chain, base),
-                dict(zip(base._fields, runs), __slots__=()))
+                dict(zip(base._fields, runs), __slots__=(), **methods))
 
 
 _VIEW = _down("view")
@@ -474,72 +474,66 @@ _CHAINS = {
         _chain_type(Review, _up("build")),
         _chain_type(AlgebraicLens, _VIEW, _classify),
         _chain_type(Kaleidoscope, _up("aggregate")),
+        _chain_type(MonadicLens, _VIEW, _mupdate, property(_pure),
+                    __init__=_one_pure),
     )
 }
 
 
-# The kind a segment of a traversal chain keeps: the first of lens, prism,
-# affine-traversal and traversal that its optic's kind coerces to.
-_TRAVERSAL_SEGMENT = {
-    kind: next(k for k in (K.LENS, K.PRISM, K.AFFINE_TRAVERSAL, K.TRAVERSAL)
-               if k in above)
-    for kind, above in _ABOVE.items() if K.TRAVERSAL in above
+# The kinds a chain keeps its segments as, tried in order; any other chain
+# keeps them as its own kind. ``_SEGMENT[chain][kind]`` is the first of them
+# that an operand of ``kind`` coerces to.
+_NATIVE = {K.TRAVERSAL: (K.LENS, K.PRISM, K.AFFINE_TRAVERSAL, K.TRAVERSAL),
+           K.MONADIC_LENS: (K.MONADIC_LENS, K.LENS)}
+_SEGMENT = {
+    chain: {kind: next(k for k in natives if k in _ABOVE[kind])
+            for kind in OpticKind if not _ABOVE[kind].isdisjoint(natives)}
+    for chain, natives in ((c, _NATIVE.get(c, (c,))) for c in OpticKind)
 }
 
 
 def _segments(optic: Any, kind: OpticKind) -> tuple:
-    """A chain of ``kind`` splices in; any other optic is one segment, and
-    in a traversal chain it keeps the kind ``_TRAVERSAL_SEGMENT`` names."""
+    """A chain of ``kind`` splices in; any other optic is one segment."""
     if isinstance(optic, _Chain) and optic.kind is kind:
         return optic.parts
-    if kind is K.TRAVERSAL:
-        kind = _TRAVERSAL_SEGMENT.get(optic.kind, kind)
-    return (_coerce(optic, kind),)
+    return (_coerce(optic, _SEGMENT[kind][optic.kind]),)
 
 
-def _compose_monadic(o1: Any, o2: Any) -> MonadicLens:
-    """The effect threads through the plain-lens side, whichever it is."""
-    if o1.kind is K.MONADIC_LENS:
-        inner = _coerce(o2, K.LENS)
-        return MonadicLens(
-            view=lambda s: inner.view(o1.view(s)),
-            mupdate=lambda s, b: o1.mupdate(s, inner.update(o1.view(s), b)),
-            pure=o1.pure,
-        )
-    outer = _coerce(o1, K.LENS)
-    return MonadicLens(
-        view=lambda s: o2.view(outer.view(s)),
-        mupdate=lambda s, b: o2.mupdate(outer.view(s), b).map(
-            lambda a: outer.update(s, a)
-        ),
-        pure=o2.pure,
-    )
+def _fail_once(kinds: list, joined) -> OpticKind:
+    """Raise, or warn and return setter, at the first pair where the left
+    fold of ``join_kind`` over ``kinds`` fails or falls back."""
+    kind = kinds[0]
+    for nxt in kinds[1:]:
+        pair = _JOIN[kind][nxt]
+        if pair is INCOMPATIBLE:
+            raise CompositionError(kind, nxt)
+        if isinstance(pair, Fallback) and joined is not INCOMPATIBLE:
+            warnings.warn(f"{kind.value} and {nxt.value} compose only as a "
+                          "setter", stacklevel=3)
+            return K.SETTER
+        kind = pair.kind if isinstance(pair, Fallback) else pair
 
 
 def compose(first: Any, *rest: Any) -> Any:
-    """Compose optics, outermost first, per the kind lattice: the left fold
-    of two-operand composition, built with one list of segments per run of
-    the same joined kind."""
+    """Compose optics, outermost first, at the join of all their kinds,
+    built with one list of segments per run of the same left-folded join."""
+    kinds = [o.kind for o in (first, *rest)]
+    target = _join(frozenset(kinds))
+    if not isinstance(target, OpticKind):
+        target = _fail_once(kinds, target)
     # parts: the segments of a chain of ``kind`` not built yet, or None
     optic, kind, parts = first, first.kind, None
     for nxt in rest:
-        joined = join_kind(kind, nxt.kind)
-        if joined is INCOMPATIBLE:
-            raise CompositionError(kind, nxt.kind)
-        if isinstance(joined, Fallback):
-            warnings.warn(
-                f"{kind.value} and {nxt.kind.value} compose only as a setter",
-                stacklevel=2,
-            )
-            joined = K.SETTER
+        joined = _JOIN[kind][nxt.kind]
+        if joined is kind and parts is not None:
+            parts.extend(_segments(nxt, kind))
+            continue
+        if _JOIN[target].get(joined) is not target:
+            # the pair falls back, or its join tie-broke away from the
+            # expression's join
+            joined = target
         if parts is not None:
-            if joined is kind:
-                parts.extend(_segments(nxt, kind))
-                continue
             optic = _CHAINS[kind](tuple(parts))
         kind = joined
-        if kind is K.MONADIC_LENS:
-            optic, parts = _compose_monadic(optic, nxt), None
-        else:
-            parts = [*_segments(optic, kind), *_segments(nxt, kind)]
+        parts = [*_segments(optic, kind), *_segments(nxt, kind)]
     return optic if parts is None else _CHAINS[kind](tuple(parts))

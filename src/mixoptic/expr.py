@@ -9,7 +9,7 @@ where STRING is double-quoted with JSON's backslash escapes. The scanner
 matches each name and each argument with a compiled pattern. Segments
 resolve to optics through the registry (plain names) or through the
 parameterized forms ``field("key")`` and ``variant("tag")``; the whole chain
-is one call to the variadic ``compose``, which folds it from the left.
+is one call to the variadic ``compose``, at the join of all its kinds.
 """
 
 from __future__ import annotations

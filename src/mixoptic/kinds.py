@@ -62,6 +62,10 @@ class OpticKind(enum.Enum):
     KALEIDOSCOPE = "kaleidoscope"
     MONADIC_LENS = "monadic-lens"
 
+    # a member is its one instance, so hashing by identity agrees with
+    # equality and keeps lookups in the tables keyed by kind in C
+    __hash__ = object.__hash__
+
     @property
     def with_article(self) -> str:
         """The kind's name as messages print it: ``an affine-traversal``."""

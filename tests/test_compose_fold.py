@@ -1,32 +1,51 @@
-"""``compose(*optics)`` is the left fold of two-operand composition.
+"""``compose(*optics)`` composes at the join of all its operands' kinds.
 
-``step`` is two-operand composition as it was before ``compose`` took any
-number of operands, kept here as the reference: join the two kinds, warn on
-a setter fallback, thread a monadic lens by hand, and otherwise put both
-operands' segments into one chain of the joined kind. Both sides are
-compared by kind, class, the nested shape of ``parts``, the exception they
-raise and the number of warnings.
+``least_upper`` is the reference n-ary join, read off the pairwise
+``join_kind`` table: the minimal kinds above every operand, the first in
+declaration order, a ``Fallback`` when that is setter and no operand is
+one. ``step`` is two-operand composition kept as the reference for the
+shape: join the two kinds, warn on a setter fallback, and put both
+operands' segments into one chain of the joined kind. Wherever its left
+fold succeeds, flat ``compose`` builds the same nested ``parts``; where the
+fold fails and the n-ary join exists (achromatic-lens, prism and review in
+either order), flat ``compose`` still builds the join. It warns only when
+the n-ary join falls back, so not when a setter operand follows a pair that
+falls back.
+The transformer oracle, ``ProfOptic.then`` nested one operand at a time,
+checks what the chains do.
 """
 
 import itertools
+import random
 import warnings
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixoptic import Fallback, INCOMPATIBLE, OpticKind, compose, join_kind
-from mixoptic.composition import (
-    _CHAINS, _Chain, _compose_monadic, _segments,
+from mixoptic import (
+    Fallback, INCOMPATIBLE, OpticKind, compose, ex2prof, join_kind, prof2ex,
 )
-from mixoptic.errors import CompositionError, OpticError
+from mixoptic.composition import _CHAINS, _Chain, _segments
+from mixoptic.errors import CompositionError, NormalFormError, OpticError
 from mixoptic.expr import parse_expr, resolve_expr
 from mixoptic.fixtures import registry
 
-from conftest import zoo
+from conftest import OBSERVERS, zoo
 
 K = OpticKind
 ENTRIES = zoo()
+
+
+def least_upper(kinds):
+    uppers = [u for u in K if all(join_kind(k, u) is u for k in kinds)]
+    least = [u for u in uppers
+             if not any(v is not u and join_kind(v, u) is u for v in uppers)]
+    if not least:
+        return INCOMPATIBLE
+    if least[0] is K.SETTER and K.SETTER not in kinds:
+        return Fallback()
+    return least[0]
 
 
 def step(o1, o2):
@@ -37,8 +56,6 @@ def step(o1, o2):
         warnings.warn(
             f"{o1.kind.value} and {o2.kind.value} compose only as a setter")
         kind = K.SETTER
-    if kind is K.MONADIC_LENS:
-        return _compose_monadic(o1, o2)
     return _CHAINS[kind](_segments(o1, kind) + _segments(o2, kind))
 
 
@@ -55,36 +72,77 @@ def shape(optic, operands):
 
 
 def outcome(build, operands):
+    """The built optic (or the error raised) and the warnings issued."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            got = shape(build(operands), operands)
+            got = build(operands)
         except OpticError as exc:
-            got = (type(exc), str(exc))
+            got = exc
     return got, sum(issubclass(w.category, UserWarning) for w in caught)
 
 
-def variadic(operands):
-    return compose(*operands)
+def check_against_the_joins(operands):
+    """Flat ``compose`` has the n-ary join's kind, raises exactly when it
+    is INCOMPATIBLE and warns once exactly when it is a fallback; where
+    the left fold of ``step`` succeeds it has that fold's shape, and where
+    both raise, the fold's message. Returns the composite or None."""
+    joined = least_upper([o.kind for o in operands])
+    got, warned = outcome(lambda ops: compose(*ops), operands)
+    folded, _ = outcome(lambda ops: reduce(step, ops), operands)
+    if joined is INCOMPATIBLE:
+        assert isinstance(got, CompositionError) and warned == 0
+        assert str(got) == str(folded)
+        return None
+    assert not isinstance(got, OpticError), got
+    if isinstance(joined, Fallback):
+        assert got.kind is K.SETTER and warned == 1
+    else:
+        assert got.kind is joined and warned == 0
+    if not isinstance(folded, OpticError):
+        assert shape(got, operands) == shape(folded, operands)
+    return got
 
 
-def folded(operands):
-    return reduce(step, operands)
+def test_every_triple_composes_at_the_n_ary_join():
+    for triple in itertools.product(list(K), repeat=3):
+        check_against_the_joins([ENTRIES[k].optic for k in triple])
 
 
-def test_every_triple_matches_the_left_fold():
-    kinds = list(K)
-    for triple in itertools.product(kinds, repeat=3):
-        operands = [ENTRIES[k].optic for k in triple]
-        assert outcome(variadic, operands) == outcome(folded, operands), \
-            triple
+def _observed(optic, kind, case):
+    """The observation, or the class of the error it raised: operands that
+    do not fit one another fail in both."""
+    try:
+        return OBSERVERS[kind](optic, case)
+    except Exception as exc:  # noqa: BLE001 - the class is the observation
+        return type(exc)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(list(K)), min_size=2, max_size=8))
-def test_chains_of_zoo_optics_match_the_left_fold(kinds):
+@given(st.lists(st.sampled_from(list(K)), min_size=2, max_size=8),
+       st.integers(0, 2 ** 32))
+def test_chains_of_zoo_optics_match_the_transformer_oracle(kinds, seed):
     operands = [ENTRIES[k].optic for k in kinds]
-    assert outcome(variadic, operands) == outcome(folded, operands)
+    composite = check_against_the_joins(operands)
+    if composite is None:
+        return
+    try:
+        oracle = prof2ex(reduce(lambda p, q: p.then(q),
+                                [ex2prof(o) for o in operands]),
+                         composite.kind)
+    except NormalFormError:
+        # the algebraic-lens and achromatic-lens transformers do not act on
+        # Updating or Aggregating; test_composition writes those cells out
+        return
+    r = random.Random(seed)
+    for _ in range(5):
+        # the whole from the outermost operand, the focus functions from
+        # the innermost
+        case = {**ENTRIES[kinds[-1]].make_case(r),
+                **{k: v for k, v in ENTRIES[kinds[0]].make_case(r).items()
+                   if k in ("s", "batch")}}
+        assert _observed(composite, composite.kind, case) == \
+            _observed(oracle, composite.kind, case)
 
 
 def test_a_single_operand_is_returned_as_is():

@@ -16,7 +16,7 @@ import pytest
 
 from mixoptic import (
     AchromaticLens, Adapter, Fallback, Fold, Getter, Glass, Grate,
-    INCOMPATIBLE, Kaleidoscope, Lens, OpticKind, Prism, Review, Setter,
+    INCOMPATIBLE, Kaleidoscope, Lens, OpticKind, Opt, Prism, Review, Setter,
     Writer, capability_set, compose, ex2prof, join_kind, mupdate, prof2ex,
     upcast, over, preview, review, to_list_of, view,
 )
@@ -57,12 +57,9 @@ def test_adapter_is_the_join_identity():
         assert join_kind(k, K.ADAPTER) is k
 
 
-def test_join_is_idempotent_except_monadic():
+def test_join_is_idempotent():
     for k in ALL_KINDS:
-        if k is K.MONADIC_LENS:
-            assert join_kind(k, k) is INCOMPATIBLE
-        else:
-            assert join_kind(k, k) is k
+        assert join_kind(k, k) is k
 
 
 CORE = [K.ADAPTER, K.LENS, K.PRISM, K.AFFINE_TRAVERSAL, K.TRAVERSAL,
@@ -101,7 +98,7 @@ SPOT_JOINS = [
     (K.MONADIC_LENS, K.LENS, K.MONADIC_LENS),
     (K.MONADIC_LENS, K.ADAPTER, K.MONADIC_LENS),
     (K.MONADIC_LENS, K.PRISM, INCOMPATIBLE),
-    (K.MONADIC_LENS, K.MONADIC_LENS, INCOMPATIBLE),
+    (K.MONADIC_LENS, K.MONADIC_LENS, K.MONADIC_LENS),
     (K.MONADIC_LENS, K.ALGEBRAIC_LENS, K.MONADIC_LENS),
     (K.ACHROMATIC_LENS, K.MONADIC_LENS, K.MONADIC_LENS),
     (K.GETTER, K.LENS, K.GETTER),
@@ -355,6 +352,16 @@ def _mean_shift(xs):
     return sum(xs) / len(xs)
 
 
+def _opt_box():
+    """A box lens whose update refuses a negative number."""
+    return MonadicLens(
+        view=lambda box: box.contents,
+        mupdate=lambda box, b: (Opt.absent() if isinstance(b, int) and b < 0
+                                else Opt.pure(Box(b))),
+        pure=Opt.pure,
+    )
+
+
 CELLS += [
     ("ach.ach", _box_ach(), addr_ach(), K.ACHROMATIC_LENS,
      lambda r: {"s": {"x": gen_address(r)}, "f": str.upper, "b": "9 New Sq"}),
@@ -416,6 +423,14 @@ CELLS += [
      lambda r: {"s": {"x": Box(str(_ints(r)))}, "b": str(_ints(r))}),
     ("monadic.ach", box_lens(), addr_ach(), K.MONADIC_LENS,
      lambda r: {"s": Box(gen_address(r)), "b": "4 Forge Yard"}),
+    ("monadic.monadic", box_lens(), box_lens(), K.MONADIC_LENS,
+     lambda r: {"s": Box(Box(_ints(r))), "b": str(_ints(r))}),
+    ("opt.opt", _opt_box(), _opt_box(), K.MONADIC_LENS,
+     lambda r: {"s": Box(Box(_ints(r))), "b": _ints(r, -40, 60)}),
+    ("opt.lens", _opt_box(), key_lens("x"), K.MONADIC_LENS,
+     lambda r: {"s": Box({"x": _ints(r), "n": 0}), "b": _ints(r, -40, 60)}),
+    ("lens.opt", key_lens("x"), _opt_box(), K.MONADIC_LENS,
+     lambda r: {"s": {"x": Box(_ints(r)), "n": 0}, "b": _ints(r, -40, 60)}),
     ("getter.lens", Getter(get=lambda d: d["x"]), street_lens(), K.GETTER,
      lambda r: {"s": {"x": gen_address(r)}}),
     ("lens.getter", key_lens("x"), _city_getter(), K.GETTER,
@@ -452,7 +467,7 @@ INCOMPATIBLE_CELLS = [
     (Getter(get=lambda s: s), _street_review()),
     (_list_setter(), _city_getter()),
     (box_lens(), tag_prism("t")),
-    (box_lens(), box_lens()),
+    (box_lens(), _opt_box()),  # a Writer and an Opt effect
     (address_prism(), box_lens()),
 ]
 
@@ -573,15 +588,30 @@ def test_composition_error_names_both_kinds():
 
 
 def test_composition_error_names_kinds_with_their_articles():
-    # the left fold joins achromatic-lens and prism to affine-traversal,
-    # which review cannot reach
+    # nested, achromatic-lens and prism join to affine-traversal, which
+    # review cannot reach
     entries = zoo()
     ach, prism, rev = (entries[k].optic for k in (
         K.ACHROMATIC_LENS, K.PRISM, K.REVIEW))
     with pytest.raises(CompositionError) as e:
-        compose(ach, prism, rev)
+        compose(compose(ach, prism), rev)
     assert str(e.value) == (
         "cannot compose an affine-traversal with a review")
+
+
+@pytest.mark.parametrize("outer,inner,whole", [
+    (_box_ach(), tag_prism("t"), lambda b: {"x": ("t", str(b))}),
+    (tag_prism("t"), _box_ach(), lambda b: ("t", {"x": str(b)})),
+], ids=["ach.prism.review", "prism.ach.review"])
+def test_flat_achromatic_prism_review_is_a_review(outer, inner, whole):
+    # review is the least kind all three coerce to, whichever of
+    # achromatic-lens and prism comes first
+    composed = compose(outer, inner, Review(build=str))
+    assert composed.kind is K.REVIEW
+    oracle = prof2ex(ex2prof(outer).then(ex2prof(inner)).then(
+        ex2prof(Review(build=str))), K.REVIEW)
+    for b in range(-3, 40):
+        assert review(composed, b) == review(oracle, b) == whole(b)
 
 
 def test_composition_is_associative():
