@@ -11,10 +11,13 @@ prism join to affine-traversal, which review cannot reach, so only the
 flat ``compose(ach, prism, review)`` is a review; nested, it raises.
 For every kind the result is a flat chain: an instance of the kind's class
 holding ``parts``, its segments outermost first, each coerced to the first
-kind of the chain's ``_NATIVE`` row it reaches. A chain of the join
-splices its parts in. Segments collect in one list while the left fold's
-join stays the same, so building is linear in the operands, and the kind's
-functions loop over the parts, so applying is linear in depth.
+kind of the chain's ``_NATIVE`` row it reaches: traversal and affine
+chains keep lens, prism and affine segments as they are, and an affine
+chain's ``access`` is the traversal walk, which finds at most one focus
+there. A chain of the join splices its parts in. Segments collect in
+one list while the left fold's join stays the same, so building is linear
+in the operands, and the kind's functions loop over the parts, so applying
+is linear in depth.
 ``encoding.ProfOptic.then`` stays nested: it is the independent oracle the
 tests hold ``compose`` to. ``upcast`` embeds an optic into a more general
 kind along the public edges only; it and ``compose`` follow shortest
@@ -52,20 +55,10 @@ def _adapter_to_prism(o):
     return Prism(match=lambda s: Focus(o.forward(s)), build=o.backward)
 
 
-def _lens_to_affine(o):
-    return AffineTraversal(
-        access=lambda s: Focus((o.view(s), lambda b: o.update(s, b)))
-    )
-
-
-def _prism_to_affine(o):
-    def access(s):
-        res = o.match(s)
-        if isinstance(res, Miss):
-            return res
-        return Focus((res.value, o.build))
-
-    return AffineTraversal(access=access)
+def _one_segment(kind):
+    """The edge into ``kind`` whose chain runs the optic as its only
+    segment, as it is."""
+    return lambda o: _CHAINS[kind]((o,))
 
 
 _EMBED = {
@@ -83,7 +76,7 @@ _EMBED = {
     (K.ADAPTER, K.KALEIDOSCOPE): lambda o: Kaleidoscope(
         aggregate=lambda f: lambda ss: o.backward(f([o.forward(s) for s in ss]))
     ),
-    (K.LENS, K.AFFINE_TRAVERSAL): _lens_to_affine,
+    (K.LENS, K.AFFINE_TRAVERSAL): _one_segment(K.AFFINE_TRAVERSAL),
     (K.LENS, K.GETTER): lambda o: Getter(get=o.view),
     (K.LENS, K.GLASS): lambda o: Glass(
         run=lambda h, s: o.update(s, h(o.view))
@@ -94,10 +87,9 @@ _EMBED = {
         view=o.view,
         classify=lambda ss, b: o.update(ss[0], b) if ss else o.create(b),
     ),
-    (K.PRISM, K.AFFINE_TRAVERSAL): _prism_to_affine,
+    (K.PRISM, K.AFFINE_TRAVERSAL): _one_segment(K.AFFINE_TRAVERSAL),
     (K.PRISM, K.REVIEW): lambda o: Review(build=o.build),
-    # a traversal chain runs an affine segment natively
-    (K.AFFINE_TRAVERSAL, K.TRAVERSAL): lambda o: _CHAINS[K.TRAVERSAL]((o,)),
+    (K.AFFINE_TRAVERSAL, K.TRAVERSAL): _one_segment(K.TRAVERSAL),
     (K.TRAVERSAL, K.FOLD): lambda o: Fold(foci=lambda s: list(o.extract(s)[0])),
     (K.TRAVERSAL, K.SETTER): lambda o: Setter(
         over=lambda f, s: (lambda foci, rebuild: rebuild([f(a) for a in foci]))(
@@ -312,8 +304,13 @@ def _pure(self):
 
 def _one_pure(self, parts):
     """The monadic segments of a chain run in one effect."""
-    if len({p.pure for p in parts if p.kind is K.MONADIC_LENS}) > 1:
-        raise CompositionError(K.MONADIC_LENS, K.MONADIC_LENS)
+    pures = [*dict.fromkeys(p.pure for p in parts if p.kind is K.MONADIC_LENS)]
+    if len(pures) > 1:
+        # an effect's pure is a method of it, such as ``Writer.pure``
+        outer, inner = (getattr(pure, "__qualname__", repr(pure))
+                        .removesuffix(".pure") for pure in pures[:2])
+        raise CompositionError(K.MONADIC_LENS, K.MONADIC_LENS,
+                               f"their effects differ, {outer} and {inner}")
 
 
 def _classify(self, ss, b):
@@ -337,23 +334,6 @@ def _match(self, s):
             return Miss(t)
         s = res.value
     return Focus(s)
-
-
-def _put_all(puts, b):
-    for put in reversed(puts):
-        b = put(b)
-    return b
-
-
-def _access(self, s):
-    puts = []
-    for p in self.parts:
-        res = p.access(s)
-        if isinstance(res, Miss):
-            return Miss(_put_all(puts, res.value))
-        s, put = res.value
-        puts.append(put)
-    return Focus((s, partial(_put_all, puts)))
 
 
 def _extract(self, s):
@@ -403,6 +383,14 @@ def _extract(self, s):
         return bs[0]
 
     return foci, rebuild
+
+
+def _access(self, s):
+    # the traversal walk, which finds at most one focus in an affine chain
+    foci, rebuild = _extract(self, s)
+    if foci:
+        return Focus((foci[0], lambda b: rebuild([b])))
+    return Miss(rebuild([]))
 
 
 def _foci(self, s):
@@ -484,6 +472,7 @@ _CHAINS = {
 # keeps them as its own kind. ``_SEGMENT[chain][kind]`` is the first of them
 # that an operand of ``kind`` coerces to.
 _NATIVE = {K.TRAVERSAL: (K.LENS, K.PRISM, K.AFFINE_TRAVERSAL, K.TRAVERSAL),
+           K.AFFINE_TRAVERSAL: (K.LENS, K.PRISM, K.AFFINE_TRAVERSAL),
            K.MONADIC_LENS: (K.MONADIC_LENS, K.LENS)}
 _SEGMENT = {
     chain: {kind: next(k for k in natives if k in _ABOVE[kind])

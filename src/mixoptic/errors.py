@@ -19,11 +19,13 @@ class CapabilityError(OpticError):
 
 
 class CompositionError(OpticError):
-    """The two optic kinds cannot be composed."""
+    """The two optic kinds cannot be composed, for the reason ``why`` when
+    their kinds alone do not say it."""
 
-    def __init__(self, outer, inner):
-        super().__init__(
-            f"cannot compose {outer.with_article} with {inner.with_article}")
+    def __init__(self, outer, inner, why=None):
+        message = (f"cannot compose {outer.with_article} "
+                   f"with {inner.with_article}")
+        super().__init__(message if why is None else f"{message}: {why}")
         self.outer = outer
         self.inner = inner
 

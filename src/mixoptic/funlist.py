@@ -13,7 +13,7 @@ post-composes onto ``rebuild``, ``ap`` and ``sequence`` concatenate sources
 and cut the replacements at fixed offsets, and ``map_sources`` rewrites the
 sources left to right. Internal rebuilds trust their argument's length;
 ``no_fun`` is the checked view and raises ``LengthError`` on a wrong count.
-``Done``, ``More``, ``pure`` and ``singleton`` build the flat form.
+``More``, ``pure`` and ``singleton`` build the flat form.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ class FunList:
 def pure(b) -> FunList:
     """No sources; rebuilds to ``b``."""
     return FunList((), lambda _bs: b)
-
-
-Done = pure
 
 
 def More(source, rest: FunList) -> FunList:

@@ -5,7 +5,8 @@ The lens, affine and traversal shapes are those of the benchmark's
 variants and three ``each`` (eight foci); the prism shape is variants
 only. Up to depth 400 every action agrees with the transformer oracle,
 which nests one closure per segment; deeper, where the oracle overflows
-the stack, the lens laws are checked directly.
+the stack, the lens laws are checked directly, on the lens and the
+affine shape.
 """
 
 import warnings
@@ -126,20 +127,34 @@ def test_deep_chain_matches_transformer_oracle(shape, depth):
 
 
 @pytest.mark.parametrize("depth", [1024, 5000])
-def test_lens_laws_hold_at_depth(depth):
-    kinds = segments(depth, "lens")
-    optic = reduce(compose, leaves(kinds))
+@pytest.mark.parametrize("shape", ["lens", "affine"])
+def test_lens_laws_hold_at_depth(shape, depth):
+    kinds = segments(depth, shape)
+    optics = leaves(kinds)
+    optic = reduce(compose, optics)
+    read = view if shape == "lens" else preview
     doc = document(kinds)
     new, newer = VText("new"), VText("newer")
 
     once = set_value(optic, doc, new)
-    assert view(optic, once) == new  # put then get
-    assert tokens(set_value(optic, doc, view(optic, doc))) == tokens(doc)
+    assert read(optic, once) == new  # put then get
+    assert tokens(set_value(optic, doc, read(optic, doc))) == tokens(doc)
     assert tokens(set_value(optic, once, newer)) == \
         tokens(set_value(optic, doc, newer))  # put twice
     before, after = tokens(doc), tokens(once)
     assert len(before) == len(after)
     assert [b for a, b in zip(before, after) if a != b] == [new]  # only it
+
+    if shape == "affine":
+        # the fields before the first variant are one lens part; every
+        # operand after it is a part as it is, with no wrapper
+        first = kinds.index("variant")
+        assert all(part is operand for part, operand in
+                   zip(optic.parts[1:], optics[first:], strict=True))
+        missed = document(kinds, miss_at=max(
+            i for i, k in enumerate(kinds) if k == "variant"))
+        assert read(optic, missed) is None
+        assert tokens(set_value(optic, missed, new)) == tokens(missed)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

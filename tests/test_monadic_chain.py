@@ -90,14 +90,18 @@ def test_nested_monadic_chains_splice():
     assert mupdate(composed, doc, "x") == mupdate(flat, doc, "x")
 
 
-@pytest.mark.parametrize("optics", [
-    [logging_lens("a"), checked_lens("b")],
-    [checked_lens("a"), key_lens("b"), logging_lens("c")],
-    [compose(logging_lens("a"), key_lens("b")), checked_lens("c")],
+@pytest.mark.parametrize("optics, effects", [
+    ([logging_lens("a"), checked_lens("b")], "Writer and Opt"),
+    ([checked_lens("a"), key_lens("b"), logging_lens("c")], "Opt and Writer"),
+    ([compose(logging_lens("a"), key_lens("b")), checked_lens("c")],
+     "Writer and Opt"),
 ], ids=["pair", "flat", "nested"])
-def test_a_writer_lens_and_an_opt_lens_do_not_compose(optics):
-    with pytest.raises(CompositionError):
+def test_a_writer_lens_and_an_opt_lens_do_not_compose(optics, effects):
+    with pytest.raises(CompositionError) as caught:
         compose(*optics)
+    assert str(caught.value) == ("cannot compose a monadic-lens with a "
+                                 "monadic-lens: their effects differ, "
+                                 + effects)
 
 
 def test_a_logging_lens_then_thousands_of_fields():

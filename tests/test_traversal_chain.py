@@ -1,20 +1,24 @@
-"""Traversal chains run their single-focus segments as they are.
+"""Traversal and affine chains run their single-focus segments as they are.
 
 A traversal chain keeps each lens, prism and affine-traversal segment of
 that kind, and its ``extract`` walks down once, keeping one flat list per
-level. The reference for a chain is the same parts each coerced to a
-traversal, the form every segment had before. The zoo below has one optic
-per kind that a traversal chain holds, all over one nested document shape,
-so that any chain of them applies to a document built for it.
+level; an affine chain keeps the same segments and reads its ``access``
+off that walk. The reference for a chain is the same parts each coerced to
+a traversal, the form every segment had before, and for an affine chain
+also the transformer oracle. The zoo below has one optic per kind that a
+traversal chain holds, all over one nested document shape, so that any
+chain of them applies to a document built for it.
 """
 
+from functools import reduce
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mixoptic import (
     AchromaticLens, Adapter, AffineTraversal, Focus, Lens, Miss, OpticKind,
-    Prism, Traversal, VNum, compose, each_traversal, field_lens, over,
-    parse_json, to_list_of, variant_prism,
+    Prism, Traversal, VNum, compose, each_traversal, ex2prof, field_lens,
+    over, parse_json, preview, prof2ex, set_value, to_list_of, variant_prism,
 )
 from mixoptic.composition import _CHAINS, _coerce
 from mixoptic.errors import LengthError
@@ -71,9 +75,18 @@ NATIVE = {K.ADAPTER: K.LENS, K.LENS: K.LENS, K.ACHROMATIC_LENS: K.LENS,
 
 @st.composite
 def chains(draw):
-    """2 to 8 zoo kinds, one a traversal, and a document for them."""
-    kinds = draw(st.lists(st.sampled_from(list(ZOO)), min_size=1, max_size=7))
-    kinds.insert(draw(st.integers(0, len(kinds))), K.TRAVERSAL)
+    """2 to 8 zoo kinds and a document for them: one kind a traversal, or,
+    for an affine chain, no kind a traversal and one a prism or an affine
+    traversal."""
+    if draw(st.booleans()):
+        pool, must = list(ZOO), [K.TRAVERSAL]
+    else:
+        pool = [k for k in ZOO if k is not K.TRAVERSAL]
+        must = [K.PRISM, K.AFFINE_TRAVERSAL]
+    kinds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    kinds.insert(draw(st.integers(0, len(kinds))),
+                 draw(st.sampled_from(must)))
+    assume(not set(kinds) <= {K.PRISM, K.ADAPTER})  # those join to a prism
     docs = st.integers(0, 99)
     for kind in reversed(kinds):
         docs = ZOO[kind][1](docs)
@@ -94,12 +107,31 @@ def length_error(rebuild, n):
     return str(caught.value)
 
 
-@settings(max_examples=300, deadline=None)
+def agrees_with_the_oracle(native, kinds, doc):
+    """``preview``, ``set``, ``over`` and the ``Miss`` whole of an affine
+    chain are the transformer oracle's."""
+    oracle = prof2ex(reduce(lambda p, q: p.then(q),
+                            [ex2prof(ZOO[k][0]) for k in kinds]),
+                     K.AFFINE_TRAVERSAL)
+    assert preview(native, doc) == preview(oracle, doc)
+    assert set_value(native, doc, -1) == set_value(oracle, doc, -1)
+    got, want = [], []
+    assert over(native, recording(got), doc) == \
+        over(oracle, recording(want), doc)
+    assert got == want
+    found, reference = native.access(doc), oracle.access(doc)
+    assert type(found) is type(reference)
+    if isinstance(found, Miss):
+        assert found.value == reference.value
+
+
+@settings(max_examples=400, deadline=None)
 @given(chains())
 def test_native_segments_match_the_all_traversal_chain(chain):
     kinds, doc = chain
     native = compose(*(ZOO[k][0] for k in kinds))
-    assert native.kind is K.TRAVERSAL
+    assert native.kind is (K.TRAVERSAL if K.TRAVERSAL in kinds
+                           else K.AFFINE_TRAVERSAL)
     reference = _CHAINS[K.TRAVERSAL](
         tuple(_coerce(p, K.TRAVERSAL) for p in native.parts))
     if len(native.parts) == len(kinds):  # no lower-kind run before it
@@ -111,6 +143,9 @@ def test_native_segments_match_the_all_traversal_chain(chain):
     assert over(native, recording(got), doc) == \
         over(reference, recording(want), doc)
     assert got == want == found
+    if native.kind is K.AFFINE_TRAVERSAL:
+        agrees_with_the_oracle(native, kinds, doc)
+        return
 
     _, rebuild = native.extract(doc)
     _, reference_rebuild = reference.extract(doc)
