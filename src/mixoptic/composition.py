@@ -14,10 +14,12 @@ holding ``parts``, its segments outermost first, each coerced to the first
 kind of the chain's ``_NATIVE`` row it reaches: traversal and affine
 chains keep lens, prism and affine segments as they are, and an affine
 chain's ``access`` is the traversal walk, which finds at most one focus
-there. A chain of the join splices its parts in. Segments collect in
-one list while the left fold's join stays the same, so building is linear
-in the operands, and the kind's functions loop over the parts, so applying
-is linear in depth.
+there. A chain of the join splices its parts in, and so does an affine
+chain entering a traversal. Segments collect in one list while the left
+fold's join stays the same, so building is linear in the operands, and the
+kind's functions loop over the parts, so applying is linear in depth.
+A coercion into getter, fold, setter or review, whatever its path, is one
+record that runs the kind's combinator (such as ``over``) on the optic.
 ``encoding.ProfOptic.then`` stays nested: it is the independent oracle the
 tests hold ``compose`` to. ``upcast`` embeds an optic into a more general
 kind along the public edges only; it and ``compose`` follow shortest
@@ -36,7 +38,7 @@ from .kinds import OpticKind
 from .optics import (
     Adapter, AffineTraversal, AchromaticLens, AlgebraicLens, Focus, Fold,
     Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
-    Review, Setter, Traversal,
+    Review, Setter, Traversal, over, review, to_list_of, view,
 )
 from .records import record
 
@@ -47,26 +49,34 @@ K = OpticKind
 # Single-step embeddings. Keys are (source kind, target kind).
 
 
-def _adapter_to_lens(o):
-    return Lens(view=o.forward, update=lambda s, b: o.backward(b))
-
-
-def _adapter_to_prism(o):
-    return Prism(match=lambda s: Focus(o.forward(s)), build=o.backward)
-
-
 def _one_segment(kind):
-    """The edge into ``kind`` whose chain runs the optic as its only
-    segment, as it is."""
-    return lambda o: _CHAINS[kind]((o,))
+    """The edge into ``kind``: a chain of the optic's segments as they are."""
+    return lambda o: _CHAINS[kind](_segments(o, kind))
 
+
+def _by(cls, combinator):
+    return lambda o: cls(partial(combinator, o))
+
+
+# goal: (class, combinator, sources). Each of these kinds is its combinator,
+# which every kind that reaches it admits, and no path goes on past them but
+# getter's into fold, so ``_shortest_paths`` keeps the last edge alone.
+_RUN_BY = {
+    K.GETTER: (Getter, view, (K.ADAPTER, K.LENS)),
+    K.FOLD: (Fold, to_list_of, (K.TRAVERSAL, K.GETTER)),
+    K.SETTER: (Setter, over,
+               (K.TRAVERSAL, K.GLASS, K.ALGEBRAIC_LENS, K.KALEIDOSCOPE)),
+    K.REVIEW: (Review, review, (K.ADAPTER, K.ACHROMATIC_LENS, K.PRISM)),
+}
 
 _EMBED = {
-    (K.ADAPTER, K.LENS): _adapter_to_lens,
-    (K.ADAPTER, K.PRISM): _adapter_to_prism,
+    (K.ADAPTER, K.LENS): lambda o: Lens(
+        view=o.forward, update=lambda s, b: o.backward(b)
+    ),
+    (K.ADAPTER, K.PRISM): lambda o: Prism(
+        match=lambda s: Focus(o.forward(s)), build=o.backward
+    ),
     (K.ADAPTER, K.GRATE): lambda o: Grate(run=lambda h: o.backward(h(o.forward))),
-    (K.ADAPTER, K.GETTER): lambda o: Getter(get=o.forward),
-    (K.ADAPTER, K.REVIEW): lambda o: Review(build=o.backward),
     (K.ADAPTER, K.ACHROMATIC_LENS): lambda o: AchromaticLens(
         view=o.forward, update=lambda s, b: o.backward(b), create=o.backward
     ),
@@ -77,39 +87,23 @@ _EMBED = {
         aggregate=lambda f: lambda ss: o.backward(f([o.forward(s) for s in ss]))
     ),
     (K.LENS, K.AFFINE_TRAVERSAL): _one_segment(K.AFFINE_TRAVERSAL),
-    (K.LENS, K.GETTER): lambda o: Getter(get=o.view),
     (K.LENS, K.GLASS): lambda o: Glass(
         run=lambda h, s: o.update(s, h(o.view))
     ),
     (K.ACHROMATIC_LENS, K.LENS): lambda o: Lens(view=o.view, update=o.update),
-    (K.ACHROMATIC_LENS, K.REVIEW): lambda o: Review(build=o.create),
     (K.ACHROMATIC_LENS, K.ALGEBRAIC_LENS): lambda o: AlgebraicLens(
         view=o.view,
         classify=lambda ss, b: o.update(ss[0], b) if ss else o.create(b),
     ),
     (K.PRISM, K.AFFINE_TRAVERSAL): _one_segment(K.AFFINE_TRAVERSAL),
-    (K.PRISM, K.REVIEW): lambda o: Review(build=o.build),
     (K.AFFINE_TRAVERSAL, K.TRAVERSAL): _one_segment(K.TRAVERSAL),
-    (K.TRAVERSAL, K.FOLD): lambda o: Fold(foci=lambda s: list(o.extract(s)[0])),
-    (K.TRAVERSAL, K.SETTER): lambda o: Setter(
-        over=lambda f, s: (lambda foci, rebuild: rebuild([f(a) for a in foci]))(
-            *o.extract(s)
-        )
-    ),
     (K.GRATE, K.GLASS): lambda o: Glass(run=lambda h, s: o.run(h)),
-    (K.GLASS, K.SETTER): lambda o: Setter(
-        over=lambda f, s: o.run(lambda k: f(k(s)), s)
-    ),
-    (K.GETTER, K.FOLD): lambda o: Fold(foci=lambda s: [o.get(s)]),
-    (K.ALGEBRAIC_LENS, K.SETTER): lambda o: Setter(
-        over=lambda f, s: o.classify([s], f(o.view(s)))
-    ),
-    (K.KALEIDOSCOPE, K.SETTER): lambda o: Setter(
-        over=lambda f, s: o.aggregate(lambda foci: f(foci[0]))([s])
-    ),
     (K.MONADIC_LENS, K.LENS): lambda o: Lens(
         view=o.view, update=lambda s, b: o.mupdate(s, b).value
     ),
+    **{(source, goal): _by(cls, combinator)
+       for goal, (cls, combinator, sources) in _RUN_BY.items()
+       for source in sources},
 }
 
 # private coercions used by compose() but not exposed through upcast()
@@ -128,8 +122,8 @@ _COERCIONS = {**_EMBED, **_PRIVATE_EMBED}
 
 def _shortest_paths(edges) -> dict:
     """(source kind, goal kind) -> the steps of the shortest chain of
-    ``edges`` between them, found by one breadth-first search per source;
-    absent when no chain exists."""
+    ``edges`` between them, found by one breadth-first search per source
+    (only the last step into a kind of ``_RUN_BY``); absent when none."""
     paths = {}
     for source in OpticKind:
         paths[(source, source)] = ()
@@ -137,7 +131,8 @@ def _shortest_paths(edges) -> dict:
         for kind in frontier:
             for (src, dst), fn in edges.items():
                 if src is kind and (source, dst) not in paths:
-                    paths[(source, dst)] = paths[(source, kind)] + (fn,)
+                    steps = () if dst in _RUN_BY else paths[(source, kind)]
+                    paths[(source, dst)] = steps + (fn,)
                     frontier.append(dst)
     return paths
 
@@ -482,8 +477,11 @@ _SEGMENT = {
 
 
 def _segments(optic: Any, kind: OpticKind) -> tuple:
-    """A chain of ``kind`` splices in; any other optic is one segment."""
-    if isinstance(optic, _Chain) and optic.kind is kind:
+    """A chain of ``kind`` splices in, and so does an affine chain into a
+    traversal, whose walk runs its parts as they are; any other optic is one
+    segment."""
+    if isinstance(optic, _Chain) and (optic.kind is kind or kind is K.TRAVERSAL
+                                      and optic.kind is K.AFFINE_TRAVERSAL):
         return optic.parts
     return (_coerce(optic, _SEGMENT[kind][optic.kind]),)
 

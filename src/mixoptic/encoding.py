@@ -14,7 +14,7 @@ from typing import Any, Callable, FrozenSet, Optional
 from . import carriers as c
 from . import funlist as fl
 from .errors import LengthError, NormalFormError
-from .kinds import Capability, OpticKind, capability_set
+from .kinds import OpticKind
 from .optics import (
     Adapter, AffineTraversal, AchromaticLens, AlgebraicLens, Focus, Fold,
     Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
@@ -32,13 +32,12 @@ class ProfOptic:
     """An optic in transformer form.
 
     ``transform`` maps a carrier over the foci to a carrier over the wholes.
-    ``required`` is the capability set, ``supported`` the carrier classes
-    the transformer accepts, and ``pure`` the effect injector when the
-    transformer came from an effectful lens.
+    ``supported`` is the carrier classes the transformer accepts, and
+    ``pure`` the effect injector when the transformer came from an
+    effectful lens.
     """
 
     transform: Callable[[c.Carrier], c.Carrier]
-    required: FrozenSet[Capability]
     supported: FrozenSet[type]
     pure: Optional[Callable[[Any], Any]] = field(default=None)
 
@@ -49,7 +48,6 @@ class ProfOptic:
         """Compose transformers, outer first."""
         return ProfOptic(
             transform=lambda p: self.transform(inner.transform(p)),
-            required=self.required | inner.required,
             supported=self.supported & inner.supported,
             pure=self.pure if self.pure is not None else inner.pure,
         )
@@ -64,11 +62,10 @@ def _lens_glassing(view, update, p):
 
 def ex2prof(optic: Any) -> ProfOptic:
     kind = optic.kind
-    required = capability_set(kind)
 
     if kind is OpticKind.ADAPTER:
         fwd, bwd = optic.forward, optic.backward
-        return ProfOptic(lambda p: p.dimap(fwd, bwd), required, _ALL_CARRIERS)
+        return ProfOptic(lambda p: p.dimap(fwd, bwd), _ALL_CARRIERS)
 
     if kind in (OpticKind.LENS, OpticKind.ACHROMATIC_LENS):
         v, u = optic.view, optic.update
@@ -83,7 +80,7 @@ def ex2prof(optic: Any) -> ProfOptic:
             )
 
         if kind is OpticKind.LENS:
-            return ProfOptic(t_lens, required, frozenset(supported))
+            return ProfOptic(t_lens, frozenset(supported))
 
         create = optic.create
 
@@ -100,7 +97,7 @@ def ex2prof(optic: Any) -> ProfOptic:
             return t_lens(p)
 
         supported |= {c.Reviewing, c.Classifying}
-        return ProfOptic(t_ach, required, frozenset(supported))
+        return ProfOptic(t_ach, frozenset(supported))
 
     if kind is OpticKind.PRISM:
         match, build = optic.match, optic.build
@@ -110,7 +107,6 @@ def ex2prof(optic: Any) -> ProfOptic:
 
         return ProfOptic(
             lambda p: p.lift_sum().dimap(match, r_prism),
-            required,
             frozenset({c.Previewing, c.Replacing, c.Folding, c.Reviewing}),
         )
 
@@ -132,7 +128,6 @@ def ex2prof(optic: Any) -> ProfOptic:
 
         return ProfOptic(
             lambda p: p.lift_product().lift_sum().dimap(l_affine, r_affine),
-            required,
             frozenset({c.Previewing, c.Replacing, c.Folding}),
         )
 
@@ -145,7 +140,6 @@ def ex2prof(optic: Any) -> ProfOptic:
 
         return ProfOptic(
             lambda p: p.lift_funlist().dimap(l_trav, fl.fuse),
-            required,
             frozenset({c.Replacing, c.Folding}),
         )
 
@@ -170,8 +164,7 @@ def ex2prof(optic: Any) -> ProfOptic:
             return p.lift_closed().dimap(lambda s: lambda k: k(s), grate)
 
         return ProfOptic(
-            t_grate, required,
-            frozenset({c.Replacing, c.Grating, c.Glassing}),
+            t_grate, frozenset({c.Replacing, c.Grating, c.Glassing}),
         )
 
     if kind is OpticKind.GLASS:
@@ -193,13 +186,13 @@ def ex2prof(optic: Any) -> ProfOptic:
                 )
             raise p._no("product+closed")
 
-        return ProfOptic(t_glass, required, frozenset({c.Replacing, c.Glassing}))
+        return ProfOptic(t_glass, frozenset({c.Replacing, c.Glassing}))
 
     if kind is OpticKind.SETTER:
         over_fn = optic.over
         return ProfOptic(
             lambda p: c.Replacing(lambda u: lambda s: over_fn(p.run(u), s)),
-            required, frozenset({c.Replacing}),
+            frozenset({c.Replacing}),
         )
 
     if kind is OpticKind.GETTER:
@@ -207,7 +200,7 @@ def ex2prof(optic: Any) -> ProfOptic:
         ident = lambda x: x
         return ProfOptic(
             lambda p: p.dimap(get, ident),
-            required, frozenset({c.Viewing, c.Previewing, c.Folding}),
+            frozenset({c.Viewing, c.Previewing, c.Folding}),
         )
 
     if kind is OpticKind.REVIEW:
@@ -215,14 +208,14 @@ def ex2prof(optic: Any) -> ProfOptic:
         ident = lambda x: x
         return ProfOptic(
             lambda p: p.dimap(ident, build),
-            required, frozenset({c.Reviewing}),
+            frozenset({c.Reviewing}),
         )
 
     if kind is OpticKind.FOLD:
         foci = optic.foci
         return ProfOptic(
             lambda p: c.Folding(lambda s: [x for a in foci(s) for x in p.run(a)]),
-            required, frozenset({c.Folding}),
+            frozenset({c.Folding}),
         )
 
     if kind is OpticKind.ALGEBRAIC_LENS:
@@ -232,7 +225,6 @@ def ex2prof(optic: Any) -> ProfOptic:
                 lambda s: ([s], v(s)),
                 lambda pair: classify(pair[0], pair[1]),
             ),
-            required,
             frozenset({c.Viewing, c.Previewing, c.Folding, c.Replacing,
                        c.Classifying, c.Aggregating}),
         )
@@ -251,7 +243,7 @@ def ex2prof(optic: Any) -> ProfOptic:
                 )
             raise p._no("funlist-applicative")
 
-        return ProfOptic(t_kal, required, frozenset({c.Aggregating, c.Replacing}))
+        return ProfOptic(t_kal, frozenset({c.Aggregating, c.Replacing}))
 
     if kind is OpticKind.MONADIC_LENS:
         v, mupd, pure = optic.view, optic.mupdate, optic.pure
@@ -268,7 +260,7 @@ def ex2prof(optic: Any) -> ProfOptic:
             return p.dimap(v, lambda x: x)  # read-only carriers
 
         return ProfOptic(
-            t_monadic, required,
+            t_monadic,
             frozenset({c.Viewing, c.Previewing, c.Folding, c.Updating,
                        c.Replacing}),
             pure=pure,

@@ -6,8 +6,9 @@ closed over before any subset test.
 
 Each kind has one row in ``_TABLE``: its capability requirement and the
 combinators it admits. The combinators in ``optics`` check ``ADMITS``, and
-``encoding`` reads the capability sets. The join of kinds is not derived
-from this table: ``composition`` reads it off the coercion graph.
+``capability_set`` gives a kind's closed requirement. The join of kinds is
+not derived from this table: ``composition`` reads it off the coercion
+graph.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 A traversal chain keeps each lens, prism and affine-traversal segment of
 that kind, and its ``extract`` walks down once, keeping one flat list per
 level; an affine chain keeps the same segments and reads its ``access``
-off that walk. The reference for a chain is the same parts each coerced to
-a traversal, the form every segment had before, and for an affine chain
-also the transformer oracle. The zoo below has one optic per kind that a
-traversal chain holds, all over one nested document shape, so that any
-chain of them applies to a document built for it.
+off that walk. An affine or traversal chain that enters a traversal chain,
+however the operands are bracketed, brings its parts in. The reference for
+a chain is the same parts each coerced to a traversal, the form every
+segment had before, and for an affine chain also the transformer oracle.
+The zoo below has one optic per kind that a traversal chain holds, all
+over one nested document shape, so that any chain of them applies to a
+document built for it.
 """
 
 from functools import reduce
@@ -18,9 +20,10 @@ from hypothesis import assume, given, settings, strategies as st
 from mixoptic import (
     AchromaticLens, Adapter, AffineTraversal, Focus, Lens, Miss, OpticKind,
     Prism, Traversal, VNum, compose, each_traversal, ex2prof, field_lens,
-    over, parse_json, preview, prof2ex, set_value, to_list_of, variant_prism,
+    over, parse_json, preview, prof2ex, set_value, to_list_of, upcast,
+    variant_prism,
 )
-from mixoptic.composition import _CHAINS, _coerce
+from mixoptic.composition import _CHAINS, _Chain, _coerce
 from mixoptic.errors import LengthError
 from mixoptic.expr import parse_expr, resolve_expr
 from mixoptic.fixtures import each, registry
@@ -181,3 +184,26 @@ def test_single_focus_segments_stay_native():
                           names)
     assert [p.kind for p in street.parts] == \
         [K.TRAVERSAL, K.LENS, K.PRISM, K.LENS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(), st.data())
+def test_walk_chains_splice_however_bracketed(chain, data):
+    kinds, doc = chain
+    operands = [ZOO[k][0] for k in kinds]
+    while len(operands) > 1:
+        i = data.draw(st.integers(0, len(operands) - 2))
+        operands[i:i + 2] = [compose(operands[i], operands[i + 1])]
+    nested, flat = operands[0], compose(*(ZOO[k][0] for k in kinds))
+    assert nested.kind is flat.kind
+    assert not any(isinstance(p, _Chain) and p.kind in
+                   (K.AFFINE_TRAVERSAL, K.TRAVERSAL) for p in nested.parts)
+    assert to_list_of(nested, doc) == to_list_of(flat, doc)
+    assert over(nested, lambda n: n * 2 + 1, doc) == \
+        over(flat, lambda n: n * 2 + 1, doc)
+
+
+def test_an_upcast_lens_is_the_traversal_chain_of_itself():
+    lens = field_lens("a")
+    (part,) = upcast(lens, K.TRAVERSAL).parts
+    assert part is lens
