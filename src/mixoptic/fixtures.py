@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from enum import Enum
 from math import fsum, sqrt
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from .composition import compose
 from .effects import Writer
@@ -22,13 +21,14 @@ from .optics import (
     Adapter, AlgebraicLens, Focus, Kaleidoscope, Lens, Miss, MonadicLens,
     Prism, Traversal,
 )
+from .records import record
 from .values import (
     VNum, VRec, VText, Value, each_traversal, field_lens,
 )
 
 
-@dataclass(frozen=True)
-class Address:
+@record
+class Address(NamedTuple):
     street: str
     city: str
     country: str
@@ -43,26 +43,28 @@ class Species(Enum):
         return f"Iris {self.value}"
 
 
-@dataclass(frozen=True)
-class Measurements:
+_SPECIES = {s.value: s for s in Species}
+
+
+@record
+class Measurements(NamedTuple):
     sepal_length: float
     sepal_width: float
     petal_length: float
     petal_width: float
 
     def as_tuple(self):
-        return (self.sepal_length, self.sepal_width,
-                self.petal_length, self.petal_width)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class Flower:
+@record
+class Flower(NamedTuple):
     measurements: Measurements
     species: Species
 
 
-@dataclass(frozen=True)
-class Box:
+@record
+class Box(NamedTuple):
     contents: object
 
 
@@ -110,14 +112,14 @@ def __getattr__(name):
 def street_lens() -> Lens:
     return Lens(
         view=lambda a: a.street,
-        update=lambda a, b: replace(a, street=b),
+        update=lambda a, b: a._replace(street=b),
     )
 
 
 def city_lens() -> Lens:
     return Lens(
         view=lambda a: a.city,
-        update=lambda a, b: replace(a, city=b),
+        update=lambda a, b: a._replace(city=b),
     )
 
 
@@ -159,7 +161,7 @@ def each() -> Traversal:
 
 def distance(a: Measurements, b: Measurements) -> float:
     return sqrt(sum(
-        (x - y) ** 2 for x, y in zip(a.as_tuple(), b.as_tuple())
+        (x - y) ** 2 for x, y in zip(a, b)
     ))
 
 
@@ -241,7 +243,7 @@ def value_to_address(v: Value) -> Address:
 def measurements_to_value(m: Measurements) -> Value:
     return VRec(tuple(
         (key, VNum(component))
-        for key, component in zip(_MEASUREMENT_KEYS, m.as_tuple())
+        for key, component in zip(_MEASUREMENT_KEYS, m)
     ))
 
 
@@ -271,13 +273,11 @@ def value_to_flower(v: Value) -> Flower:
     if not isinstance(species, VText):
         raise FocusError("flower record needs text field 'species'")
     measurements = value_to_measurements(v.get("measurements"))
-    try:
-        kind = Species(species.value)
-    except ValueError:
+    kind = _SPECIES.get(species.value)
+    if kind is None:
         accepted = ", ".join(repr(s.value) for s in Species)
         raise FocusError(
-            f"unknown species {species.value!r}; expected one of {accepted}"
-        ) from None
+            f"unknown species {species.value!r}; expected one of {accepted}")
     return Flower(measurements, kind)
 
 

@@ -3,7 +3,7 @@
 Values mirror JSON with one extension: an object with a single key starting
 with ``@`` denotes a tagged variant. Records keep their key order, numbers
 are 64-bit floats, and serialization prints integral floats without a
-decimal point. The values are slotted frozen dataclasses; ``parse_json``
+decimal point. The values are records (``records.record``); ``parse_json``
 makes them inside the standard decoder, numbers in its number hooks and
 records and tags in its one pairs hook, and converts the rest by exact type.
 """
@@ -12,40 +12,41 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .errors import FocusError, LengthError, ParseError
 from .optics import Focus, Lens, Miss, Prism, Traversal
+from .records import record
 
 
-@dataclass(frozen=True, slots=True)
-class VNull:
-    pass
+@record
+class VNull(NamedTuple):
+    def __bool__(self):  # a tuple with no fields would be falsy
+        return True
 
 
-@dataclass(frozen=True, slots=True)
-class VBool:
+@record
+class VBool(NamedTuple):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
-class VNum:
+@record
+class VNum(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
-class VText:
+@record
+class VText(NamedTuple):
     value: str
 
 
-@dataclass(frozen=True, slots=True)
-class VList:
+@record
+class VList(NamedTuple):
     items: Tuple["Value", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class VRec:
+@record
+class VRec(NamedTuple):
     fields: Tuple[Tuple[str, "Value"], ...]  # ordered key/value pairs
 
     def get(self, key: str):
@@ -55,8 +56,8 @@ class VRec:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class VTag:
+@record
+class VTag(NamedTuple):
     tag: str
     payload: "Value"
 
@@ -67,13 +68,17 @@ NULL = VNull()
 
 _FLOAT_MAX = sys.float_info.max
 
+# The decoder builds nodes with the tuple constructor itself: a NamedTuple's
+# ``__new__`` does the same, but as a Python call.
+_new = tuple.__new__
+
 
 def _number(num):
     # A number no float holds comes back as its error, raised when its
     # object's values convert, after any fault the decoder met before that.
     try:
         if -_FLOAT_MAX <= (num := float(num)) <= _FLOAT_MAX:  # 1e400 is inf
-            return VNum(num)
+            return _new(VNum, (num,))
     except OverflowError:  # an integer past the float range
         pass
     return ParseError("number out of range")
@@ -84,26 +89,28 @@ def _raise(error):
 
 
 def _list(items):
-    return VList(tuple([x if (to := _CONVERT.get(type(x))) is None else to(x)
-                        for x in items]))
+    return _new(VList, (tuple([
+        x if (to := _CONVERT.get(type(x))) is None else to(x) for x in items
+    ]),))
 
 
 # What the decoder leaves as Python objects, by exact type; numbers, records
 # and tags leave the hooks as values.
-_CONVERT = {str: VText, list: _list, bool: VBool, type(None): lambda _: NULL,
+_CONVERT = {str: lambda s: _new(VText, (s,)), list: _list,
+            bool: lambda b: _new(VBool, (b,)), type(None): lambda _: NULL,
             ParseError: _raise}
 
 
 def _record(pairs):
-    fields = [(k, v if (to := _CONVERT.get(type(v))) is None else to(v))
-              for k, v in pairs]
-    keys = [k for k, _ in fields]
-    if len(set(keys)) != len(keys):
+    fields = tuple([(k, v if (to := _CONVERT.get(type(v))) is None else to(v))
+                    for k, v in pairs])
+    if len(dict(pairs)) != len(pairs):  # the scan runs only on a duplicate
+        keys = [k for k, _ in pairs]
         dup = next(k for k in keys if keys.count(k) > 1)
         raise ParseError(f"duplicate key {dup!r}")
-    if len(keys) == 1 and keys[0].startswith("@"):
-        return VTag(keys[0][1:], fields[0][1])
-    return VRec(tuple(fields))
+    if len(fields) == 1 and (key := fields[0][0]).startswith("@"):
+        return _new(VTag, (key[1:], fields[0][1]))
+    return _new(VRec, (fields,))
 
 
 def parse_json(text: str) -> Value:

@@ -9,7 +9,7 @@ the same kind means equal snapshots over many generated cases.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict
 
 from mixoptic import (
@@ -217,8 +217,8 @@ def zoo() -> Dict[OpticKind, ZooEntry]:
         ),
         K.PRISM: ZooEntry(
             address_prism(),
-            lambda r: {"s": gen_postal(r), "f": lambda a: replace(
-                a, city=a.city.upper()), "b": gen_address(r)},
+            lambda r: {"s": gen_postal(r), "f": lambda a: a._replace(
+                city=a.city.upper()), "b": gen_address(r)},
             OBSERVERS[K.PRISM],
         ),
         K.AFFINE_TRAVERSAL: ZooEntry(

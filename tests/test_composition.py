@@ -10,7 +10,6 @@ import itertools
 import random
 import zlib
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -155,7 +154,7 @@ def test_upcast_paths():
     trav = upcast(lens, K.TRAVERSAL)
     assert to_list_of(trav, a) == ["1 Elm Way"]
     setter = upcast(lens, K.SETTER)
-    assert over(setter, str.upper, a) == replace(a, street="1 ELM WAY")
+    assert over(setter, str.upper, a) == a._replace(street="1 ELM WAY")
     getter = upcast(lens, K.GETTER)
     assert view(getter, a) == "1 Elm Way"
     fold = upcast(address_prism(), K.TRAVERSAL)
@@ -230,7 +229,7 @@ def _float_alg():
 def _measure_field_alg():
     return AlgebraicLens(
         view=lambda m: m.sepal_length,
-        classify=lambda ms, b: replace(ms[0], sepal_length=b),
+        classify=lambda ms, b: ms[0]._replace(sepal_length=b),
     )
 
 
@@ -343,7 +342,7 @@ def _box_ach():
 def _sepal_ach():
     return AchromaticLens(
         view=lambda m: m.sepal_length,
-        update=lambda m, b: replace(m, sepal_length=b),
+        update=lambda m, b: m._replace(sepal_length=b),
         create=lambda b: Measurements(b, b, b, b),
     )
 
@@ -392,12 +391,12 @@ CELLS += [
                 "b": round(r.uniform(0.1, 8.0), 1)}),
     ("alg.lens", measure_lens(),
      Lens(view=lambda m: m.sepal_length,
-          update=lambda m, b: replace(m, sepal_length=b)),
+          update=lambda m, b: m._replace(sepal_length=b)),
      K.LENS,
      lambda r: {"s": gen_flower(r), "f": lambda x: x + 0.5}),
     ("lens.alg", key_lens("x"), measure_lens(), K.LENS,
-     lambda r: {"s": {"x": gen_flower(r)}, "f": lambda m: replace(
-         m, petal_width=m.petal_width + 1)}),
+     lambda r: {"s": {"x": gen_flower(r)}, "f": lambda m: m._replace(
+         petal_width=m.petal_width + 1)}),
     ("alg.kal", measure_lens(), aggregate_kaleidoscope(), K.KALEIDOSCOPE,
      lambda r: {"batch": _batch(gen_flower)(r), "agg": _mean_shift}),
     ("kal.alg", aggregate_kaleidoscope(), _float_alg(), K.KALEIDOSCOPE,

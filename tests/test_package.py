@@ -76,3 +76,14 @@ def test_cli_import_leaves_iris_unread():
     loaded = fresh("import sys, mixoptic.cli\n"
                    "print('iris' in vars(sys.modules['mixoptic.fixtures']))")
     assert loaded == ["False"]
+
+
+def test_imports_leave_dataclasses_and_inspect_unloaded():
+    probe = ("import sys\nbefore = set(sys.modules)\nimport {}\n"
+             "print(*sorted(set(sys.modules) - before))")
+    library = fresh(probe.format("mixoptic, mixoptic.expr, mixoptic.fixtures"))
+    assert "mixoptic.fixtures" in library
+    assert "dataclasses" not in library and "inspect" not in library
+    cli = fresh(probe.format("mixoptic.cli"))
+    assert "dataclasses" not in cli
+    assert "inspect" in cli  # click loads it

@@ -1,5 +1,6 @@
 """The contract of the small immutable records: the concrete optics, the
-partial-match results, ``Fallback``, ``expr.Segment`` and the effects.
+partial-match results, ``Fallback``, ``expr.Segment``, the effects, the
+document values and the fixture records.
 
 Each is built by position and by keyword, cannot be assigned, prints as
 ``Class(field=...)`` and equals only a record of its own class with equal
@@ -11,9 +12,12 @@ import pytest
 from mixoptic import (
     Adapter, AffineTraversal, AchromaticLens, AlgebraicLens, Fallback, Focus,
     Fold, Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens,
-    OpticKind, Opt, Prism, Review, Setter, Traversal, Writer, compose,
+    OpticKind, Opt, Prism, Review, Setter, Traversal, VBool, VList, VNull,
+    VNum, VRec, VTag, VText, Writer, compose,
 )
 from mixoptic.expr import Segment, parse_expr
+from mixoptic.fixtures import Address, Box, Flower, Measurements, Species
+from mixoptic.values import NULL
 
 K = OpticKind
 
@@ -123,3 +127,50 @@ def test_effect_records():
     assert Opt(1) == Opt.pure(1) and Opt() == Opt.absent() != Opt(None)
     with pytest.raises(AttributeError):
         Writer(1).log = ("x",)
+
+
+# (class, field values in order, field names)
+DATA = [
+    (VNull, (), ()),
+    (VBool, (True,), ("value",)),
+    (VNum, (2.5,), ("value",)),
+    (VText, ("a",), ("value",)),
+    (VList, ((VNum(1.0), NULL),), ("items",)),
+    (VRec, ((("k", VText("v")),),), ("fields",)),
+    (VTag, ("t", VNum(3.0)), ("tag", "payload")),
+    (Address, ("1 Elm Way", "York", "UK"), ("street", "city", "country")),
+    (Measurements, (5.1, 3.5, 1.4, 0.2),
+     ("sepal_length", "sepal_width", "petal_length", "petal_width")),
+    (Flower, (Measurements(5.1, 3.5, 1.4, 0.2), Species.SETOSA),
+     ("measurements", "species")),
+    (Box, ("x",), ("contents",)),
+]
+
+
+@pytest.mark.parametrize("cls, args, names", DATA,
+                         ids=[cls.__name__ for cls, _, _ in DATA])
+def test_data_records(cls, args, names):
+    item = cls(*args)
+    assert cls._fields == names
+    assert cls(**dict(zip(names, args))) == item
+    assert hash(cls(*args)) == hash(item)
+    assert [getattr(item, name) for name in names] == list(args)
+    shown = ", ".join(f"{name}={arg!r}" for name, arg in zip(names, args))
+    assert repr(item) == f"{cls.__name__}({shown})"
+    assert bool(item)
+    assert item != args and args != item and not item == args
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(item, name, None)
+    with pytest.raises(TypeError):
+        cls(*args, None)
+
+
+def test_data_records_compare_by_class_first():
+    assert VNum(1) == VNum(1.0) and hash(VNum(1)) == hash(VNum(1.0))
+    assert VBool(True) != VNum(1.0) and not VBool(True) == VNum(1.0)
+    assert VText("a") != ("a",) and VText("a") != Box("a")
+    assert VNull() == NULL and NULL != () and bool(NULL)
+    assert VList((VNum(1),)) == VList((VNum(1.0),))
+    assert VList((VNum(1),)) != VList((VBool(True),))
+    assert Address("a", "b", "c")._replace(city="d") == Address("a", "d", "c")

@@ -1,6 +1,5 @@
 """JSON-like document parsing, serialization, and structural optics."""
 
-import dataclasses
 import json
 import sys
 
@@ -360,17 +359,16 @@ def test_serialize_matches_the_replaced_route_on_built_values():
 
 
 def test_values_are_frozen():
-    samples = [VBool(True), VNum(1.0), VText("a"), VList(()), VRec(()),
+    samples = [NULL, VBool(True), VNum(1.0), VText("a"), VList(()), VRec(()),
                VTag("t", NULL)]
     for value in samples:
-        name = dataclasses.fields(value)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, name, None)
-    # a name that is no field has no slot; CPython 3.11's frozen __setattr__
-    # then fails in its super() call rather than with FrozenInstanceError
-    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
-        NULL.extra = 1
-    assert not hasattr(VText("a"), "__dict__")
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        # a name that is no field has no slot to hold it
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert not hasattr(value, "__dict__")
 
 
 def test_value_equality_hash_and_repr():
