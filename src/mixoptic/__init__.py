@@ -33,7 +33,7 @@ _SOURCE = {name: module for module, names in {
         "LengthError", "NormalFormError", "OpticError", "ParseError",
         "UpcastError",
     ),
-    "kinds": ("Capability", "OpticKind", "capability_set", "closure"),
+    "kinds": ("OpticKind",),
     "optics": (
         "Adapter", "AffineTraversal", "AchromaticLens", "AlgebraicLens",
         "Focus", "Fold", "Getter", "Glass", "Grate", "Kaleidoscope", "Lens",

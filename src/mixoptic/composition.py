@@ -1,4 +1,12 @@
-"""Kind lattice, composition, and upcasts.
+"""Coercion edges, kind lattice, composition, upcasts, and admission.
+
+Every coercion edge is one row of ``_EDGES``: how it builds the goal optic
+and whether it is public. ``upcast`` embeds an optic into a more general
+kind along the public edges only, and ``compose`` along all of them; both
+follow shortest paths computed once at import. A kind admits what every
+kind it upcasts to, itself included, runs natively (``kinds.NATIVES``):
+``ADMITS`` is derived so, and ``_ROUTE`` names, for each admitted cell that
+is not native, the kind its combinator runs at.
 
 ``join_kind`` is total: the least kind both operands coerce to, a
 ``Fallback`` when that is setter and neither operand is one, or
@@ -21,9 +29,7 @@ kind's functions loop over the parts, so applying is linear in depth.
 A coercion into getter, fold, setter or review, whatever its path, is one
 record that runs the kind's combinator (such as ``over``) on the optic.
 ``encoding.ProfOptic.then`` stays nested: it is the independent oracle the
-tests hold ``compose`` to. ``upcast`` embeds an optic into a more general
-kind along the public edges only; it and ``compose`` follow shortest
-coercion paths computed once at import.
+tests hold ``compose`` to.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
 from .errors import CompositionError, LengthError, UpcastError
-from .kinds import OpticKind
+from .kinds import NATIVES, OpticKind
 from .optics import (
     Adapter, AffineTraversal, AchromaticLens, AlgebraicLens, Focus, Fold,
     Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
@@ -46,7 +52,7 @@ K = OpticKind
 
 
 # ---------------------------------------------------------------------------
-# Single-step embeddings. Keys are (source kind, target kind).
+# Coercion edges.
 
 
 def _one_segment(kind):
@@ -54,70 +60,68 @@ def _one_segment(kind):
     return lambda o: _CHAINS[kind](_segments(o, kind))
 
 
-def _by(cls, combinator):
+# goal: (class, combinator). Each of these kinds is its combinator, which
+# every kind that reaches it admits, and no path goes on past them but
+# getter's into fold, so ``_shortest_paths`` keeps the last edge alone.
+_RUN_BY = {K.GETTER: (Getter, view), K.FOLD: (Fold, to_list_of),
+           K.SETTER: (Setter, over), K.REVIEW: (Review, review)}
+
+
+def _by(goal):
+    cls, combinator = _RUN_BY[goal]
     return lambda o: cls(partial(combinator, o))
 
 
-# goal: (class, combinator, sources). Each of these kinds is its combinator,
-# which every kind that reaches it admits, and no path goes on past them but
-# getter's into fold, so ``_shortest_paths`` keeps the last edge alone.
-_RUN_BY = {
-    K.GETTER: (Getter, view, (K.ADAPTER, K.LENS)),
-    K.FOLD: (Fold, to_list_of, (K.TRAVERSAL, K.GETTER)),
-    K.SETTER: (Setter, over,
-               (K.TRAVERSAL, K.GLASS, K.ALGEBRAIC_LENS, K.KALEIDOSCOPE)),
-    K.REVIEW: (Review, review, (K.ADAPTER, K.ACHROMATIC_LENS, K.PRISM)),
-}
-
-_EMBED = {
-    (K.ADAPTER, K.LENS): lambda o: Lens(
-        view=o.forward, update=lambda s, b: o.backward(b)
-    ),
-    (K.ADAPTER, K.PRISM): lambda o: Prism(
-        match=lambda s: Focus(o.forward(s)), build=o.backward
-    ),
-    (K.ADAPTER, K.GRATE): lambda o: Grate(run=lambda h: o.backward(h(o.forward))),
-    (K.ADAPTER, K.ACHROMATIC_LENS): lambda o: AchromaticLens(
-        view=o.forward, update=lambda s, b: o.backward(b), create=o.backward
-    ),
-    (K.ADAPTER, K.ALGEBRAIC_LENS): lambda o: AlgebraicLens(
-        view=o.forward, classify=lambda ss, b: o.backward(b)
-    ),
-    (K.ADAPTER, K.KALEIDOSCOPE): lambda o: Kaleidoscope(
-        aggregate=lambda f: lambda ss: o.backward(f([o.forward(s) for s in ss]))
-    ),
-    (K.LENS, K.AFFINE_TRAVERSAL): _one_segment(K.AFFINE_TRAVERSAL),
-    (K.LENS, K.GLASS): lambda o: Glass(
-        run=lambda h, s: o.update(s, h(o.view))
-    ),
-    (K.ACHROMATIC_LENS, K.LENS): lambda o: Lens(view=o.view, update=o.update),
-    (K.ACHROMATIC_LENS, K.ALGEBRAIC_LENS): lambda o: AlgebraicLens(
+# (source kind, goal kind): (build, public). ``upcast`` follows the public
+# edges, ``compose`` all of them; the order breaks ties between paths of
+# the same length.
+_EDGES = {
+    (K.ADAPTER, K.LENS): (lambda o: Lens(
+        view=o.forward, update=lambda s, b: o.backward(b)), True),
+    (K.ADAPTER, K.PRISM): (lambda o: Prism(
+        match=lambda s: Focus(o.forward(s)), build=o.backward), True),
+    (K.ADAPTER, K.GRATE): (
+        lambda o: Grate(run=lambda h: o.backward(h(o.forward))), True),
+    (K.ADAPTER, K.ACHROMATIC_LENS): (lambda o: AchromaticLens(
+        view=o.forward, update=lambda s, b: o.backward(b),
+        create=o.backward), True),
+    (K.ADAPTER, K.ALGEBRAIC_LENS): (lambda o: AlgebraicLens(
+        view=o.forward, classify=lambda ss, b: o.backward(b)), True),
+    (K.ADAPTER, K.KALEIDOSCOPE): (lambda o: Kaleidoscope(
+        aggregate=lambda f: lambda ss: o.backward(
+            f([o.forward(s) for s in ss]))), True),
+    (K.LENS, K.AFFINE_TRAVERSAL): (_one_segment(K.AFFINE_TRAVERSAL), True),
+    (K.LENS, K.GLASS): (lambda o: Glass(
+        run=lambda h, s: o.update(s, h(o.view))), True),
+    (K.ACHROMATIC_LENS, K.LENS): (
+        lambda o: Lens(view=o.view, update=o.update), True),
+    (K.ACHROMATIC_LENS, K.ALGEBRAIC_LENS): (lambda o: AlgebraicLens(
         view=o.view,
         classify=lambda ss, b: o.update(ss[0], b) if ss else o.create(b),
-    ),
-    (K.PRISM, K.AFFINE_TRAVERSAL): _one_segment(K.AFFINE_TRAVERSAL),
-    (K.AFFINE_TRAVERSAL, K.TRAVERSAL): _one_segment(K.TRAVERSAL),
-    (K.GRATE, K.GLASS): lambda o: Glass(run=lambda h, s: o.run(h)),
-    (K.MONADIC_LENS, K.LENS): lambda o: Lens(
-        view=o.view, update=lambda s, b: o.mupdate(s, b).value
-    ),
-    **{(source, goal): _by(cls, combinator)
-       for goal, (cls, combinator, sources) in _RUN_BY.items()
-       for source in sources},
+    ), True),
+    (K.PRISM, K.AFFINE_TRAVERSAL): (_one_segment(K.AFFINE_TRAVERSAL), True),
+    (K.AFFINE_TRAVERSAL, K.TRAVERSAL): (_one_segment(K.TRAVERSAL), True),
+    (K.GRATE, K.GLASS): (lambda o: Glass(run=lambda h, s: o.run(h)), True),
+    (K.MONADIC_LENS, K.LENS): (lambda o: Lens(
+        view=o.view, update=lambda s, b: o.mupdate(s, b).value), True),
+    (K.ADAPTER, K.GETTER): (_by(K.GETTER), True),
+    (K.LENS, K.GETTER): (_by(K.GETTER), True),
+    (K.TRAVERSAL, K.FOLD): (_by(K.FOLD), True),
+    (K.GETTER, K.FOLD): (_by(K.FOLD), True),
+    (K.TRAVERSAL, K.SETTER): (_by(K.SETTER), True),
+    (K.GLASS, K.SETTER): (_by(K.SETTER), True),
+    (K.ALGEBRAIC_LENS, K.SETTER): (_by(K.SETTER), True),
+    (K.KALEIDOSCOPE, K.SETTER): (_by(K.SETTER), True),
+    (K.ADAPTER, K.REVIEW): (_by(K.REVIEW), True),
+    (K.ACHROMATIC_LENS, K.REVIEW): (_by(K.REVIEW), True),
+    (K.PRISM, K.REVIEW): (_by(K.REVIEW), True),
+    # an algebraic lens is a lens or a kaleidoscope only inside a composite
+    (K.ALGEBRAIC_LENS, K.LENS): (lambda o: Lens(
+        view=o.view, update=lambda s, b: o.classify([s], b)), False),
+    (K.ALGEBRAIC_LENS, K.KALEIDOSCOPE): (lambda o: Kaleidoscope(
+        aggregate=lambda f: lambda ss: o.classify(
+            ss, f([o.view(s) for s in ss]))), False),
 }
-
-# private coercions used by compose() but not exposed through upcast()
-_PRIVATE_EMBED = {
-    (K.ALGEBRAIC_LENS, K.LENS): lambda o: Lens(
-        view=o.view, update=lambda s, b: o.classify([s], b)
-    ),
-    (K.ALGEBRAIC_LENS, K.KALEIDOSCOPE): lambda o: Kaleidoscope(
-        aggregate=lambda f: lambda ss: o.classify(ss, f([o.view(s) for s in ss]))
-    ),
-}
-
-
-_COERCIONS = {**_EMBED, **_PRIVATE_EMBED}
 
 
 def _shortest_paths(edges) -> dict:
@@ -137,8 +141,25 @@ def _shortest_paths(edges) -> dict:
     return paths
 
 
-_EMBED_PATHS = _shortest_paths(_EMBED)
-_COERCION_PATHS = _shortest_paths(_COERCIONS)
+_EMBED_PATHS = _shortest_paths(
+    {edge: build for edge, (build, public) in _EDGES.items() if public})
+_COERCION_PATHS = _shortest_paths(
+    {edge: build for edge, (build, _) in _EDGES.items()})
+
+# What each kind admits: the natives of every kind it reaches by public
+# edges, itself included, as an optic runs wherever its upcast runs.
+ADMITS = {kind: frozenset().union(*(NATIVES[goal] for source, goal
+                                    in _EMBED_PATHS if source is kind))
+          for kind in OpticKind}
+
+# (kind, combinator) -> the kind an admitted but not native call runs at:
+# the native kind fewest upcast steps away, ties going to the one declared
+# first, as in ``_join``.
+_ROUTE = {(kind, name): min(
+    (goal for goal in OpticKind
+     if name in NATIVES[goal] and (kind, goal) in _EMBED_PATHS),
+    key=lambda goal: len(_EMBED_PATHS[(kind, goal)]))
+    for kind in OpticKind for name in ADMITS[kind] - NATIVES[kind]}
 
 
 @record

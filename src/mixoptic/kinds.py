@@ -1,49 +1,15 @@
-"""Optic kinds and the one table that drives combinators and composition.
+"""Optic kinds and the combinators each kind's own dispatch runs.
 
-A capability names one of the monoidal actions an optic's transformer must
-be lifted through. Implications (a capability presupposing another) are
-closed over before any subset test.
-
-Each kind has one row in ``_TABLE``: its capability requirement and the
-combinators it admits. The combinators in ``optics`` check ``ADMITS``, and
-``capability_set`` gives a kind's closed requirement. The join of kinds is
-not derived from this table: ``composition`` reads it off the coercion
-graph.
+``NATIVES`` lists, per kind, the combinators that ``optics`` runs on an
+optic of that kind directly. It is not the whole of what a kind admits:
+``composition`` derives ``ADMITS`` from it and the coercion edges, since an
+optic also admits whatever a kind it embeds into admits. The join of kinds
+is read off the same edges.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet
-
-
-class Capability(enum.Enum):
-    PRODUCT = "product"
-    SUM = "sum"
-    LIST_ALGEBRA = "list-algebra"
-    FUNLIST_APPLICATIVE = "funlist-applicative"
-    FUNLIST_TRAVERSABLE = "funlist-traversable"
-    CLOSED = "closed"
-
-
-_IMPLIES = {
-    Capability.LIST_ALGEBRA: {Capability.PRODUCT},
-    Capability.FUNLIST_TRAVERSABLE: {Capability.PRODUCT, Capability.SUM},
-}
-
-
-def closure(caps: FrozenSet[Capability]) -> FrozenSet[Capability]:
-    """Close a capability set under the implication relation."""
-    out = set(caps)
-    changed = True
-    while changed:
-        changed = False
-        for cap in list(out):
-            extra = _IMPLIES.get(cap, set())
-            if not extra <= out:
-                out |= extra
-                changed = True
-    return frozenset(out)
 
 
 class OpticKind(enum.Enum):
@@ -73,43 +39,26 @@ class OpticKind(enum.Enum):
         return ("an " if self.value[0] in "aeiou" else "a ") + self.value
 
 
-_C = Capability
-_ALL = frozenset(_C)
+_K = OpticKind
 
-# One row per kind: the capabilities its transformer must lift through
-# (pre-closure), and the combinators it admits, named as the CLI actions
-# plus "mupdate" and "zip" (running a grate's or glass's continuation).
-_TABLE = {
-    OpticKind.ADAPTER: ((), "view preview set over tolist review"),
-    OpticKind.LENS: ((_C.PRODUCT,), "view preview set over tolist"),
-    OpticKind.ACHROMATIC_LENS: (
-        (_C.LIST_ALGEBRA,), "view over tolist review classify"),
-    OpticKind.PRISM: ((_C.SUM,), "preview set over tolist review"),
-    OpticKind.AFFINE_TRAVERSAL: (
-        (_C.PRODUCT, _C.SUM), "preview set over tolist"),
-    OpticKind.TRAVERSAL: ((_C.FUNLIST_TRAVERSABLE,), "over tolist"),
-    OpticKind.GRATE: ((_C.CLOSED,), "over zip"),
-    OpticKind.GLASS: ((_C.PRODUCT, _C.CLOSED), "over zip"),
-    OpticKind.SETTER: (_ALL, "over"),
-    OpticKind.GETTER: ((_C.PRODUCT,), "view preview tolist"),
-    OpticKind.REVIEW: ((_C.SUM,), "review"),
-    OpticKind.FOLD: ((_C.FUNLIST_TRAVERSABLE,), "tolist"),
-    OpticKind.ALGEBRAIC_LENS: ((_C.LIST_ALGEBRA,), "view over tolist classify"),
-    OpticKind.KALEIDOSCOPE: ((_C.FUNLIST_APPLICATIVE,), "over aggregate"),
-    OpticKind.MONADIC_LENS: ((_C.PRODUCT,), "view preview over tolist mupdate"),
-}
-
-# Capability requirements per kind (pre-closure).
-CAPABILITIES = {kind: frozenset(caps) for kind, (caps, _) in _TABLE.items()}
-
-# The combinators each kind admits.
-ADMITS = {kind: frozenset(names.split()) for kind, (_, names) in _TABLE.items()}
-
-
-# Closed capability sets per kind, computed once.
-_CLOSED = {kind: closure(caps) for kind, caps in CAPABILITIES.items()}
-
-
-def capability_set(kind: OpticKind) -> FrozenSet[Capability]:
-    return _CLOSED[kind]
-
+# The combinators each kind's dispatch runs, named as the CLI actions plus
+# "mupdate" and "zip" (running a grate's or glass's continuation). An
+# achromatic lens previews and sets, and a monadic lens sets, through the
+# lens cases of ``view`` and ``over``.
+NATIVES = {kind: frozenset(names.split()) for kind, names in {
+    _K.ADAPTER: "view preview set over tolist review",
+    _K.LENS: "view preview set over tolist",
+    _K.ACHROMATIC_LENS: "view preview set over tolist review classify",
+    _K.PRISM: "preview set over tolist review",
+    _K.AFFINE_TRAVERSAL: "preview set over tolist",
+    _K.TRAVERSAL: "over tolist",
+    _K.GRATE: "over zip",
+    _K.GLASS: "over zip",
+    _K.SETTER: "over",
+    _K.GETTER: "view preview tolist",
+    _K.REVIEW: "review",
+    _K.FOLD: "tolist",
+    _K.ALGEBRAIC_LENS: "view over tolist classify",
+    _K.KALEIDOSCOPE: "over aggregate",
+    _K.MONADIC_LENS: "view preview set over tolist mupdate",
+}.items()}

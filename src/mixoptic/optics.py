@@ -3,8 +3,8 @@
 Each optic variant is an immutable record (``records.record``), the tuple
 of functions that defines it: a lens is ``(view, update)``. The combinators
 (`view`, `over`, `preview`, ...) dispatch on the kind and raise `KindError`
-when the kind table in `kinds` does not admit the combinator for the
-optic's kind.
+when ``composition.ADMITS`` does not admit the combinator for the optic's
+kind.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import EmptyInputError, EmptyTrainingError, KindError
-from .kinds import ADMITS, OpticKind
+from .kinds import NATIVES, OpticKind
 from .records import record
 
 
@@ -168,14 +168,30 @@ class MonadicLens(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Combinators. Each checks ``kinds.ADMITS`` first, so the dispatch below the
-# check only meets kinds the table admits.
+# Combinators. Each dispatches on the kinds whose row of ``kinds.NATIVES``
+# holds it. A kind whose row lacks it, but which ``composition.ADMITS``
+# admits because a kind it upcasts to runs it, runs the combinator on the
+# optic upcast there; any other kind is refused. ``composition`` imports
+# this module, so only a call that is not native imports it.
+
+
+class _Upcast(Exception):
+    """An admitted call that is not native: the combinator runs again on
+    ``optic``, upcast. Only classify, aggregate and grate_apply have such
+    cells, so only they catch it."""
+
+    def __init__(self, optic: Any):
+        self.optic = optic
 
 
 def _admit(optic: Any, combinator: str, refusal: str) -> OpticKind:
     kind = optic.kind
-    if combinator not in ADMITS[kind]:
-        raise KindError(f"cannot {refusal} {kind.with_article}")
+    if combinator not in NATIVES[kind]:
+        from .composition import _ROUTE, upcast
+        goal = _ROUTE.get((kind, combinator))
+        if goal is None:
+            raise KindError(f"cannot {refusal} {kind.with_article}")
+        raise _Upcast(upcast(optic, goal))
     return kind
 
 
@@ -256,7 +272,10 @@ def to_list_of(optic: Any, source: Any) -> List[Any]:
 
 def classify(optic: Any, training: Sequence[Any], value: Any) -> Any:
     """Rebuild a whole from a focus, guided by a list of example wholes."""
-    kind = _admit(optic, "classify", "classify through")
+    try:
+        kind = _admit(optic, "classify", "classify through")
+    except _Upcast as up:
+        return classify(up.optic, training, value)
     if kind is OpticKind.ALGEBRAIC_LENS:
         if not training:
             raise EmptyTrainingError("classify requires a non-empty training list")
@@ -268,7 +287,10 @@ def classify(optic: Any, training: Sequence[Any], value: Any) -> Any:
 
 def aggregate(optic: Any, fn: Callable[[Sequence[Any]], Any], sources: Sequence[Any]) -> Any:
     """Combine a list of wholes focus-wise with `fn`."""
-    _admit(optic, "aggregate", "aggregate through")
+    try:
+        _admit(optic, "aggregate", "aggregate through")
+    except _Upcast as up:
+        return aggregate(up.optic, fn, sources)
     if not sources:
         raise EmptyInputError("aggregate requires a non-empty input list")
     return optic.aggregate(fn)(list(sources))
@@ -294,8 +316,13 @@ def grate_apply(optic: Any, continuation: Callable[[Callable[[Any], Any]], Any],
                 source: Any = None) -> Any:
     """Run a grate's or glass's zipping continuation directly.
 
-    A grate ignores ``source``; a glass requires it.
+    A grate, and an adapter, which zips as one, ignore ``source``; a glass,
+    and a lens, achromatic-lens or monadic-lens, which zip as one, need it.
     """
-    if _admit(optic, "zip", "zip through") is OpticKind.GRATE:
+    try:
+        kind = _admit(optic, "zip", "zip through")
+    except _Upcast as up:
+        return grate_apply(up.optic, continuation, source)
+    if kind is OpticKind.GRATE:
         return optic.run(continuation)
     return optic.run(continuation, source)

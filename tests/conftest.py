@@ -202,7 +202,9 @@ def zoo() -> Dict[OpticKind, ZooEntry]:
         K.ADAPTER: ZooEntry(
             swap_adapter(),
             lambda r: {"s": (r.randrange(99), r.randrange(99)),
-                       "b": (r.randrange(99), r.randrange(99))},
+                       "b": (r.randrange(99), r.randrange(99)),
+                       "batch": [(r.randrange(99), r.randrange(99))
+                                 for _ in range(r.randrange(1, 4))]},
             OBSERVERS[K.ADAPTER],
         ),
         K.LENS: ZooEntry(

@@ -8,13 +8,15 @@ from hypothesis import given, strategies as st
 from mixoptic import (
     Focus, Getter, Kaleidoscope, Miss, OpticKind, Setter,
     aggregate, classify, compose, grate_apply, mupdate, over, preview,
-    review, set_value, to_list_of, view,
+    review, set_value, to_list_of, upcast, view,
 )
+from mixoptic.composition import ADMITS, _EDGES, _ROUTE
 from mixoptic.errors import EmptyInputError, EmptyTrainingError, KindError
 from mixoptic.fixtures import (
     Address, Flower, Species, address_prism, aggregate_kaleidoscope,
     each, iris, measure_lens, street_lens,
 )
+from mixoptic.kinds import NATIVES
 
 from conftest import addr_ach, gen_address, gen_postal, zoo
 
@@ -182,9 +184,11 @@ COMBINATORS = {
 }
 
 ADMITTED = {
-    K.ADAPTER: {"view", "preview", "set", "over", "tolist", "review"},
-    K.LENS: {"view", "preview", "set", "over", "tolist"},
-    K.ACHROMATIC_LENS: {"view", "over", "tolist", "review", "classify"},
+    K.ADAPTER: {"view", "preview", "set", "over", "tolist", "review",
+                "classify", "aggregate", "zip"},
+    K.LENS: {"view", "preview", "set", "over", "tolist", "zip"},
+    K.ACHROMATIC_LENS: {"view", "preview", "set", "over", "tolist", "review",
+                        "classify", "zip"},
     K.PRISM: {"preview", "set", "over", "tolist", "review"},
     K.AFFINE_TRAVERSAL: {"preview", "set", "over", "tolist"},
     K.TRAVERSAL: {"over", "tolist"},
@@ -196,7 +200,8 @@ ADMITTED = {
     K.FOLD: {"tolist"},
     K.ALGEBRAIC_LENS: {"view", "over", "tolist", "classify"},
     K.KALEIDOSCOPE: {"over", "aggregate"},
-    K.MONADIC_LENS: {"view", "preview", "over", "tolist", "mupdate"},
+    K.MONADIC_LENS: {"view", "preview", "set", "over", "tolist", "mupdate",
+                     "zip"},
 }
 
 
@@ -213,3 +218,38 @@ def test_admissibility_matrix(kind):
         else:
             with pytest.raises(KindError):
                 run(entry.optic, case)
+
+
+def test_admits_is_the_spec_and_closed_under_public_edges():
+    assert ADMITS == {kind: frozenset(names) for kind, names in ADMITTED.items()}
+    for (source, goal), (_, public) in _EDGES.items():
+        if public:
+            assert ADMITS[source] >= ADMITS[goal], (source, goal)
+
+
+# The cells a kind admits because a kind it upcasts to does: (kind,
+# combinator, the nearest such kind, the first declared among the nearest).
+UPCAST_CELLS = [
+    (K.ADAPTER, "aggregate", K.KALEIDOSCOPE),
+    (K.ADAPTER, "classify", K.ACHROMATIC_LENS),
+    (K.ADAPTER, "zip", K.GRATE),
+    (K.LENS, "zip", K.GLASS),
+    (K.ACHROMATIC_LENS, "preview", K.LENS),
+    (K.ACHROMATIC_LENS, "set", K.LENS),
+    (K.ACHROMATIC_LENS, "zip", K.GLASS),
+    (K.MONADIC_LENS, "set", K.LENS),
+    (K.MONADIC_LENS, "zip", K.GLASS),
+]
+
+
+@pytest.mark.parametrize("kind,name,goal", UPCAST_CELLS,
+                         ids=[f"{k.value}-{n}" for k, n, _ in UPCAST_CELLS])
+def test_an_upcast_cell_runs_as_on_the_upcast_optic(kind, name, goal):
+    if name not in NATIVES[kind]:
+        assert _ROUTE[(kind, name)] is goal
+    entry, run = zoo()[kind], COMBINATORS[name]
+    upcast_optic = upcast(entry.optic, goal)
+    r = random.Random(kind.value + name)
+    for _ in range(20):
+        case = {"f": lambda x: x, "agg": max, **entry.make_case(r)}
+        assert run(entry.optic, case) == run(upcast_optic, case)

@@ -14,17 +14,17 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PUBLIC = [
     "AchromaticLens", "Adapter", "AffineTraversal", "Aggregating",
-    "AlgebraicLens", "Capability", "CapabilityError", "Carrier",
-    "Classifying", "CompositionError", "EmptyInputError",
-    "EmptyTrainingError", "ExprError", "Fallback", "Focus", "FocusError",
-    "Fold", "Folding", "Getter", "Glass", "Glassing", "Grate", "Grating",
-    "INCOMPATIBLE", "Kaleidoscope", "KindError", "LengthError", "Lens",
-    "Miss", "MonadicLens", "NormalFormError", "Opt", "OpticError",
-    "OpticKind", "ParseError", "Previewing", "Prism", "ProfOptic",
-    "Replacing", "Review", "Reviewing", "Setter", "Traversal", "UpcastError",
-    "Updating", "VBool", "VList", "VNull", "VNum", "VRec", "VTag", "VText",
-    "Value", "Viewing", "Writer", "aggregate", "capability_set", "carriers",
-    "classify", "closure", "compose", "composition", "each_traversal",
+    "AlgebraicLens", "CapabilityError", "Carrier", "Classifying",
+    "CompositionError", "EmptyInputError", "EmptyTrainingError", "ExprError",
+    "Fallback", "Focus", "FocusError", "Fold", "Folding", "Getter", "Glass",
+    "Glassing", "Grate", "Grating", "INCOMPATIBLE", "Kaleidoscope",
+    "KindError", "LengthError", "Lens", "Miss", "MonadicLens",
+    "NormalFormError", "Opt", "OpticError", "OpticKind", "ParseError",
+    "Previewing", "Prism", "ProfOptic", "Replacing", "Review", "Reviewing",
+    "Setter", "Traversal", "UpcastError", "Updating", "VBool", "VList",
+    "VNull", "VNum", "VRec", "VTag", "VText", "Value", "Viewing", "Writer",
+    "aggregate", "carriers", "classify", "compose", "composition",
+    "each_traversal",
     "effects", "encoding", "errors", "ex2prof", "field_lens", "funlist",
     "grate_apply", "join_kind", "kinds", "mupdate", "optics", "over",
     "parse_json", "preview", "prof2ex", "review", "serialize", "set_value",
