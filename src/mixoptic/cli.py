@@ -2,8 +2,11 @@
 
 Exit codes: 0 on success (a preview miss is success and prints ``null``),
 1 for runtime errors raised while applying an optic (shape, length,
-composition), 2 for usage errors (bad expression, unknown name, wrong
-kind, malformed input).
+composition), 2 for usage errors (a malformed command line, bad expression,
+unknown name, wrong kind, malformed input). Every non-zero exit prints one
+``error:`` line on stderr. The command line is parsed by hand (see
+``_parse_argv``), which keeps start-up short, and input and output are
+UTF-8 whatever the locale says.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-
-import click
 
 from . import optics as op
 from .errors import (
@@ -28,6 +29,78 @@ _RUNTIME_ERRORS = (FocusError, LengthError, EmptyTrainingError,
 
 ACTIONS = ("view", "preview", "set", "over", "review", "aggregate",
            "classify", "tolist")
+OPTIONS = ("--optic", "--input", "--arg", "--defs")
+
+HELP = f"""\
+Usage: mixoptic ACTION --optic TEXT [--input TEXT] [--arg TEXT] [--defs TEXT]
+
+  Run an optic ACTION against a JSON document. ACTION is one of
+  {", ".join(ACTIONS)}.
+
+Options:
+  --optic TEXT  Dot-composed optic expression, e.g. address.street  [required]
+  --input TEXT  Input JSON document (path or - for stdin).  [default: -]
+  --arg TEXT    JSON literal (set/classify/review) or function name
+                (over/aggregate).
+  --defs TEXT   JSON file with extra named field/variant/each optics.
+  --help        Show this message and exit."""
+
+
+class UsageError(OpticError):
+    """The command line, or a function name, file or ``--arg`` it gives,
+    cannot be used."""
+
+
+def _parse_argv(argv):
+    """Return ``(action, expression, source, arg, defs)`` from ``argv``.
+
+    An option takes the next token as its value whatever it is, so
+    ``--arg -1.5e3`` is a value, not an option; ``--name=value`` works too,
+    a repeated option keeps its last value and no option name is
+    abbreviated. ``--help`` prints ``HELP`` and exits 0.
+    """
+    given, positional, wants_help = {}, [], False
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "-" or not token.startswith("-"):
+            positional.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name == "--help":
+            if eq:
+                raise UsageError("option --help takes no value")
+            wants_help = True
+            continue
+        if name not in OPTIONS:
+            raise UsageError(f"no such option: {name}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"option {name} needs a value")
+        given[name] = value
+    if wants_help:
+        _echo(sys.stdout, HELP)
+        sys.exit(0)
+    if not positional:
+        raise UsageError(f"missing ACTION, one of {', '.join(ACTIONS)}")
+    if positional[0] not in ACTIONS:
+        raise UsageError(f"unknown action {positional[0]!r}; "
+                         f"expected one of {', '.join(ACTIONS)}")
+    if "--optic" not in given:
+        raise UsageError("missing option --optic")
+    if len(positional) > 1:
+        raise UsageError(f"unexpected extra argument {positional[1]!r}")
+    return (positional[0], given["--optic"], given.get("--input", "-"),
+            given.get("--arg"), given.get("--defs"))
+
+
+def _echo(stream, line: str):
+    """Write ``line`` to ``stream`` as UTF-8, whatever its encoding says; a
+    lone surrogate, which no UTF-8 text holds, is written as its JSON
+    escape."""
+    stream.flush()
+    stream.buffer.write(line.encode("utf-8", "backslashreplace") + b"\n")
+    stream.buffer.flush()
 
 
 def _over_fn(name: str):
@@ -54,7 +127,7 @@ def _over_fn(name: str):
     table = {"uppercase": uppercase, "lowercase": lowercase,
              "increment": increment, "head": head}
     if name not in table:
-        raise click.UsageError(f"unknown function {name!r} for over")
+        raise UsageError(f"unknown function {name!r} for over")
     return table[name]
 
 
@@ -66,7 +139,7 @@ def _aggregate_fn(name: str):
         "head": lambda xs: xs[0],
     }
     if name not in table:
-        raise click.UsageError(f"unknown function {name!r} for aggregate")
+        raise UsageError(f"unknown function {name!r} for aggregate")
     return table[name]
 
 
@@ -76,9 +149,9 @@ def _load_defs(path: str) -> dict:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except (OSError, ValueError) as exc:
-        raise click.UsageError(f"cannot read definitions file: {exc}")
+        raise UsageError(f"cannot read definitions file: {exc}")
     if not isinstance(raw, dict):
-        raise click.UsageError("definitions file must be a JSON object")
+        raise UsageError("definitions file must be a JSON object")
     out = {}
     for name, spec in raw.items():
         kind = isinstance(spec, dict) and spec.get("kind")
@@ -90,19 +163,19 @@ def _load_defs(path: str) -> dict:
             if isinstance(value, str):
                 out[name] = _PARAMETERIZED[kind](value)
                 continue
-        raise click.UsageError(f"bad definition for {name!r}")
+        raise UsageError(f"bad definition for {name!r}")
     return out
 
 
 def _read_document(source: str):
     try:
         if source == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
-            with open(source, encoding="utf-8") as handle:
-                text = handle.read()
+            with open(source, "rb") as handle:
+                text = handle.read().decode("utf-8")
     except OSError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
@@ -133,29 +206,21 @@ def _render(value) -> str:
 
 
 def _warning_line(message, *_):
-    click.echo(f"warning: {message}", err=True)
+    _echo(sys.stderr, f"warning: {message}")
 
 
 def _parse_arg(arg: str):
     if arg is None:
-        raise click.UsageError("this action needs --arg")
+        raise UsageError("this action needs --arg")
     return parse_json(arg)
 
 
-@click.command(name="mixoptic")
-@click.argument("action", type=click.Choice(ACTIONS))
-@click.option("--optic", "expression", required=True,
-              help="Dot-composed optic expression, e.g. address.street")
-@click.option("--input", "source", default="-", show_default=True,
-              help="Input JSON document (path or - for stdin).")
-@click.option("--arg", default=None,
-              help="JSON literal (set/classify/review) or function name "
-                   "(over/aggregate).")
-@click.option("--defs", default=None,
-              help="JSON file with extra named field/variant/each optics.")
-def main(action, expression, source, arg, defs):
-    """Run an optic ACTION against a JSON document."""
+def main(argv=None):
+    """Run an optic ACTION against a JSON document; ``argv`` defaults to
+    ``sys.argv[1:]``."""
     try:
+        action, expression, source, arg, defs = _parse_argv(
+            sys.argv[1:] if argv is None else argv)
         names = registry()
         if defs:
             names.update(_load_defs(defs))
@@ -177,7 +242,7 @@ def main(action, expression, source, arg, defs):
             out = serialize(op.set_value(optic, doc, value))
         elif action == "over":
             if arg is None:
-                raise click.UsageError("over needs --arg with a function name")
+                raise UsageError("over needs --arg with a function name")
             fn = _over_fn(arg)
             doc = _read_document(source)
             out = serialize(op.over(optic, fn, doc))
@@ -192,20 +257,20 @@ def main(action, expression, source, arg, defs):
             out = _render(op.classify(optic, training, value))
         else:  # aggregate
             if arg is None:
-                raise click.UsageError(
+                raise UsageError(
                     "aggregate needs --arg with a function name"
                 )
             fn = _aggregate_fn(arg)
             batch = _require_list(_read_document(source), "aggregate")
             out = _render(op.aggregate(optic, fn, batch))
     except _RUNTIME_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(sys.stderr, f"error: {exc}")
         sys.exit(1)
     except OpticError as exc:  # every other library error is usage
-        click.echo(f"error: {exc}", err=True)
+        _echo(sys.stderr, f"error: {exc}")
         sys.exit(2)
 
-    click.echo(out)
+    _echo(sys.stdout, out)
 
 
 if __name__ == "__main__":

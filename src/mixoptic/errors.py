@@ -1,8 +1,9 @@
 """Exception hierarchy shared by the whole library.
 
 Exit-code mapping for the CLI lives in ``cli.py``; the split there is
-usage-level errors (bad expression, unknown name, wrong kind) versus
-runtime errors raised while an optic is applied to a document.
+usage-level errors (bad expression, unknown name, wrong kind, malformed
+document, and the CLI's own ``cli.UsageError`` for its command line)
+versus runtime errors raised while an optic is applied to a document.
 """
 
 

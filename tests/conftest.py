@@ -1,4 +1,5 @@
-"""Shared test helpers: a zoo of typed optics plus input generators.
+"""Shared test helpers: a zoo of typed optics plus input generators, and
+an in-process runner for the CLI.
 
 Each zoo entry carries an optic, a generator of random application cases,
 and an ``observe`` function that runs every combinator the kind supports
@@ -8,9 +9,11 @@ the same kind means equal snapshots over many generated cases.
 
 from __future__ import annotations
 
+import io
 import random
+import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, NamedTuple
 
 from mixoptic import (
     Adapter, AchromaticLens, AlgebraicLens, Fold, Getter, Glass, Grate,
@@ -22,6 +25,7 @@ from mixoptic.fixtures import (
     Address, Box, Flower, Measurements, address_prism, aggregate_kaleidoscope,
     box_lens, each, iris, measure_lens, street_lens,
 )
+from mixoptic.cli import main
 
 K = OpticKind
 
@@ -298,3 +302,28 @@ def assert_extensionally_equal(kind, left, right, cases):
         assert got_left == got_right, (
             f"{kind.value}: {got_left!r} != {got_right!r} on {case!r}"
         )
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args, stdin=None) -> CliResult:
+    """Call the CLI's ``main(args)`` in this process, with ``stdin`` (text)
+    as its standard input, and return its exit code and its standard output
+    and error, each decoded as UTF-8."""
+    streams = [io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+               for data in ((stdin or "").encode(), b"", b"")]
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = streams
+    try:
+        main(list(args))
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    out, err = (stream.buffer.getvalue().decode() for stream in streams[1:])
+    return CliResult(code, out, err)

@@ -13,16 +13,13 @@ import warnings
 import zlib
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from mixoptic import (
     OpticKind, Setter, compose, ex2prof, prof2ex, Fallback, join_kind,
     mupdate, over, view,
 )
-from mixoptic.cli import main
 from mixoptic.fixtures import Box, Species, box_lens, iris, measure_lens
 
-from conftest import assert_extensionally_equal, zoo
+from conftest import assert_extensionally_equal, run_cli, zoo
 import test_carriers
 import test_composition
 import test_funlist
@@ -41,18 +38,14 @@ def _report(number, label, fn):
     print(f"PASS criterion {number}: {label}", file=sys.__stdout__)
 
 
-def _cli(*args, stdin=None):
-    return CliRunner().invoke(main, list(args), input=stdin)
-
-
 def test_criterion_1_preview_and_set_home_address():
     def check():
         start = time.monotonic()
-        got = _cli("preview", "--optic", "address.street",
+        got = run_cli("preview", "--optic", "address.street",
                    "--input", str(DATA / "home.json"))
         assert got.exit_code == 0
         assert got.stdout.strip() == '"221b Baker St"'
-        got = _cli("set", "--optic", "address.street",
+        got = run_cli("set", "--optic", "address.street",
                    "--input", str(DATA / "home.json"),
                    "--arg", '"4 Marylebone Rd"')
         assert got.exit_code == 0
@@ -64,7 +57,7 @@ def test_criterion_1_preview_and_set_home_address():
 
 def test_criterion_2_uppercase_every_mail_city():
     def check():
-        got = _cli("over", "--optic", "each.address.city",
+        got = run_cli("over", "--optic", "each.address.city",
                    "--input", str(DATA / "mail.json"), "--arg", "uppercase")
         assert got.exit_code == 0
         assert json.loads(got.stdout) == [

@@ -7,9 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from mixoptic.cli import main
+from conftest import run_cli
+from mixoptic.cli import ACTIONS, OPTIONS
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "mixoptic" / "data"
 HOME = str(DATA / "home.json")
@@ -17,35 +17,33 @@ MAIL = str(DATA / "mail.json")
 IRIS = str(DATA / "iris.json")
 
 
-def run(*args, stdin=None):
-    return CliRunner().invoke(main, list(args), input=stdin)
-
-
-def run_process(*args, stdin):
-    """Run the CLI in a fresh interpreter, with the stack a shell gives it."""
+def run_process(*args, stdin, **env):
+    """Run the CLI in a fresh interpreter, with the stack a shell gives it
+    and ``env`` added to the environment; its streams are read as UTF-8."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "mixoptic.cli", *args], input=stdin,
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
 def test_preview_home_street():
-    result = run("preview", "--optic", "address.street", "--input", HOME)
+    result = run_cli("preview", "--optic", "address.street", "--input", HOME)
     assert result.exit_code == 0
     assert result.stdout.strip() == '"221b Baker St"'
 
 
 def test_set_home_street():
-    result = run("set", "--optic", "address.street", "--input", HOME,
+    result = run_cli("set", "--optic", "address.street", "--input", HOME,
                  "--arg", '"4 Marylebone Rd"')
     assert result.exit_code == 0
     assert result.stdout.strip() == '"4 Marylebone Rd, London, UK"'
 
 
 def test_over_mail_cities():
-    result = run("over", "--optic", "each.address.city", "--input", MAIL,
+    result = run_cli("over", "--optic", "each.address.city", "--input", MAIL,
                  "--arg", "uppercase")
     assert result.exit_code == 0
     assert json.loads(result.stdout) == [
@@ -56,7 +54,7 @@ def test_over_mail_cities():
 
 
 def test_view_single_flower():
-    result = run("view", "--optic", "measure", "--input", "-",
+    result = run_cli("view", "--optic", "measure", "--input", "-",
                  stdin=_flower_json(5.0, 3.6, 1.4, 0.2, "Setosa"))
     assert result.exit_code == 0
     assert json.loads(result.stdout) == {
@@ -66,7 +64,7 @@ def test_view_single_flower():
 
 
 def test_classify_against_dataset():
-    result = run("classify", "--optic", "measure", "--input", IRIS,
+    result = run_cli("classify", "--optic", "measure", "--input", IRIS,
                  "--arg", json.dumps({"sepalLength": 4.8, "sepalWidth": 3.2,
                                       "petalLength": 3.5, "petalWidth": 2.1}))
     assert result.exit_code == 0
@@ -75,7 +73,7 @@ def test_classify_against_dataset():
 
 
 def test_aggregate_mean_over_dataset():
-    result = run("aggregate", "--optic", "measure.aggregate",
+    result = run_cli("aggregate", "--optic", "measure.aggregate",
                  "--input", IRIS, "--arg", "mean")
     assert result.exit_code == 0
     assert result.stdout.strip() == \
@@ -83,33 +81,33 @@ def test_aggregate_mean_over_dataset():
 
 
 def test_preview_miss_prints_null_and_succeeds():
-    result = run("preview", "--optic", "address", "--input", "-",
+    result = run_cli("preview", "--optic", "address", "--input", "-",
                  stdin='"not an address"')
     assert result.exit_code == 0
     assert result.stdout.strip() == "null"
 
 
 def test_review_builds_through_prism():
-    result = run("review", "--optic", "address", "--arg", json.dumps({
+    result = run_cli("review", "--optic", "address", "--arg", json.dumps({
         "street": "1 Elm Way", "city": "York", "country": "UK"}))
     assert result.exit_code == 0
     assert result.stdout.strip() == '"1 Elm Way, York, UK"'
 
 
 def test_tolist_and_over_on_plain_documents():
-    result = run("tolist", "--optic", 'field("xs").each', "--input", "-",
+    result = run_cli("tolist", "--optic", 'field("xs").each', "--input", "-",
                  stdin='{"xs": [1, 2, 3]}')
     assert result.exit_code == 0
     assert json.loads(result.stdout) == [1, 2, 3]
 
-    result = run("over", "--optic", "each", "--input", "-",
+    result = run_cli("over", "--optic", "each", "--input", "-",
                  "--arg", "increment", stdin="[1, 2, 3]")
     assert result.exit_code == 0
     assert json.loads(result.stdout) == [2, 3, 4]
 
 
 def test_runtime_error_exits_one():
-    result = run("view", "--optic", 'field("missing")', "--input", "-",
+    result = run_cli("view", "--optic", 'field("missing")', "--input", "-",
                  stdin='{"a": 1}')
     assert result.exit_code == 1
     assert result.stdout == ""
@@ -118,21 +116,21 @@ def test_runtime_error_exits_one():
 
 def test_usage_errors_exit_two():
     # malformed expression
-    result = run("view", "--optic", "a..b", "--input", "-", stdin="1")
+    result = run_cli("view", "--optic", "a..b", "--input", "-", stdin="1")
     assert result.exit_code == 2
     assert result.stdout == ""
 
     # wrong kind for the action
-    result = run("view", "--optic", "address.street", "--input", HOME)
+    result = run_cli("view", "--optic", "address.street", "--input", HOME)
     assert result.exit_code == 2
 
     # malformed input document
-    result = run("view", "--optic", 'field("a")', "--input", "-",
+    result = run_cli("view", "--optic", 'field("a")', "--input", "-",
                  stdin="{bad json")
     assert result.exit_code == 2
 
     # unknown over function
-    result = run("over", "--optic", "each", "--input", "-",
+    result = run_cli("over", "--optic", "each", "--input", "-",
                  "--arg", "fliptwice", stdin="[1]")
     assert result.exit_code == 2
 
@@ -144,7 +142,7 @@ def test_defs_file_extends_registry(tmp_path):
         "circle": {"kind": "variant", "tag": "circle"},
         "items": {"kind": "each"},
     }))
-    result = run("preview", "--optic", "circle.radius",
+    result = run_cli("preview", "--optic", "circle.radius",
                  "--defs", str(defs), "--input", "-",
                  stdin='{"@circle": {"radius": 2}}')
     assert result.exit_code == 0
@@ -165,7 +163,7 @@ def test_aggregate_mean_rounds_exact_mean():
     widths = [1.5, 2.0, 2.7, 3.1, 3.1, 7.8, 3.7, 4.4]
     flowers = [json.loads(_flower_json(5.0, w, 1.4, 0.2, "Setosa"))
                for w in widths]
-    result = run("aggregate", "--optic", "measure.aggregate", "--input", "-",
+    result = run_cli("aggregate", "--optic", "measure.aggregate", "--input", "-",
                  "--arg", "mean", stdin=json.dumps(flowers))
     assert result.exit_code == 0
     assert result.stdout.strip() == \
@@ -175,7 +173,7 @@ def test_aggregate_mean_rounds_exact_mean():
 def test_aggregate_mean_of_values_whose_sum_overflows():
     flowers = [json.loads(_flower_json(1e308, 3.6, 1.4, 0.2, "Setosa"))
                for _ in range(2)]
-    result = run("aggregate", "--optic", "measure.aggregate", "--input", "-",
+    result = run_cli("aggregate", "--optic", "measure.aggregate", "--input", "-",
                  "--arg", "mean", stdin=json.dumps(flowers))
     assert result.exit_code == 0
     assert result.stdout.strip() == \
@@ -183,7 +181,7 @@ def test_aggregate_mean_of_values_whose_sum_overflows():
 
 
 def test_unknown_species_is_one_error_line():
-    result = run("view", "--optic", "measure", "--input", "-",
+    result = run_cli("view", "--optic", "measure", "--input", "-",
                  stdin=_flower_json(5.0, 3.6, 1.4, 0.2, "setosa"))
     assert result.exit_code == 1
     assert result.stdout == ""
@@ -219,7 +217,7 @@ def test_deep_document_is_one_error_line(action, optic, deep):
 
 
 def test_wrong_kind_error_names_the_kind_with_its_article():
-    result = run("view", "--optic", "address.street", "--input", HOME)
+    result = run_cli("view", "--optic", "address.street", "--input", HOME)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
@@ -286,15 +284,69 @@ def test_defs_kind_of_no_name_is_a_usage_error(kind, tmp_path):
                          "--input", "-", stdin="1")
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == "Error: bad definition for 'x'"
+    assert result.stderr.splitlines() == ["error: bad definition for 'x'"]
 
 
 def test_input_that_is_not_utf8_is_one_error_line(tmp_path):
     source = tmp_path / "doc.json"
     source.write_bytes(b'{"a": "\xff"}')
-    result = run("view", "--optic", 'field("a")', "--input", str(source))
+    result = run_cli("view", "--optic", 'field("a")', "--input", str(source))
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
         "error: invalid UTF-8 at byte 7: invalid start byte"
     ]
+
+
+
+@pytest.mark.parametrize("args,stdout", [
+    pytest.param(["--arg", "-1.5e3"], '{"a": -1500}', id="negative-exponent"),
+    pytest.param(["--arg=-1"], '{"a": -1}', id="equals"),
+    pytest.param(["--arg", "1", "--arg", "2"], '{"a": 2}', id="last-wins"),
+])
+def test_an_option_takes_the_next_token_or_its_equals_value(args, stdout):
+    result = run_process("set", '--optic=field("a")', *args,
+                         stdin='{"a": 1}')
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == stdout + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["view", "--opt", "each"], id="prefix"),
+    pytest.param(["view", "--bogus", "x", "--optic", "each"], id="unknown"),
+    pytest.param(["view"], id="missing-optic"),
+    pytest.param(["show", "--optic", "each"], id="unknown-action"),
+    pytest.param(["view", "extra", "--optic", "each"], id="extra"),
+    pytest.param(["set", "--optic", "each", "--arg"], id="missing-value"),
+])
+def test_a_malformed_command_line_is_one_error_line(args):
+    result = run_process(*args, stdin="[1]")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_help_names_every_action_and_option():
+    result = run_process("--help", stdin=None)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    for word in (*ACTIONS, *OPTIONS):
+        assert word in result.stdout
+
+
+@pytest.mark.parametrize("text,stdout", [
+    pytest.param('{"a": "\u00e9"}', '"\u00e9"', id="e-acute"),
+    # a lone surrogate is no UTF-8 text: it is written as its JSON escape
+    pytest.param('{"a": "\\ud800"}', '"\\ud800"', id="lone-surrogate"),
+])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_output_is_utf8_whatever_the_locale(text, stdout, source, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text, encoding="utf-8")
+    args = ["--input", str(doc)] if source == "file" else []
+    result = run_process("view", "--optic", 'field("a")', *args,
+                         stdin=None if source == "file" else text,
+                         PYTHONIOENCODING="ascii")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == stdout + "\n"
