@@ -11,16 +11,27 @@ into the focus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import funlist as fl
 from .errors import CapabilityError
 from .optics import Focus, Miss
+from .records import record
 
 
-class Carrier:
-    """Base carrier; every lift is undeclared until a subclass opts in."""
+class _Run(NamedTuple):
+    run: Callable
+
+
+@record
+class Carrier(_Run):
+    """Base carrier; every lift is undeclared until a subclass opts in.
+
+    A carrier is a record of one field, ``run``; each subclass adds only
+    methods, and equals only a carrier of its own class.
+    """
+
+    __slots__ = ()
 
     def dimap(self, l: Callable, r: Callable) -> "Carrier":
         raise NotImplementedError
@@ -46,11 +57,10 @@ class Carrier:
         raise self._no("closed")
 
 
-@dataclass(frozen=True)
 class Viewing(Carrier):
     """run: S -> A. Read-only; dimap discards the output map."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Viewing(lambda s: self.run(l(s)))
@@ -61,11 +71,10 @@ class Viewing(Carrier):
     lift_list_algebra = lift_product
 
 
-@dataclass(frozen=True)
 class Previewing(Carrier):
     """run: S -> A or None."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Previewing(lambda s: self.run(l(s)))
@@ -81,11 +90,10 @@ class Previewing(Carrier):
     lift_list_algebra = lift_product
 
 
-@dataclass(frozen=True)
 class Replacing(Carrier):
     """run: (A -> B) -> S -> T. Declares every capability."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Replacing(lambda u: lambda s: r(self.run(u)(l(s))))
@@ -108,11 +116,10 @@ class Replacing(Carrier):
         return Replacing(lambda u: lambda k: lambda x: self.run(u)(k(x)))
 
 
-@dataclass(frozen=True)
 class Classifying(Carrier):
     """run: (list of S, B) -> T."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Classifying(lambda ss, b: r(self.run([l(s) for s in ss], b)))
@@ -126,11 +133,10 @@ class Classifying(Carrier):
         return Classifying(lifted)
 
 
-@dataclass(frozen=True)
 class Aggregating(Carrier):
     """run: (list of S, list-of-A -> B) -> T."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Aggregating(lambda ss, f: r(self.run([l(s) for s in ss], f)))
@@ -150,11 +156,10 @@ class Aggregating(Carrier):
         return Aggregating(lifted)
 
 
-@dataclass(frozen=True)
 class Updating(Carrier):
     """run: (B, S) -> effect of T. The effect must expose ``map``."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Updating(lambda b, s: self.run(b, l(s)).map(r))
@@ -165,11 +170,10 @@ class Updating(Carrier):
         )
 
 
-@dataclass(frozen=True)
 class Folding(Carrier):
     """run: S -> list of A."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Folding(lambda s: self.run(l(s)))
@@ -188,11 +192,10 @@ class Folding(Carrier):
         )
 
 
-@dataclass(frozen=True)
 class Reviewing(Carrier):
     """run: B -> T. Write-only; dimap discards the input map."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Reviewing(lambda b: r(self.run(b)))
@@ -201,21 +204,19 @@ class Reviewing(Carrier):
         return Reviewing(lambda b: Focus(self.run(b)))
 
 
-@dataclass(frozen=True)
 class Grating(Carrier):
     """run: ((S -> A) -> B) -> T."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Grating(lambda h: r(self.run(lambda k: h(lambda s: k(l(s))))))
 
 
-@dataclass(frozen=True)
 class Glassing(Carrier):
     """run: (((S -> A) -> B), S) -> T."""
 
-    run: Callable
+    __slots__ = ()
 
     def dimap(self, l, r):
         return Glassing(

@@ -8,8 +8,7 @@ transformer on kind-specific identity probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, FrozenSet, Optional
+from typing import Any, Callable, FrozenSet, NamedTuple, Optional
 
 from . import carriers as c
 from . import funlist as fl
@@ -20,6 +19,7 @@ from .optics import (
     Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
     Review, Setter, Traversal,
 )
+from .records import record
 
 _ALL_CARRIERS = frozenset({
     c.Viewing, c.Previewing, c.Replacing, c.Classifying,
@@ -27,8 +27,8 @@ _ALL_CARRIERS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class ProfOptic:
+@record
+class ProfOptic(NamedTuple):
     """An optic in transformer form.
 
     ``transform`` maps a carrier over the foci to a carrier over the wholes.
@@ -39,10 +39,7 @@ class ProfOptic:
 
     transform: Callable[[c.Carrier], c.Carrier]
     supported: FrozenSet[type]
-    pure: Optional[Callable[[Any], Any]] = field(default=None)
-
-    def __call__(self, carrier: c.Carrier) -> c.Carrier:
-        return self.transform(carrier)
+    pure: Optional[Callable[[Any], Any]] = None
 
     def then(self, inner: "ProfOptic") -> "ProfOptic":
         """Compose transformers, outer first."""

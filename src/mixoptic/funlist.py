@@ -18,14 +18,14 @@ sources left to right. Internal rebuilds trust their argument's length;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import LengthError
+from .records import record
 
 
-@dataclass(frozen=True)
-class FunList:
+@record
+class FunList(NamedTuple):
     sources: Tuple[object, ...]
     rebuild: Callable[[Sequence[object]], object]  # takes len(sources) values
 

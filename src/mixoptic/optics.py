@@ -2,9 +2,10 @@
 
 Each optic variant is an immutable record (``records.record``), the tuple
 of functions that defines it: a lens is ``(view, update)``. The combinators
-(`view`, `over`, `preview`, ...) dispatch on the kind and raise `KindError`
-when ``composition.ADMITS`` does not admit the combinator for the optic's
-kind.
+(`view`, `over`, `preview`, ...) dispatch on the kind of the optic they run
+on, which is the given optic or, for a cell of ``composition.ADMITS`` that
+is not native to its kind, its upcast; they raise `KindError` when
+``composition.ADMITS`` does not admit the combinator for the optic's kind.
 """
 
 from __future__ import annotations
@@ -168,36 +169,30 @@ class MonadicLens(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Combinators. Each dispatches on the kinds whose row of ``kinds.NATIVES``
-# holds it. A kind whose row lacks it, but which ``composition.ADMITS``
-# admits because a kind it upcasts to runs it, runs the combinator on the
-# optic upcast there; any other kind is refused. ``composition`` imports
-# this module, so only a call that is not native imports it.
+# Combinators. Each runs on the optic ``_admit`` returns and dispatches on
+# its kind: the optic itself when its kind's row of ``kinds.NATIVES`` holds
+# the combinator, the optic upcast to the kind ``composition._ROUTE`` names
+# when ``composition.ADMITS`` admits it there (such as ``classify`` on an
+# adapter, run on it as an achromatic lens), and otherwise ``KindError``.
+# ``composition`` imports this module, so only a call that is not native
+# imports it.
 
 
-class _Upcast(Exception):
-    """An admitted call that is not native: the combinator runs again on
-    ``optic``, upcast. Only classify, aggregate and grate_apply have such
-    cells, so only they catch it."""
-
-    def __init__(self, optic: Any):
-        self.optic = optic
-
-
-def _admit(optic: Any, combinator: str, refusal: str) -> OpticKind:
+def _admit(optic: Any, combinator: str, refusal: str) -> Any:
     kind = optic.kind
-    if combinator not in NATIVES[kind]:
-        from .composition import _ROUTE, upcast
-        goal = _ROUTE.get((kind, combinator))
-        if goal is None:
-            raise KindError(f"cannot {refusal} {kind.with_article}")
-        raise _Upcast(upcast(optic, goal))
-    return kind
+    if combinator in NATIVES[kind]:
+        return optic
+    from .composition import _ROUTE, upcast
+    goal = _ROUTE.get((kind, combinator))
+    if goal is None:
+        raise KindError(f"cannot {refusal} {kind.with_article}")
+    return upcast(optic, goal)
 
 
 def view(optic: Any, source: Any) -> Any:
     """Extract the unique focus of a single-focus read-capable optic."""
-    kind = _admit(optic, "view", "view through")
+    optic = _admit(optic, "view", "view through")
+    kind = optic.kind
     if kind is OpticKind.ADAPTER:
         return optic.forward(source)
     if kind is OpticKind.GETTER:
@@ -207,7 +202,8 @@ def view(optic: Any, source: Any) -> Any:
 
 def preview(optic: Any, source: Any) -> Any:
     """Return the focus if present, else None."""
-    kind = _admit(optic, "preview", "preview through")
+    optic = _admit(optic, "preview", "preview through")
+    kind = optic.kind
     if kind is OpticKind.PRISM:
         res = optic.match(source)
         return res.value if isinstance(res, Focus) else None
@@ -219,7 +215,8 @@ def preview(optic: Any, source: Any) -> Any:
 
 def over(optic: Any, fn: Callable[[Any], Any], source: Any) -> Any:
     """Rewrite every focus with `fn`, returning the new whole."""
-    kind = _admit(optic, "over", "rewrite through")
+    optic = _admit(optic, "over", "rewrite through")
+    kind = optic.kind
     if kind is OpticKind.ADAPTER:
         return optic.backward(fn(optic.forward(source)))
     if kind in (OpticKind.LENS, OpticKind.ACHROMATIC_LENS):
@@ -252,13 +249,13 @@ def over(optic: Any, fn: Callable[[Any], Any], source: Any) -> Any:
 
 def set_value(optic: Any, source: Any, value: Any) -> Any:
     """Replace the focus with a constant; misses return the whole unchanged."""
-    _admit(optic, "set", "set through")
-    return over(optic, lambda _: value, source)
+    return over(_admit(optic, "set", "set through"), lambda _: value, source)
 
 
 def to_list_of(optic: Any, source: Any) -> List[Any]:
     """Collect all foci of a read-capable optic, left to right."""
-    kind = _admit(optic, "tolist", "enumerate foci of")
+    optic = _admit(optic, "tolist", "enumerate foci of")
+    kind = optic.kind
     if kind is OpticKind.FOLD:
         return list(optic.foci(source))
     if kind is OpticKind.TRAVERSAL:
@@ -272,11 +269,8 @@ def to_list_of(optic: Any, source: Any) -> List[Any]:
 
 def classify(optic: Any, training: Sequence[Any], value: Any) -> Any:
     """Rebuild a whole from a focus, guided by a list of example wholes."""
-    try:
-        kind = _admit(optic, "classify", "classify through")
-    except _Upcast as up:
-        return classify(up.optic, training, value)
-    if kind is OpticKind.ALGEBRAIC_LENS:
+    optic = _admit(optic, "classify", "classify through")
+    if optic.kind is OpticKind.ALGEBRAIC_LENS:
         if not training:
             raise EmptyTrainingError("classify requires a non-empty training list")
         return optic.classify(training, value)
@@ -287,10 +281,7 @@ def classify(optic: Any, training: Sequence[Any], value: Any) -> Any:
 
 def aggregate(optic: Any, fn: Callable[[Sequence[Any]], Any], sources: Sequence[Any]) -> Any:
     """Combine a list of wholes focus-wise with `fn`."""
-    try:
-        _admit(optic, "aggregate", "aggregate through")
-    except _Upcast as up:
-        return aggregate(up.optic, fn, sources)
+    optic = _admit(optic, "aggregate", "aggregate through")
     if not sources:
         raise EmptyInputError("aggregate requires a non-empty input list")
     return optic.aggregate(fn)(list(sources))
@@ -298,13 +289,14 @@ def aggregate(optic: Any, fn: Callable[[Sequence[Any]], Any], sources: Sequence[
 
 def mupdate(optic: Any, source: Any, value: Any) -> Any:
     """Effectful update; returns the effect wrapping the new whole."""
-    _admit(optic, "mupdate", "run an effectful update through")
+    optic = _admit(optic, "mupdate", "run an effectful update through")
     return optic.mupdate(source, value)
 
 
 def review(optic: Any, value: Any) -> Any:
     """Construct a whole from a focus alone."""
-    kind = _admit(optic, "review", "build through")
+    optic = _admit(optic, "review", "build through")
+    kind = optic.kind
     if kind is OpticKind.ADAPTER:
         return optic.backward(value)
     if kind is OpticKind.ACHROMATIC_LENS:
@@ -319,10 +311,7 @@ def grate_apply(optic: Any, continuation: Callable[[Callable[[Any], Any]], Any],
     A grate, and an adapter, which zips as one, ignore ``source``; a glass,
     and a lens, achromatic-lens or monadic-lens, which zip as one, need it.
     """
-    try:
-        kind = _admit(optic, "zip", "zip through")
-    except _Upcast as up:
-        return grate_apply(up.optic, continuation, source)
-    if kind is OpticKind.GRATE:
+    optic = _admit(optic, "zip", "zip through")
+    if optic.kind is OpticKind.GRATE:
         return optic.run(continuation)
     return optic.run(continuation, source)

@@ -88,10 +88,14 @@ def _raise(error):
     raise error
 
 
+# ``_list`` and ``_to_python`` recurse once per level of the document. They
+# are loops, not comprehensions: a comprehension runs in a frame of its own
+# before Python 3.12, which would halve the depth they reach.
 def _list(items):
-    return _new(VList, (tuple([
-        x if (to := _CONVERT.get(type(x))) is None else to(x) for x in items
-    ]),))
+    for i, x in enumerate(items):  # the decoder's own list, converted in place
+        if (to := _CONVERT.get(type(x))) is not None:
+            items[i] = to(x)
+    return _new(VList, (tuple(items),))
 
 
 # What the decoder leaves as Python objects, by exact type; numbers, records
@@ -137,9 +141,15 @@ def _to_python(value: Value):
         num = value.value  # an int when built by hand
         return int(num) if float(num).is_integer() and abs(num) < 2 ** 53 else num
     if kind is VRec:
-        return {k: _to_python(v) for k, v in value.fields}
+        out = {}
+        for k, v in value.fields:
+            out[k] = _to_python(v)
+        return out
     if kind is VList:
-        return [_to_python(v) for v in value.items]
+        out = []
+        for v in value.items:
+            out.append(_to_python(v))
+        return out
     if kind is VNull:
         return None
     if kind is VTag:

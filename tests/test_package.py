@@ -81,8 +81,9 @@ def test_cli_import_leaves_iris_unread():
 def test_imports_leave_dataclasses_and_inspect_unloaded():
     probe = ("import sys\nbefore = set(sys.modules)\nimport {}\n"
              "print(*sorted(set(sys.modules) - before))")
-    library = fresh(probe.format("mixoptic, mixoptic.expr, mixoptic.fixtures"))
-    assert "mixoptic.fixtures" in library
+    library = fresh(probe.format(
+        "mixoptic, mixoptic.expr, mixoptic.fixtures, mixoptic.encoding"))
+    assert "mixoptic.fixtures" in library and "mixoptic.encoding" in library
     assert "dataclasses" not in library and "inspect" not in library
     cli = fresh(probe.format("mixoptic.cli"))
     for module in ("dataclasses", "inspect", "click"):

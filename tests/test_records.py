@@ -1,6 +1,7 @@
 """The contract of the small immutable records: the concrete optics, the
 partial-match results, ``Fallback``, ``expr.Segment``, the effects, the
-document values and the fixture records.
+document values, the fixture records, the carriers, ``FunList`` and
+``ProfOptic``.
 
 Each is built by position and by keyword, cannot be assigned, prints as
 ``Class(field=...)`` and equals only a record of its own class with equal
@@ -12,11 +13,12 @@ import pytest
 from mixoptic import (
     Adapter, AffineTraversal, AchromaticLens, AlgebraicLens, Fallback, Focus,
     Fold, Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens,
-    OpticKind, Opt, Prism, Review, Setter, Traversal, VBool, VList, VNull,
-    VNum, VRec, VTag, VText, Writer, compose,
+    OpticKind, Opt, Prism, ProfOptic, Review, Setter, Traversal, VBool, VList,
+    VNull, VNum, VRec, VTag, VText, Writer, carriers, compose,
 )
 from mixoptic.expr import Segment, parse_expr
 from mixoptic.fixtures import Address, Box, Flower, Measurements, Species
+from mixoptic.funlist import FunList
 from mixoptic.values import NULL
 
 K = OpticKind
@@ -174,3 +176,50 @@ def test_data_records_compare_by_class_first():
     assert VList((VNum(1),)) == VList((VNum(1.0),))
     assert VList((VNum(1),)) != VList((VBool(True),))
     assert Address("a", "b", "c")._replace(city="d") == Address("a", "d", "c")
+
+
+CARRIERS = [
+    carriers.Viewing, carriers.Previewing, carriers.Replacing,
+    carriers.Classifying, carriers.Aggregating, carriers.Updating,
+    carriers.Folding, carriers.Reviewing, carriers.Grating, carriers.Glassing,
+]
+
+
+def frozen_without_dict(item):
+    for name in item._fields:
+        with pytest.raises(AttributeError):
+            setattr(item, name, None)
+    with pytest.raises(AttributeError):
+        item.extra = 1
+    assert not hasattr(item, "__dict__")
+
+
+@pytest.mark.parametrize("cls", CARRIERS, ids=lambda cls: cls.__name__)
+def test_carrier_records(cls):
+    f, g = functions(2)
+    carrier = cls(f)
+    assert isinstance(carrier, carriers.Carrier) and cls._fields == ("run",)
+    assert cls(run=f) == carrier and hash(cls(f)) == hash(carrier)
+    assert carrier.run is f and cls(g) != carrier
+    assert repr(carrier) == f"{cls.__name__}(run={f!r})"
+    for other in CARRIERS:
+        if other is not cls:
+            assert other(f) != carrier and not other(f) == carrier
+    assert carrier != (f,) and (f,) != carrier
+    frozen_without_dict(carrier)
+
+
+def test_funlist_and_prof_optic_records():
+    f, g = functions(2)
+    flist = FunList((1, 2), f)
+    assert flist == FunList(sources=(1, 2), rebuild=f) != FunList((1,), f)
+    assert repr(flist) == f"FunList(sources=(1, 2), rebuild={f!r})"
+    prof = ProfOptic(f, frozenset())
+    assert prof.pure is None
+    assert prof == ProfOptic(transform=f, supported=frozenset(), pure=None)
+    assert prof != ProfOptic(f, frozenset(), g)
+    assert repr(prof) == (
+        f"ProfOptic(transform={f!r}, supported=frozenset(), pure=None)")
+    assert FunList(f, g) != ProfOptic(f, g) and flist != ((1, 2), f)
+    frozen_without_dict(flist)
+    frozen_without_dict(prof)
