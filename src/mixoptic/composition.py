@@ -20,9 +20,10 @@ flat ``compose(ach, prism, review)`` is a review; nested, it raises.
 For every kind the result is a flat chain: an instance of the kind's class
 holding ``parts``, its segments outermost first, each coerced to the first
 kind of the chain's ``_NATIVE`` row it reaches: traversal and affine
-chains keep lens, prism and affine segments as they are, and an affine
-chain's ``access`` is the traversal walk, which finds at most one focus
-there. A chain of the join splices its parts in, and so does an affine
+chains keep lens, prism and affine segments as they are. An affine
+chain's ``access`` walks down once, to its focus or its first miss, and
+rebuilds upwards from there; a lens chain's ``over`` reads each part's
+view once. A chain of the join splices its parts in, and so does an affine
 chain entering a traversal. Segments collect in one list while the left
 fold's join stays the same, so building is linear in the operands, and the
 kind's functions loop over the parts, so applying is linear in depth.
@@ -295,11 +296,23 @@ def _wholes(parts, s):
     return wholes
 
 
-def _lens_update(self, s, b):
-    parts = self.parts
-    for p, whole in zip(reversed(parts), reversed(_wholes(parts, s))):
+def _rise(parts, wholes, b):
+    """Rebuild upwards: each part puts ``b`` back into the whole it read."""
+    for p, whole in zip(reversed(parts), reversed(wholes)):
         b = p.update(whole, b)
     return b
+
+
+def _lens_update(self, s, b):
+    parts = self.parts
+    return _rise(parts, _wholes(parts, s), b)
+
+
+def _lens_over(self, fn, s):
+    # ``over`` in one walk: the last part's view is the focus ``fn`` reads
+    parts = self.parts
+    wholes = _wholes(parts, s)
+    return _rise(parts, wholes, fn(parts[-1].view(wholes[-1])))
 
 
 def _mupdate(self, s, b):
@@ -402,11 +415,32 @@ def _extract(self, s):
 
 
 def _access(self, s):
-    # the traversal walk, which finds at most one focus in an affine chain
-    foci, rebuild = _extract(self, s)
-    if foci:
-        return Focus((foci[0], lambda b: rebuild([b])))
-    return Miss(rebuild([]))
+    # one walk down to the focus or to the first miss, keeping per level
+    # the function that rebuilds it from below: a lens's update of the
+    # whole it read, a prism's build, an affine part's own rebuild
+    levels = []
+    for p in self.parts:
+        kind = p.kind
+        if kind is K.LENS:
+            levels.append(partial(p.update, s))
+            s = p.view(s)
+            continue
+        res = p.match(s) if kind is K.PRISM else p.access(s)
+        if isinstance(res, Miss):
+            return Miss(_rebuild(levels, res.value))
+        if kind is K.PRISM:
+            levels.append(p.build)
+            s = res.value
+        else:
+            s, rebuild = res.value
+            levels.append(rebuild)
+    return Focus((s, partial(_rebuild, levels)))
+
+
+def _rebuild(levels, b):
+    for level in reversed(levels):
+        b = level(b)
+    return b
 
 
 def _foci(self, s):
@@ -465,8 +499,9 @@ _VIEW = _down("view")
 _CHAINS = {
     chain.kind: chain for chain in (
         _chain_type(Adapter, _down("forward"), _up("backward")),
-        _chain_type(Lens, _VIEW, _lens_update),
-        _chain_type(AchromaticLens, _VIEW, _lens_update, _up("create")),
+        _chain_type(Lens, _VIEW, _lens_update, _over=_lens_over),
+        _chain_type(AchromaticLens, _VIEW, _lens_update, _up("create"),
+                    _over=_lens_over),
         _chain_type(Prism, _match, _up("build")),
         _chain_type(AffineTraversal, _access),
         _chain_type(Traversal, _extract),
@@ -504,7 +539,8 @@ def _segments(optic: Any, kind: OpticKind) -> tuple:
     if isinstance(optic, _Chain) and (optic.kind is kind or kind is K.TRAVERSAL
                                       and optic.kind is K.AFFINE_TRAVERSAL):
         return optic.parts
-    return (_coerce(optic, _SEGMENT[kind][optic.kind]),)
+    segment = _SEGMENT[kind][optic.kind]
+    return (optic if optic.kind is segment else _coerce(optic, segment),)
 
 
 def _fail_once(kinds: list, joined) -> OpticKind:

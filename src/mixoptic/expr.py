@@ -6,7 +6,9 @@ Grammar::
     segment := IDENT | IDENT "(" STRING ")"
 
 where STRING is double-quoted with JSON's backslash escapes. The scanner
-matches each name and each argument with a compiled pattern. Segments
+matches each segment, its name and a plain argument, with one compiled
+pattern; an argument with an escape, and every error, goes the long way
+through the string reader, which keeps each message and position. Segments
 resolve to optics through the registry (plain names) or through the
 parameterized forms ``field("key")`` and ``variant("tag")``; the whole chain
 is one call to the variadic ``compose``, at the join of all its kinds.
@@ -39,24 +41,17 @@ class Segment(NamedTuple):
 # A name is the characters ``str.isalnum`` accepts, and "_"; it may not
 # start with a character ``str.isnumeric`` accepts (``9``, ``²``, ``½``,
 # ``Ⅻ``). A quoted argument with no backslash and no control character is
-# its own value; any other goes through the JSON decoder, which reads the
-# escapes and, as JSON does, rejects a raw control character.
-_NAME = re.compile(r"\w+")
-_PLAIN_STRING = re.compile(r'"([^"\\\x00-\x1f]*)"')
+# its own value, read with the name by ``_SEGMENT``; ``_string`` reads any
+# other through the JSON decoder, which reads the escapes and, as JSON
+# does, rejects a raw control character.
+_SEGMENT = re.compile(r'(\w+)(?:\("([^"\\\x00-\x1f]*)"\))?')
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
 
-
-def _ident(text: str, pos: int) -> Tuple[str, int]:
-    found = _NAME.match(text, pos)
-    if found is None or text[pos].isnumeric():
-        raise ExprError("expected a name", pos)
-    return found.group(), found.end()
+# Segments are built with the tuple constructor itself, as values' nodes are.
+_new = tuple.__new__
 
 
 def _string(text: str, pos: int) -> Tuple[str, int]:
-    plain = _PLAIN_STRING.match(text, pos)
-    if plain is not None:
-        return plain.group(1), plain.end()
     if not text.startswith('"', pos):
         raise ExprError("expected a double-quoted string", pos)
     quoted = _STRING.match(text, pos)
@@ -71,18 +66,20 @@ def _string(text: str, pos: int) -> Tuple[str, int]:
 def parse_expr(text: str) -> List[Segment]:
     if not text:
         raise ExprError("empty expression", 0)
-    segments, pos = [], 0
+    segments, pos, end, match = [], 0, len(text), _SEGMENT.match
     while True:
-        start = pos
-        name, pos = _ident(text, pos)
-        argument = None
-        if pos < len(text) and text[pos] == "(":
+        found = match(text, pos)
+        if found is None or text[pos].isnumeric():
+            raise ExprError("expected a name", pos)
+        start, pos = pos, found.end()
+        name, argument = found.groups()
+        if argument is None and pos < end and text[pos] == "(":
             argument, pos = _string(text, pos + 1)
-            if pos >= len(text) or text[pos] != ")":
+            if pos >= end or text[pos] != ")":
                 raise ExprError("expected ')'", pos)
             pos += 1
-        segments.append(Segment(name, argument, start))
-        if pos == len(text):
+        segments.append(_new(Segment, (name, argument, start)))
+        if pos == end:
             return segments
         if text[pos] != ".":
             raise ExprError(f"unexpected character {text[pos]!r}", pos)

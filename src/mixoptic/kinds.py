@@ -43,22 +43,22 @@ _K = OpticKind
 
 # The combinators each kind's dispatch runs, named as the CLI actions plus
 # "mupdate" and "zip" (running a grate's or glass's continuation). An
-# achromatic lens previews and sets, and a monadic lens sets, through the
-# lens cases of ``view`` and ``over``.
+# achromatic lens previews through the lens case of ``view``, and ``set`` is
+# ``over`` with a constant function, so every kind that runs ``over`` sets.
 NATIVES = {kind: frozenset(names.split()) for kind, names in {
     _K.ADAPTER: "view preview set over tolist review",
     _K.LENS: "view preview set over tolist",
     _K.ACHROMATIC_LENS: "view preview set over tolist review classify",
     _K.PRISM: "preview set over tolist review",
     _K.AFFINE_TRAVERSAL: "preview set over tolist",
-    _K.TRAVERSAL: "over tolist",
-    _K.GRATE: "over zip",
-    _K.GLASS: "over zip",
-    _K.SETTER: "over",
+    _K.TRAVERSAL: "set over tolist",
+    _K.GRATE: "set over zip",
+    _K.GLASS: "set over zip",
+    _K.SETTER: "set over",
     _K.GETTER: "view preview tolist",
     _K.REVIEW: "review",
     _K.FOLD: "tolist",
-    _K.ALGEBRAIC_LENS: "view over tolist classify",
-    _K.KALEIDOSCOPE: "over aggregate",
+    _K.ALGEBRAIC_LENS: "view set over tolist classify",
+    _K.KALEIDOSCOPE: "set over aggregate",
     _K.MONADIC_LENS: "view preview set over tolist mupdate",
 }.items()}

@@ -53,6 +53,9 @@ class Lens(NamedTuple):
     update: Callable[[Any, Any], Any]
 
     kind = OpticKind.LENS
+    # a composite's ``over`` in one walk down its parts; a plain lens has
+    # none and ``over`` runs it inline, with no frame of its own
+    _over = None
 
 
 @record
@@ -64,6 +67,8 @@ class AchromaticLens(NamedTuple):
     create: Callable[[Any], Any]
 
     kind = OpticKind.ACHROMATIC_LENS
+
+    _over = None  # as a lens's
 
 
 @record
@@ -219,8 +224,10 @@ def over(optic: Any, fn: Callable[[Any], Any], source: Any) -> Any:
     kind = optic.kind
     if kind is OpticKind.ADAPTER:
         return optic.backward(fn(optic.forward(source)))
-    if kind in (OpticKind.LENS, OpticKind.ACHROMATIC_LENS):
-        return optic.update(source, fn(optic.view(source)))
+    if kind is OpticKind.LENS or kind is OpticKind.ACHROMATIC_LENS:
+        if optic._over is None:
+            return optic.update(source, fn(optic.view(source)))
+        return optic._over(fn, source)
     if kind is OpticKind.PRISM:
         res = optic.match(source)
         return optic.build(fn(res.value)) if isinstance(res, Focus) else res.value

@@ -68,8 +68,9 @@ NULL = VNull()
 
 _FLOAT_MAX = sys.float_info.max
 
-# The decoder builds nodes with the tuple constructor itself: a NamedTuple's
-# ``__new__`` does the same, but as a Python call.
+# The decoder and the optics below build nodes, and the optics themselves,
+# with the tuple constructor itself: a NamedTuple's ``__new__`` does the
+# same, but as a Python call.
 _new = tuple.__new__
 
 
@@ -187,10 +188,11 @@ def field_lens(key: str) -> Lens:
         fields = value.fields
         for i, (k, _) in enumerate(fields):
             if k == key:
-                return VRec(fields[:i] + ((key, new),) + fields[i + 1:])
+                return _new(VRec, (fields[:i] + ((key, new),)
+                                   + fields[i + 1:],))
         raise FocusError(f"record has no key {key!r}")
 
-    return Lens(view=view, update=update)
+    return _new(Lens, (view, update))
 
 
 def each_traversal() -> Traversal:
@@ -204,7 +206,7 @@ def each_traversal() -> Traversal:
         def rebuild(bs, _n=len(items)):
             if len(bs) != _n:
                 raise LengthError(f"expected {_n} replacements, got {len(bs)}")
-            return VList(tuple(bs))
+            return _new(VList, (tuple(bs),))
 
         return list(items), rebuild
 
@@ -219,4 +221,4 @@ def variant_prism(tag: str) -> Prism:
             return Focus(value.payload)
         return Miss(value)
 
-    return Prism(match=match, build=lambda payload: VTag(tag, payload))
+    return _new(Prism, (match, lambda payload: _new(VTag, (tag, payload))))

@@ -15,8 +15,9 @@ from functools import reduce
 import pytest
 
 from mixoptic import (
-    Adapter, Fallback, INCOMPATIBLE, OpticKind, compose, ex2prof, join_kind,
-    over, prof2ex, preview, set_value, to_list_of, view,
+    AchromaticLens, Adapter, AffineTraversal, Fallback, Focus, INCOMPATIBLE,
+    Lens, Miss, OpticKind, compose, ex2prof, join_kind, over, parse_json,
+    prof2ex, preview, set_value, to_list_of, upcast, view,
 )
 from mixoptic.errors import CompositionError
 from mixoptic.values import (
@@ -155,6 +156,74 @@ def test_lens_laws_hold_at_depth(shape, depth):
             i for i, k in enumerate(kinds) if k == "variant"))
         assert read(optic, missed) is None
         assert tokens(set_value(optic, missed, new)) == tokens(missed)
+
+
+@pytest.mark.parametrize("depth", [64, 1000])
+@pytest.mark.parametrize("cls", [Lens, AchromaticLens])
+def test_a_write_views_each_part_once(cls, depth):
+    wholes = []
+
+    def view_k(s):
+        wholes.append(s)
+        return s["k"]
+
+    create = (lambda b: {"k": b},) if cls is AchromaticLens else ()
+    optic = reduce(compose,
+                   [cls(view_k, lambda s, b: {**s, "k": b}, *create)] * depth)
+    assert optic.kind is cls.kind and len(optic.parts) == depth
+    doc = 0
+    for _ in range(depth):
+        doc = {"k": doc}
+    for write, leaf in ((lambda: over(optic, lambda x: x + 1, doc), 1),
+                        (lambda: set_value(optic, doc, 7), 7)):
+        wholes.clear()
+        out = write()
+        assert len(wholes) == depth
+        for _ in range(depth):
+            out = out["k"]
+        assert out == leaf
+
+
+def agree(affine, walk, doc):
+    """What the affine chain's one-focus walk and the traversal walk read
+    and write on ``doc`` agree; return what the affine chain reads."""
+    found = preview(affine, doc)
+    assert ([] if found is None else [found]) == to_list_of(walk, doc)
+    for write in (lambda o: set_value(o, doc, VText("new")),
+                  lambda o: over(o, shout, doc)):
+        assert tokens(write(affine)) == tokens(write(walk))
+    return found
+
+
+@pytest.mark.parametrize("depth", [8, 1000])
+def test_an_affine_chain_agrees_with_its_parts_as_a_traversal(depth):
+    kinds = segments(depth, "affine")
+    optic = compose(*leaves(kinds))
+    walk = upcast(optic, K.TRAVERSAL)
+    assert optic.kind is K.AFFINE_TRAVERSAL and walk.parts == optic.parts
+    # a hit, and a miss at each level that can miss: every variant
+    variants = [i for i, k in enumerate(kinds) if k == "variant"]
+    for miss_at in [None, *variants]:
+        found = agree(optic, walk, document(kinds, miss_at))
+        assert found == (None if miss_at is not None else VText("leaf0"))
+
+
+def test_an_affine_part_rebuilds_as_in_the_traversal_walk():
+    def head(s):
+        if isinstance(s, VList) and s.items:
+            rest = s.items[1:]
+            return Focus((s.items[0], lambda b: VList((b, *rest))))
+        return Miss(s)
+
+    optic = compose(field_lens("a"), AffineTraversal(head),
+                    variant_prism("t"), field_lens("b"))
+    walk = upcast(optic, K.TRAVERSAL)
+    assert [p.kind for p in optic.parts] == [
+        K.LENS, K.AFFINE_TRAVERSAL, K.PRISM, K.LENS]
+    for text, found in [('{"a": [{"@t": {"b": "x"}}, 1]}', VText("x")),
+                        ('{"a": [{"@u": {"b": "x"}}, 1]}', None),
+                        ('{"a": []}', None)]:
+        assert agree(optic, walk, parse_json(text)) == found
 
 
 @pytest.mark.parametrize("shape", SHAPES)

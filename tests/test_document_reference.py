@@ -78,7 +78,7 @@ def _apply(name, x):
 ADMITS = {"lens": {"view", "preview", "tolist", "set", "over"},
           "prism": {"preview", "tolist", "set", "over"},
           "affine-traversal": {"preview", "tolist", "set", "over"},
-          "traversal": {"tolist", "over"}}
+          "traversal": {"tolist", "set", "over"}}
 REFUSALS = {"view": "view through", "preview": "preview through",
             "set": "set through"}
 

@@ -1,6 +1,11 @@
 """Optic expression grammar and resolution."""
 
+import json
+import re
+from typing import List, Tuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixoptic import OpticKind, preview, view
 from mixoptic.errors import ExprError
@@ -130,3 +135,93 @@ def test_resolve_errors():
         resolve_segment(Segment("street", "arg", 0), registry())
     with pytest.raises(ExprError):
         resolve_segment(Segment("field", None, 0), registry())
+
+
+# ---------------------------------------------------------------------------
+# The scanner reads a segment with one pattern and goes the long way only for
+# an escaped argument or an error. Its oracle is the scanner it replaced,
+# kept verbatim: a name pattern, then a string reader, per segment.
+
+_NAME = re.compile(r"\w+")
+_PLAIN_STRING = re.compile(r'"([^"\\\x00-\x1f]*)"')
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
+
+
+def _ident(text: str, pos: int) -> Tuple[str, int]:
+    found = _NAME.match(text, pos)
+    if found is None or text[pos].isnumeric():
+        raise ExprError("expected a name", pos)
+    return found.group(), found.end()
+
+
+def _string(text: str, pos: int) -> Tuple[str, int]:
+    plain = _PLAIN_STRING.match(text, pos)
+    if plain is not None:
+        return plain.group(1), plain.end()
+    if not text.startswith('"', pos):
+        raise ExprError("expected a double-quoted string", pos)
+    quoted = _STRING.match(text, pos)
+    if quoted is None:
+        raise ExprError("unterminated string", pos)
+    try:
+        return json.loads(quoted.group()), quoted.end()
+    except ValueError:
+        raise ExprError("bad string escape", pos) from None
+
+
+def reference_parse_expr(text: str) -> List[Segment]:
+    if not text:
+        raise ExprError("empty expression", 0)
+    segments, pos = [], 0
+    while True:
+        start = pos
+        name, pos = _ident(text, pos)
+        argument = None
+        if pos < len(text) and text[pos] == "(":
+            argument, pos = _string(text, pos + 1)
+            if pos >= len(text) or text[pos] != ")":
+                raise ExprError("expected ')'", pos)
+            pos += 1
+        segments.append(Segment(name, argument, start))
+        if pos == len(text):
+            return segments
+        if text[pos] != ".":
+            raise ExprError(f"unexpected character {text[pos]!r}", pos)
+        pos += 1
+
+
+# ASCII and other word characters, digits and other numerics, the
+# grammar's punctuation, a space, a non-word character and control
+# characters
+WORD = "abeuxZ_\u00e9\u00df\u01c5\u4e2d09\u00b2\u00bd\u216b"
+ALPHABET = WORD + '()"\\. \u2192\x00\x01\t\n\x1f'
+ESCAPES = ['\\"', "\\\\", "\\n", "\\u00e9", "\\ud800", "\\q", "\\"]
+
+raw_texts = st.text(st.sampled_from(ALPHABET), max_size=24)
+names = st.text(st.sampled_from(WORD), min_size=1, max_size=5)
+arguments = st.lists(st.sampled_from([*ALPHABET, *ESCAPES]),
+                     max_size=6).map("".join)
+grammar_segments = st.one_of(
+    names, st.tuples(names, arguments).map(lambda t: f'{t[0]}("{t[1]}")'))
+# mostly the grammar's dot between segments, at times none or another
+separators = st.sampled_from([".", ".", ".", ".", ".", ".", "", "(", ")", " "])
+
+
+@st.composite
+def grammar_texts(draw):
+    segments = draw(st.lists(grammar_segments, min_size=1, max_size=4))
+    return "".join(segments[0:1] + [draw(separators) + seg
+                                    for seg in segments[1:]])
+
+
+def outcome(parse, text):
+    try:
+        return [tuple(seg) for seg in parse(text)]
+    except ExprError as e:
+        return str(e), e.position
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(raw_texts, grammar_texts()))
+def test_scanner_matches_the_replaced_scanner(text):
+    assert outcome(parse_expr, text) == outcome(reference_parse_expr, text)

@@ -133,11 +133,16 @@ def test_preview_rejects_multi_focus_optics():
         preview(measure_lens(), iris[0])
 
 
-def test_set_rejects_non_cartesian_optics():
-    with pytest.raises(KindError):
-        set_value(each(), [1, 2], 5)
-    with pytest.raises(KindError):
+def test_set_rejects_read_only_optics():
+    with pytest.raises(KindError, match="cannot set through a getter"):
         set_value(Getter(get=lambda s: s), 1, 2)
+
+
+def test_set_runs_wherever_over_runs():
+    assert set_value(each(), [1, 2], 5) == [5, 5]
+    assert set_value(Setter(lambda f, s: f(s)), 1, 2) == 2
+    nested = compose(each(), each())
+    assert set_value(nested, [[1], [2, 3]], 0) == [[0], [0, 0]]
 
 
 def test_review_rejects_non_build_optics():
@@ -191,15 +196,15 @@ ADMITTED = {
                         "classify", "zip"},
     K.PRISM: {"preview", "set", "over", "tolist", "review"},
     K.AFFINE_TRAVERSAL: {"preview", "set", "over", "tolist"},
-    K.TRAVERSAL: {"over", "tolist"},
-    K.GRATE: {"over", "zip"},
-    K.GLASS: {"over", "zip"},
-    K.SETTER: {"over"},
+    K.TRAVERSAL: {"set", "over", "tolist"},
+    K.GRATE: {"set", "over", "zip"},
+    K.GLASS: {"set", "over", "zip"},
+    K.SETTER: {"set", "over"},
     K.GETTER: {"view", "preview", "tolist"},
     K.REVIEW: {"review"},
     K.FOLD: {"tolist"},
-    K.ALGEBRAIC_LENS: {"view", "over", "tolist", "classify"},
-    K.KALEIDOSCOPE: {"over", "aggregate"},
+    K.ALGEBRAIC_LENS: {"view", "set", "over", "tolist", "classify"},
+    K.KALEIDOSCOPE: {"set", "over", "aggregate"},
     K.MONADIC_LENS: {"view", "preview", "set", "over", "tolist", "mupdate",
                      "zip"},
 }
