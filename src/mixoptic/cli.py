@@ -1,12 +1,18 @@
 """Command-line front end for running optics against JSON documents.
 
+Every action is one row of ``_ACTIONS``: how it reads ``--arg``, what it
+reads from ``--input``, the combinator it runs and how it prints the
+result. ``main`` is one path through the row: parse the command line, build
+the names (the registry and ``--defs``), resolve the expression, read
+``--arg``, read the input, apply, print.
+
 Exit codes: 0 on success (a preview miss is success and prints ``null``),
 1 for runtime errors raised while applying an optic (shape, length,
 composition), 2 for usage errors (a malformed command line, bad expression,
-unknown name, wrong kind, malformed input). Every non-zero exit prints one
-``error:`` line on stderr. The command line is parsed by hand (see
-``_parse_argv``), which keeps start-up short, and input and output are
-UTF-8 whatever the locale says.
+unknown name, wrong kind, malformed input or ``--arg``). Every non-zero
+exit prints one ``error:`` line on stderr. The command line is parsed by
+hand (see ``_parse_argv``), which keeps start-up short, and input and
+output are UTF-8 whatever the locale says.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 import warnings
+from functools import partial
 
 from . import optics as op
 from .errors import (
@@ -27,8 +34,114 @@ from .values import VList, VNum, VText, each_traversal, parse_json, serialize
 _RUNTIME_ERRORS = (FocusError, LengthError, EmptyTrainingError,
                    EmptyInputError, CompositionError)
 
-ACTIONS = ("view", "preview", "set", "over", "review", "aggregate",
-           "classify", "tolist")
+
+class UsageError(OpticError):
+    """The command line, or a function name, file or ``--arg`` it gives,
+    cannot be used."""
+
+
+# --arg of over: name -> (whether it takes the focus, the focus in words, the
+# function), and of aggregate: name -> the function of the list of foci
+_OVER = {
+    "uppercase": (lambda v: isinstance(v, VText), "a text",
+                  lambda v: VText(v.value.upper())),
+    "lowercase": (lambda v: isinstance(v, VText), "a text",
+                  lambda v: VText(v.value.lower())),
+    "increment": (lambda v: isinstance(v, VNum), "a number",
+                  lambda v: VNum(v.value + 1)),
+    "head": (lambda v: isinstance(v, VList) and v.items, "a non-empty list",
+             lambda v: v.items[0]),
+}
+_AGGREGATE = {"mean": mean, "maximum": max, "minimum": min,
+              "head": lambda xs: xs[0]}
+
+
+def _function(action: str, table: dict, name):
+    """The entry of ``table`` that ``--arg`` names for ``action``."""
+    if name is None:
+        raise UsageError(f"{action} needs --arg with a function name")
+    if name not in table:
+        raise UsageError(f"unknown function {name!r} for {action}")
+    return table[name]
+
+
+def _over_fn(name: str):
+    """The focus function ``over --arg NAME`` runs."""
+    takes, words, fn = _function("over", _OVER, name)
+
+    def checked(v):
+        if not takes(v):
+            raise FocusError(f"{name} expects {words} focus")
+        return fn(v)
+
+    return checked
+
+
+def _json_arg(arg):
+    if arg is None:
+        raise UsageError("this action needs --arg")
+    try:
+        return parse_json(arg)
+    except ParseError as exc:
+        raise ParseError(f"--arg: {exc}") from None
+
+
+def _read_input(source: str, action: str, reads: str):
+    """The document at ``source``; for ``reads == "list"``, its items."""
+    try:
+        if source == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
+            with open(source, "rb") as handle:
+                text = handle.read().decode("utf-8")
+    except OSError as exc:
+        raise UsageError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+    doc = parse_json(text)
+    if reads == "document":
+        return doc
+    if not isinstance(doc, VList):
+        raise FocusError(f"{action} expects a list document")
+    return list(doc.items)
+
+
+def _fmt(x: float) -> str:
+    s = f"{x:.3f}".rstrip("0")
+    return s + "0" if s.endswith(".") else s
+
+
+def _render(value) -> str:
+    """Flower records render as a one-line summary; everything else as JSON."""
+    try:
+        flower = value_to_flower(value)
+    except FocusError:
+        return serialize(value)
+    m = flower.measurements
+    return (f"{flower.species}; "
+            f"Sepal ({_fmt(m.sepal_length)}, {_fmt(m.sepal_width)}); "
+            f"Petal ({_fmt(m.petal_length)}, {_fmt(m.petal_width)})")
+
+
+# action: (how it reads --arg into the combinator's argument, or None if it
+# does not; what it reads from --input: None, "document" or "list"; the
+# combinator, given the optic, the input and the argument; the printer)
+_ACTIONS = {
+    "view": (None, "document", lambda o, s, _: op.view(o, s), serialize),
+    "preview": (None, "document", lambda o, s, _: op.preview(o, s),
+                lambda a: "null" if a is None else serialize(a)),
+    "set": (_json_arg, "document", op.set_value, serialize),
+    "over": (_over_fn, "document", lambda o, s, f: op.over(o, f, s),
+             serialize),
+    "review": (_json_arg, None, lambda o, _, b: op.review(o, b), serialize),
+    "aggregate": (partial(_function, "aggregate", _AGGREGATE), "list",
+                  lambda o, ss, f: op.aggregate(o, f, ss), _render),
+    "classify": (_json_arg, "list", op.classify, _render),
+    "tolist": (None, "document", lambda o, s, _: op.to_list_of(o, s),
+               lambda foci: serialize(VList(tuple(foci)))),
+}
+ACTIONS = tuple(_ACTIONS)
 OPTIONS = ("--optic", "--input", "--arg", "--defs")
 
 HELP = f"""\
@@ -44,11 +157,6 @@ Options:
                 (over/aggregate).
   --defs TEXT   JSON file with extra named field/variant/each optics.
   --help        Show this message and exit."""
-
-
-class UsageError(OpticError):
-    """The command line, or a function name, file or ``--arg`` it gives,
-    cannot be used."""
 
 
 def _parse_argv(argv):
@@ -103,46 +211,6 @@ def _echo(stream, line: str):
     stream.buffer.flush()
 
 
-def _over_fn(name: str):
-    def uppercase(v):
-        if not isinstance(v, VText):
-            raise FocusError("uppercase expects a text focus")
-        return VText(v.value.upper())
-
-    def lowercase(v):
-        if not isinstance(v, VText):
-            raise FocusError("lowercase expects a text focus")
-        return VText(v.value.lower())
-
-    def increment(v):
-        if not isinstance(v, VNum):
-            raise FocusError("increment expects a number focus")
-        return VNum(v.value + 1)
-
-    def head(v):
-        if not isinstance(v, VList) or not v.items:
-            raise FocusError("head expects a non-empty list focus")
-        return v.items[0]
-
-    table = {"uppercase": uppercase, "lowercase": lowercase,
-             "increment": increment, "head": head}
-    if name not in table:
-        raise UsageError(f"unknown function {name!r} for over")
-    return table[name]
-
-
-def _aggregate_fn(name: str):
-    table = {
-        "mean": mean,
-        "maximum": max,
-        "minimum": min,
-        "head": lambda xs: xs[0],
-    }
-    if name not in table:
-        raise UsageError(f"unknown function {name!r} for aggregate")
-    return table[name]
-
-
 def _load_defs(path: str) -> dict:
     params = {"field": "key", "variant": "tag"}  # the spec key of the argument
     try:
@@ -167,52 +235,8 @@ def _load_defs(path: str) -> dict:
     return out
 
 
-def _read_document(source: str):
-    try:
-        if source == "-":
-            text = sys.stdin.buffer.read().decode("utf-8")
-        else:
-            with open(source, "rb") as handle:
-                text = handle.read().decode("utf-8")
-    except OSError as exc:
-        raise UsageError(str(exc))
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
-    return parse_json(text)
-
-
-def _require_list(doc, action: str):
-    if not isinstance(doc, VList):
-        raise FocusError(f"{action} expects a list document")
-    return list(doc.items)
-
-
-def _fmt(x: float) -> str:
-    s = f"{x:.3f}".rstrip("0")
-    return s + "0" if s.endswith(".") else s
-
-
-def _render(value) -> str:
-    """Flower records render as a one-line summary; everything else as JSON."""
-    try:
-        flower = value_to_flower(value)
-    except FocusError:
-        return serialize(value)
-    m = flower.measurements
-    return (f"{flower.species}; "
-            f"Sepal ({_fmt(m.sepal_length)}, {_fmt(m.sepal_width)}); "
-            f"Petal ({_fmt(m.petal_length)}, {_fmt(m.petal_width)})")
-
-
 def _warning_line(message, *_):
     _echo(sys.stderr, f"warning: {message}")
-
-
-def _parse_arg(arg: str):
-    if arg is None:
-        raise UsageError("this action needs --arg")
-    return parse_json(arg)
 
 
 def main(argv=None):
@@ -221,6 +245,7 @@ def main(argv=None):
     try:
         action, expression, source, arg, defs = _parse_argv(
             sys.argv[1:] if argv is None else argv)
+        read_arg, reads, run, prints = _ACTIONS[action]
         names = registry()
         if defs:
             names.update(_load_defs(defs))
@@ -228,41 +253,9 @@ def main(argv=None):
             warnings.simplefilter("always")
             warnings.showwarning = _warning_line
             optic = resolve_expr(parse_expr(expression), names)
-
-        if action == "view":
-            doc = _read_document(source)
-            out = serialize(op.view(optic, doc))
-        elif action == "preview":
-            doc = _read_document(source)
-            found = op.preview(optic, doc)
-            out = "null" if found is None else serialize(found)
-        elif action == "set":
-            value = _parse_arg(arg)
-            doc = _read_document(source)
-            out = serialize(op.set_value(optic, doc, value))
-        elif action == "over":
-            if arg is None:
-                raise UsageError("over needs --arg with a function name")
-            fn = _over_fn(arg)
-            doc = _read_document(source)
-            out = serialize(op.over(optic, fn, doc))
-        elif action == "review":
-            out = serialize(op.review(optic, _parse_arg(arg)))
-        elif action == "tolist":
-            doc = _read_document(source)
-            out = serialize(VList(tuple(op.to_list_of(optic, doc))))
-        elif action == "classify":
-            value = _parse_arg(arg)
-            training = _require_list(_read_document(source), "classify")
-            out = _render(op.classify(optic, training, value))
-        else:  # aggregate
-            if arg is None:
-                raise UsageError(
-                    "aggregate needs --arg with a function name"
-                )
-            fn = _aggregate_fn(arg)
-            batch = _require_list(_read_document(source), "aggregate")
-            out = _render(op.aggregate(optic, fn, batch))
+        given = None if read_arg is None else read_arg(arg)
+        doc = None if reads is None else _read_input(source, action, reads)
+        out = prints(run(optic, doc, given))
     except _RUNTIME_ERRORS as exc:
         _echo(sys.stderr, f"error: {exc}")
         sys.exit(1)

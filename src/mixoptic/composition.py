@@ -23,10 +23,14 @@ kind of the chain's ``_NATIVE`` row it reaches: traversal and affine
 chains keep lens, prism and affine segments as they are. An affine
 chain's ``access`` walks down once, to its focus or its first miss, and
 rebuilds upwards from there; a lens chain's ``over`` reads each part's
-view once. A chain of the join splices its parts in, and so does an affine
-chain entering a traversal. Segments collect in one list while the left
-fold's join stays the same, so building is linear in the operands, and the
-kind's functions loop over the parts, so applying is linear in depth.
+view once. A read never runs the write path: ``preview`` through a prism
+or affine chain (``_read``) and ``to_list_of`` through a traversal chain
+(``_read_all``) walk down only, keeping nothing to rebuild with. A chain
+of the join splices its parts in, and so do a prism chain entering an
+affine or traversal chain and an affine chain entering a traversal.
+Segments collect in one list while the left fold's join stays the same,
+so building is linear in the operands, and the kind's functions loop over
+the parts, so applying is linear in depth.
 A coercion into getter, fold, setter or review, whatever its path, is one
 record that runs the kind's combinator (such as ``over``) on the optic.
 ``encoding.ProfOptic.then`` stays nested: it is the independent oracle the
@@ -437,6 +441,41 @@ def _access(self, s):
     return Focus((s, partial(_rebuild, levels)))
 
 
+def _read(self, s):
+    # ``preview``'s walk: down to the focus, or ``None`` at the first miss,
+    # with nothing rebuilt and nothing kept
+    for p in self.parts:
+        kind = p.kind
+        if kind is K.LENS:
+            s = p.view(s)
+            continue
+        res = p.match(s) if kind is K.PRISM else p.access(s)
+        if isinstance(res, Miss):
+            return None
+        s = res.value if kind is K.PRISM else res.value[0]
+    return s
+
+
+def _read_all(self, s):
+    # ``to_list_of``'s walk: each level's foci, and nothing kept to rebuild
+    foci = [s]
+    for p in self.parts:
+        kind = p.kind
+        if kind is K.LENS:
+            foci = list(map(p.view, foci))
+        elif kind is K.PRISM:
+            foci = [res.value for res in map(p.match, foci)
+                    if not isinstance(res, Miss)]
+        elif kind is K.AFFINE_TRAVERSAL:
+            foci = [res.value[0] for res in map(p.access, foci)
+                    if not isinstance(res, Miss)]
+        else:
+            wholes, foci = foci, []
+            for whole in wholes:
+                foci += p.extract(whole)[0]
+    return foci
+
+
 def _rebuild(levels, b):
     for level in reversed(levels):
         b = level(b)
@@ -502,9 +541,9 @@ _CHAINS = {
         _chain_type(Lens, _VIEW, _lens_update, _over=_lens_over),
         _chain_type(AchromaticLens, _VIEW, _lens_update, _up("create"),
                     _over=_lens_over),
-        _chain_type(Prism, _match, _up("build")),
-        _chain_type(AffineTraversal, _access),
-        _chain_type(Traversal, _extract),
+        _chain_type(Prism, _match, _up("build"), _preview=_read),
+        _chain_type(AffineTraversal, _access, _preview=_read),
+        _chain_type(Traversal, _extract, _to_list=_read_all),
         _chain_type(Grate, _grate_run),
         _chain_type(Glass, _glass_run),
         _chain_type(Setter, _over),
@@ -532,12 +571,17 @@ _SEGMENT = {
 }
 
 
+# The chains whose parts a walk chain splices in besides its own kind's,
+# as it runs their parts as they are.
+_SPLICED = {K.TRAVERSAL: (K.AFFINE_TRAVERSAL, K.PRISM),
+            K.AFFINE_TRAVERSAL: (K.PRISM,)}
+
+
 def _segments(optic: Any, kind: OpticKind) -> tuple:
-    """A chain of ``kind`` splices in, and so does an affine chain into a
-    traversal, whose walk runs its parts as they are; any other optic is one
-    segment."""
-    if isinstance(optic, _Chain) and (optic.kind is kind or kind is K.TRAVERSAL
-                                      and optic.kind is K.AFFINE_TRAVERSAL):
+    """A chain of ``kind``, or of a kind ``_SPLICED`` names for it, splices
+    in; any other optic is one segment."""
+    if isinstance(optic, _Chain) and (optic.kind is kind or optic.kind
+                                      in _SPLICED.get(kind, ())):
         return optic.parts
     segment = _SEGMENT[kind][optic.kind]
     return (optic if optic.kind is segment else _coerce(optic, segment),)

@@ -42,9 +42,10 @@ class OpticKind(enum.Enum):
 _K = OpticKind
 
 # The combinators each kind's dispatch runs, named as the CLI actions plus
-# "mupdate" and "zip" (running a grate's or glass's continuation). An
-# achromatic lens previews through the lens case of ``view``, and ``set`` is
-# ``over`` with a constant function, so every kind that runs ``over`` sets.
+# "mupdate" and "zip" (running a grate's or glass's continuation). Every
+# kind that views previews, through the cases of ``view``; every kind that
+# previews lists its foci; and ``set`` is ``over`` with a constant function,
+# so every kind that runs ``over`` sets.
 NATIVES = {kind: frozenset(names.split()) for kind, names in {
     _K.ADAPTER: "view preview set over tolist review",
     _K.LENS: "view preview set over tolist",
@@ -58,7 +59,7 @@ NATIVES = {kind: frozenset(names.split()) for kind, names in {
     _K.GETTER: "view preview tolist",
     _K.REVIEW: "review",
     _K.FOLD: "tolist",
-    _K.ALGEBRAIC_LENS: "view set over tolist classify",
+    _K.ALGEBRAIC_LENS: "view preview set over tolist classify",
     _K.KALEIDOSCOPE: "set over aggregate",
     _K.MONADIC_LENS: "view preview set over tolist mupdate",
 }.items()}

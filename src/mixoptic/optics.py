@@ -78,6 +78,11 @@ class Prism(NamedTuple):
 
     kind = OpticKind.PRISM
 
+    def _preview(self, s):
+        # a composite's is one walk down that rebuilds nothing on a miss
+        res = self.match(s)
+        return res.value if isinstance(res, Focus) else None
+
 
 @record
 class AffineTraversal(NamedTuple):
@@ -87,6 +92,10 @@ class AffineTraversal(NamedTuple):
 
     kind = OpticKind.AFFINE_TRAVERSAL
 
+    def _preview(self, s):  # as a prism's
+        res = self.access(s)
+        return res.value[0] if isinstance(res, Focus) else None
+
 
 @record
 class Traversal(NamedTuple):
@@ -95,6 +104,10 @@ class Traversal(NamedTuple):
     extract: Callable[[Any], Tuple[Sequence[Any], Callable[[Sequence[Any]], Any]]]
 
     kind = OpticKind.TRAVERSAL
+
+    def _to_list(self, s):
+        # a composite's is one walk down that keeps nothing to rebuild with
+        return list(self.extract(s)[0])
 
 
 @record
@@ -209,12 +222,8 @@ def preview(optic: Any, source: Any) -> Any:
     """Return the focus if present, else None."""
     optic = _admit(optic, "preview", "preview through")
     kind = optic.kind
-    if kind is OpticKind.PRISM:
-        res = optic.match(source)
-        return res.value if isinstance(res, Focus) else None
-    if kind is OpticKind.AFFINE_TRAVERSAL:
-        res = optic.access(source)
-        return res.value[0] if isinstance(res, Focus) else None
+    if kind is OpticKind.PRISM or kind is OpticKind.AFFINE_TRAVERSAL:
+        return optic._preview(source)
     return view(optic, source)
 
 
@@ -266,8 +275,7 @@ def to_list_of(optic: Any, source: Any) -> List[Any]:
     if kind is OpticKind.FOLD:
         return list(optic.foci(source))
     if kind is OpticKind.TRAVERSAL:
-        foci, _ = optic.extract(source)
-        return list(foci)
+        return optic._to_list(source)
     if kind in (OpticKind.PRISM, OpticKind.AFFINE_TRAVERSAL):
         found = preview(optic, source)
         return [] if found is None else [found]

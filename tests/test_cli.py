@@ -63,6 +63,13 @@ def test_view_single_flower():
     }
 
 
+def test_preview_single_flower_prints_what_view_prints():
+    flower = _flower_json(5.0, 3.6, 1.4, 0.2, "Setosa")
+    viewed = run_cli("view", "--optic", "measure", stdin=flower)
+    previewed = run_cli("preview", "--optic", "measure", stdin=flower)
+    assert previewed == viewed and previewed.exit_code == 0
+
+
 def test_classify_against_dataset():
     result = run_cli("classify", "--optic", "measure", "--input", IRIS,
                  "--arg", json.dumps({"sepalLength": 4.8, "sepalWidth": 3.2,
@@ -133,6 +140,37 @@ def test_usage_errors_exit_two():
     result = run_cli("over", "--optic", "each", "--input", "-",
                  "--arg", "fliptwice", stdin="[1]")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("action", ["set", "review", "classify"])
+def test_a_malformed_arg_says_so(action):
+    result = run_cli(action, "--optic", 'field("a")', "--input", IRIS,
+                     "--arg", "{bad")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: --arg: Expecting property name enclosed "
+                             "in double quotes (line 1, column 2)\n")
+
+
+@pytest.mark.parametrize("action,line", [
+    ("set", "this action needs --arg"),
+    ("review", "this action needs --arg"),
+    ("classify", "this action needs --arg"),
+    ("over", "over needs --arg with a function name"),
+    ("aggregate", "aggregate needs --arg with a function name"),
+])
+def test_a_missing_arg_is_one_error_line(action, line):
+    result = run_cli(action, "--optic", "each", "--input", IRIS)
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("action", ["over", "aggregate"])
+def test_an_unknown_function_is_one_error_line(action):
+    result = run_cli(action, "--optic", "each", "--input", IRIS,
+                     "--arg", "fliptwice")
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        (2, "", f"error: unknown function 'fliptwice' for {action}\n")
 
 
 def test_defs_file_extends_registry(tmp_path):

@@ -24,7 +24,7 @@ import warnings
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixoptic import (
     AchromaticLens, Adapter, AffineTraversal, AlgebraicLens, Fallback, Focus,
@@ -127,6 +127,8 @@ def _observed(optic, kind, case):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(list(K)), min_size=2, max_size=8),
        st.integers(0, 2 ** 32))
+# a fold whose prism chain once rebuilt a miss through a build that fails
+@example(kinds=[K.PRISM, K.ADAPTER, K.PRISM, K.GETTER], seed=0)
 def test_chains_of_zoo_optics_match_the_transformer_oracle(kinds, seed):
     operands = [ENTRIES[k].optic for k in kinds]
     composite = check_against_the_joins(operands)

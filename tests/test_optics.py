@@ -129,8 +129,22 @@ def test_view_rejects_partial_optics():
 def test_preview_rejects_multi_focus_optics():
     with pytest.raises(KindError):
         preview(each(), [1])
-    with pytest.raises(KindError):
-        preview(measure_lens(), iris[0])
+
+
+def test_an_algebraic_lens_previews_its_one_focus():
+    assert preview(measure_lens(), iris[0]) == view(measure_lens(), iris[0])
+    assert to_list_of(measure_lens(), iris[0]) == \
+        [view(measure_lens(), iris[0])]
+
+
+@pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
+def test_natives_rows_are_closed_under_their_implications(kind):
+    # set is over with a constant function; a view is the one focus a
+    # preview finds, and a preview's result is a list of at most one focus
+    row = NATIVES[kind]
+    assert ("set" in row) == ("over" in row)
+    assert "view" not in row or "preview" in row
+    assert "preview" not in row or "tolist" in row
 
 
 def test_set_rejects_read_only_optics():
@@ -203,7 +217,8 @@ ADMITTED = {
     K.GETTER: {"view", "preview", "tolist"},
     K.REVIEW: {"review"},
     K.FOLD: {"tolist"},
-    K.ALGEBRAIC_LENS: {"view", "set", "over", "tolist", "classify"},
+    K.ALGEBRAIC_LENS: {"view", "preview", "set", "over", "tolist",
+                       "classify"},
     K.KALEIDOSCOPE: {"set", "over", "aggregate"},
     K.MONADIC_LENS: {"view", "preview", "set", "over", "tolist", "mupdate",
                      "zip"},

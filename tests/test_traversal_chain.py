@@ -20,8 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 from mixoptic import (
     AchromaticLens, Adapter, AffineTraversal, Focus, Lens, Miss, OpticKind,
     Prism, Traversal, VNum, compose, each_traversal, ex2prof, field_lens,
-    over, parse_json, preview, prof2ex, set_value, to_list_of, upcast,
-    variant_prism,
+    over, parse_json, preview, prof2ex, serialize, set_value, to_list_of,
+    upcast, variant_prism,
 )
 from mixoptic.composition import _CHAINS, _Chain, _coerce
 from mixoptic.errors import LengthError
@@ -138,7 +138,14 @@ def test_native_segments_match_the_all_traversal_chain(chain):
     reference = _CHAINS[K.TRAVERSAL](
         tuple(_coerce(p, K.TRAVERSAL) for p in native.parts))
     if len(native.parts) == len(kinds):  # no lower-kind run before it
-        assert [p.kind for p in native.parts] == [NATIVE[k] for k in kinds]
+        # a leading run of adapters and prisms is a prism chain, which
+        # splices in as prisms
+        lead = next((i for i, k in enumerate(kinds)
+                     if k not in (K.ADAPTER, K.PRISM)), len(kinds))
+        prisms = K.PRISM in kinds[:lead]
+        assert [p.kind for p in native.parts] == [
+            K.PRISM if prisms and i < lead else NATIVE[k]
+            for i, k in enumerate(kinds)]
 
     found = to_list_of(native, doc)
     assert found == to_list_of(reference, doc)
@@ -176,14 +183,61 @@ def test_reads_never_build_the_write_path():
         [VNum(1.0), VNum(3.0)]
 
 
+def counting(calls, optic, name):
+    """``optic`` with a call of its ``name`` function noted in ``calls``."""
+    run = getattr(optic, name)
+
+    def counted(*args):
+        calls.append(name)
+        return run(*args)
+
+    return optic._replace(**{name: counted})
+
+
+def test_a_missing_preview_rebuilds_nothing():
+    calls = []
+    prisms = compose(*(counting(calls, variant_prism(t), "build")
+                       for t in "abc"))
+    assert prisms.kind is K.PRISM
+    assert preview(prisms, parse_json('{"@a": {"@b": {"@u": 1}}}')) is None
+    assert to_list_of(prisms, parse_json('{"@a": {"@u": 1}}')) == []
+    lenses = [counting(calls, field_lens("k"), "update") for _ in range(8)]
+    affine = compose(*lenses, variant_prism("t"))
+    assert affine.kind is K.AFFINE_TRAVERSAL
+    doc = parse_json('{"k": ' * 8 + '{"@u": 1}' + "}" * 8)
+    assert preview(affine, doc) is None
+    assert to_list_of(affine, doc) == []
+    hit = parse_json('{"k": ' * 8 + '{"@t": 1}' + "}" * 8)
+    assert preview(affine, hit) == VNum(1.0)
+    assert calls == []
+    # the write path still rebuilds the whole above the miss
+    assert set_value(affine, doc, VNum(0.0)) == doc
+    assert calls == ["update"] * 8
+
+
+def test_a_prism_chain_in_a_traversal_reads_without_building():
+    calls = []
+    prisms = compose(*(counting(calls, variant_prism(t), "build")
+                       for t in "ab"))
+    optic = compose(each_traversal(), prisms)
+    assert not any(isinstance(p, _Chain) for p in optic.parts)
+    doc = parse_json('[{"@a": {"@b": 1}}, {"@a": {"@u": 2}}, {"@u": 3}]')
+    assert to_list_of(optic, doc) == [VNum(1.0)]
+    assert calls == []
+    assert serialize(set_value(optic, doc, VNum(5.0))) == \
+        '[{"@a": {"@b": 5}}, {"@a": {"@u": 2}}, {"@u": 3}]'
+
+
 def test_single_focus_segments_stay_native():
     names = registry()
     city = resolve_expr(parse_expr('each.field("address").city'), names)
     assert [type(p) for p in city.parts] == [Traversal, Lens, Lens]
     street = resolve_expr(parse_expr('each.field("postal").address.street'),
                           names)
+    # ``address`` is a chain of three prisms, which splices in
     assert [p.kind for p in street.parts] == \
-        [K.TRAVERSAL, K.LENS, K.PRISM, K.LENS]
+        [K.TRAVERSAL, K.LENS, K.PRISM, K.PRISM, K.PRISM, K.LENS]
+    assert not any(isinstance(p, _Chain) for p in street.parts[2:])
 
 
 @settings(max_examples=200, deadline=None)
