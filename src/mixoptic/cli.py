@@ -28,7 +28,7 @@ from .errors import (
     LengthError, OpticError, ParseError,
 )
 from .expr import _PARAMETERIZED, parse_expr, resolve_expr
-from .fixtures import mean, registry, value_to_flower
+from .fixtures import mean, read_flower, registry
 from .values import VList, VNum, VText, each_traversal, parse_json, serialize
 
 _RUNTIME_ERRORS = (FocusError, LengthError, EmptyTrainingError,
@@ -115,13 +115,12 @@ def _fmt(x: float) -> str:
 def _render(value) -> str:
     """Flower records render as a one-line summary; everything else as JSON."""
     try:
-        flower = value_to_flower(value)
+        _, numbers, species = read_flower(value)
     except FocusError:
         return serialize(value)
-    m = flower.measurements
-    return (f"{flower.species}; "
-            f"Sepal ({_fmt(m.sepal_length)}, {_fmt(m.sepal_width)}); "
-            f"Petal ({_fmt(m.petal_length)}, {_fmt(m.petal_width)})")
+    sepal_length, sepal_width, petal_length, petal_width = map(_fmt, numbers)
+    return (f"{species}; Sepal ({sepal_length}, {sepal_width}); "
+            f"Petal ({petal_length}, {petal_width})")
 
 
 # action: (how it reads --arg into the combinator's argument, or None if it

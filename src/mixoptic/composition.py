@@ -22,12 +22,13 @@ holding ``parts``, its segments outermost first, each coerced to the first
 kind of the chain's ``_NATIVE`` row it reaches: traversal and affine
 chains keep lens, prism and affine segments as they are. An affine
 chain's ``access`` walks down once, to its focus or its first miss, and
-rebuilds upwards from there; a lens chain's ``over`` reads each part's
-view once. A read never runs the write path: ``preview`` through a prism
-or affine chain (``_read``) and ``to_list_of`` through a traversal chain
-(``_read_all``) walk down only, keeping nothing to rebuild with. A chain
-of the join splices its parts in, and so do a prism chain entering an
-affine or traversal chain and an affine chain entering a traversal.
+rebuilds upwards from there; the ``over`` of a lens, achromatic-lens,
+algebraic-lens or monadic-lens chain reads each part's view once. A read
+never runs the write path: ``preview`` through a prism or affine chain
+(``_read``) and ``to_list_of`` through a traversal chain (``_read_all``)
+walk down only, keeping nothing to rebuild with. A chain of the join
+splices its parts in, and so do a prism chain entering an affine or
+traversal chain and an affine chain entering a traversal.
 Segments collect in one list while the left fold's join stays the same,
 so building is linear in the operands, and the kind's functions loop over
 the parts, so applying is linear in depth.
@@ -319,16 +320,28 @@ def _lens_over(self, fn, s):
     return _rise(parts, wholes, fn(parts[-1].view(wholes[-1])))
 
 
-def _mupdate(self, s, b):
+def _kleisli(parts, wholes, m):
     # the Kleisli rebuild: a lens maps its update over the effect, a
     # monadic lens binds its own, so the innermost log comes first
-    parts, m = self.parts, self.pure(b)
-    for p, whole in zip(reversed(parts), reversed(_wholes(parts, s))):
+    for p, whole in zip(reversed(parts), reversed(wholes)):
         if p.kind is K.MONADIC_LENS:
             m = m.bind(partial(p.mupdate, whole))
         else:
             m = m.map(partial(p.update, whole))
     return m
+
+
+def _mupdate(self, s, b):
+    parts = self.parts
+    return _kleisli(parts, _wholes(parts, s), self.pure(b))
+
+
+def _monadic_over(self, fn, s):
+    # as ``_lens_over``: the walk that reads the focus is the rebuild's
+    parts = self.parts
+    wholes = _wholes(parts, s)
+    b = fn(parts[-1].view(wholes[-1]))
+    return _kleisli(parts, wholes, self.pure(b)).value
 
 
 def _pure(self):
@@ -357,6 +370,16 @@ def _classify(self, ss, b):
     return b
 
 
+def _classify_over(self, fn, s):
+    # as ``_lens_over``: each part classifies the one whole it read
+    parts = self.parts
+    wholes = _wholes(parts, s)
+    b = fn(parts[-1].view(wholes[-1]))
+    for p, whole in zip(reversed(parts), reversed(wholes)):
+        b = p.classify([whole], b)
+    return b
+
+
 def _match(self, s):
     for depth, p in enumerate(self.parts):
         res = p.match(s)
@@ -369,18 +392,27 @@ def _match(self, s):
     return Focus(s)
 
 
+_HIT = object()  # what a prism level of ``_extract`` keeps for a hit
+
+
 def _extract(self, s):
     # a level: its part and one flat list its rebuild reads: a lens's
-    # wholes; per whole, what the prism's match or the affine's access
-    # returned; per whole of a traversal, the inner rebuild and its width
+    # wholes; per whole, the whole a prism's miss returned or ``_HIT``, or
+    # what the affine's access returned; per whole of a traversal, the
+    # inner rebuild and its width
     levels, foci = [], [s]
     for p in self.parts:
         wholes, kind = foci, p.kind
         if kind is K.LENS:
             memo, foci = wholes, list(map(p.view, wholes))
         elif kind is K.PRISM:
-            memo = list(map(p.match, wholes))
-            foci = [res.value for res in memo if not isinstance(res, Miss)]
+            memo, foci = [], []
+            for res in map(p.match, wholes):
+                if isinstance(res, Miss):
+                    memo.append(res.value)
+                else:
+                    memo.append(_HIT)
+                    foci.append(res.value)
         elif kind is K.AFFINE_TRAVERSAL:
             memo = list(map(p.access, wholes))
             foci = [res.value[0] for res in memo if not isinstance(res, Miss)]
@@ -407,8 +439,8 @@ def _extract(self, s):
                 bs = rebuilt
             elif kind is K.PRISM:
                 build, bs = p.build, iter(bs)
-                bs = [res.value if isinstance(res, Miss) else build(next(bs))
-                      for res in memo]
+                bs = [build(next(bs)) if kept is _HIT else kept
+                      for kept in memo]
             else:
                 bs = iter(bs)
                 bs = [res.value if isinstance(res, Miss)
@@ -550,10 +582,10 @@ _CHAINS = {
         _chain_type(Getter, _down("get")),
         _chain_type(Fold, _foci),
         _chain_type(Review, _up("build")),
-        _chain_type(AlgebraicLens, _VIEW, _classify),
+        _chain_type(AlgebraicLens, _VIEW, _classify, _over=_classify_over),
         _chain_type(Kaleidoscope, _up("aggregate")),
         _chain_type(MonadicLens, _VIEW, _mupdate, property(_pure),
-                    __init__=_one_pure),
+                    __init__=_one_pure, _over=_monadic_over),
     )
 }
 

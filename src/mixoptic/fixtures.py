@@ -1,9 +1,9 @@
 """Built-in fixtures: addresses, the iris dataset, and the logging box.
 
 The typed fixtures mirror the reference examples exactly. The ``value_*``
-optics for the document runtime used by the CLI are those same typed
-optics composed with ``Adapter``s built from the converters below, which
-encode addresses, flowers and measurements as records.
+optics, which the CLI's registry names, are the same optics over
+documents: one prism, one algebraic lens and one kaleidoscope that read
+and build address, flower and measurements records directly.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from enum import Enum
 from math import fsum, sqrt
 from typing import List, NamedTuple, Sequence
 
-from .composition import compose
 from .effects import Writer
 from .errors import FocusError
 from .optics import (
-    Adapter, AlgebraicLens, Focus, Kaleidoscope, Lens, Miss, MonadicLens,
-    Prism, Traversal,
+    AlgebraicLens, Focus, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
+    Traversal,
 )
 from .records import record
 from .values import (
@@ -123,25 +122,25 @@ def city_lens() -> Lens:
     )
 
 
+def _postal_parts(text: str):
+    """Street, city and country of a postal string, or None. Each part ends
+    at a comma, and the two characters from a comma on, ", ", are dropped."""
+    cut = text.find(",")
+    if cut < 0:
+        return None
+    rest = text[cut + 2:]
+    second = rest.find(",")
+    if second < 0:
+        return None
+    return text[:cut], rest[:second], rest[second + 2:]
+
+
 def address_prism() -> Prism:
     """Prism from a postal string to an Address, splitting on ", " twice."""
 
-    def read_until(text: str):
-        if "," not in text:
-            return None
-        cut = text.index(",")
-        return text[:cut], text[cut:]
-
     def match(text):
-        first = read_until(text)
-        if first is None:
-            return Miss(text)
-        street, rest = first
-        second = read_until(rest[2:])  # drop ", "
-        if second is None:
-            return Miss(text)
-        city, rest = second
-        return Focus(Address(street, city, rest[2:]))
+        parts = _postal_parts(text)
+        return Miss(text) if parts is None else Focus(Address(*parts))
 
     def build(a: Address) -> str:
         return f"{a.street}, {a.city}, {a.country}"
@@ -217,101 +216,124 @@ def box_lens() -> MonadicLens:
 
 
 # ---------------------------------------------------------------------------
-# Value encodings for the document runtime.
+# The same optics over documents, for the CLI's registry. Each reads and
+# builds its ``VRec``, ``VText`` and ``VNum`` records itself.
+
+_ADDRESS_KEYS = ("street", "city", "country")
 
 
-def address_to_value(a: Address) -> Value:
-    return VRec((
-        ("street", VText(a.street)),
-        ("city", VText(a.city)),
-        ("country", VText(a.country)),
-    ))
-
-
-def value_to_address(v: Value) -> Address:
+def _fields(v: Value, name: str, keys, cls, kind: str) -> list:
+    """The items of ``keys`` in the record ``v``, each a ``cls``; the
+    ``FocusError`` for the first miss names the record ``name``."""
     if not isinstance(v, VRec):
-        raise FocusError("expected an address record")
-    parts = []
-    for key in ("street", "city", "country"):
+        article = "an" if name[0] in "aeiou" else "a"
+        raise FocusError(f"expected {article} {name} record")
+    items = []
+    for key in keys:
         item = v.get(key)
-        if not isinstance(item, VText):
-            raise FocusError(f"address record needs text field {key!r}")
-        parts.append(item.value)
-    return Address(*parts)
+        if not isinstance(item, cls):
+            raise FocusError(f"{name} record needs {kind} field {key!r}")
+        items.append(item)
+    return items
 
 
-def measurements_to_value(m: Measurements) -> Value:
-    return VRec(tuple(
-        (key, VNum(component))
-        for key, component in zip(_MEASUREMENT_KEYS, m)
-    ))
+def _measurements(m: Value):
+    """A measurements record, ``VNum``s in ``_MEASUREMENT_KEYS`` order (``m``
+    itself when it is one), and its numbers."""
+    if type(m) is VRec and len(fields := m.fields) == 4:
+        (k0, a), (k1, b), (k2, c), (k3, d) = fields
+        if ((k0, k1, k2, k3) == _MEASUREMENT_KEYS
+                and type(a) is type(b) is type(c) is type(d) is VNum):
+            return m, [a.value, b.value, c.value, d.value]
+    numbers = [item.value for item in _fields(
+        m, "measurements", _MEASUREMENT_KEYS, VNum, "number")]
+    return VRec(tuple(zip(_MEASUREMENT_KEYS, map(VNum, numbers)))), numbers
 
 
-def value_to_measurements(v: Value) -> Measurements:
-    if not isinstance(v, VRec):
-        raise FocusError("expected a measurements record")
-    parts = []
-    for key in _MEASUREMENT_KEYS:
-        item = v.get(key)
-        if not isinstance(item, VNum):
-            raise FocusError(f"measurements record needs number field {key!r}")
-        parts.append(item.value)
-    return Measurements(*parts)
-
-
-def flower_to_value(f: Flower) -> Value:
-    return VRec((
-        ("measurements", measurements_to_value(f.measurements)),
-        ("species", VText(f.species.value)),
-    ))
-
-
-def value_to_flower(v: Value) -> Flower:
+def read_flower(v: Value):
+    """A flower record's measurements, as ``_measurements`` gives them, and
+    ``Species``; ``FocusError`` for the first it lacks of a record, a text
+    species, measurements and a known species."""
     if not isinstance(v, VRec):
         raise FocusError("expected a flower record")
     species = v.get("species")
     if not isinstance(species, VText):
         raise FocusError("flower record needs text field 'species'")
-    measurements = value_to_measurements(v.get("measurements"))
+    m, numbers = _measurements(v.get("measurements"))
     kind = _SPECIES.get(species.value)
     if kind is None:
         accepted = ", ".join(repr(s.value) for s in Species)
         raise FocusError(
             f"unknown species {species.value!r}; expected one of {accepted}")
-    return Flower(measurements, kind)
-
-
-def value_to_text(v: Value) -> str:
-    if not isinstance(v, VText):
-        raise FocusError("expected a text document")
-    return v.value
+    return m, numbers, kind
 
 
 def value_address_prism() -> Prism:
-    """The address prism over text documents."""
-    return compose(
-        Adapter(forward=value_to_text, backward=VText),
-        address_prism(),
-        Adapter(forward=address_to_value, backward=value_to_address),
-    )
+    """The address prism from a postal text to an address record."""
+
+    def match(value):
+        if not isinstance(value, VText):
+            raise FocusError("expected a text document")
+        parts = _postal_parts(value.value)
+        if parts is None:
+            return Miss(value)
+        return Focus(VRec(tuple(zip(_ADDRESS_KEYS, map(VText, parts)))))
+
+    def build(address):
+        street, city, country = _fields(address, "address", _ADDRESS_KEYS,
+                                        VText, "text")
+        return VText(f"{street.value}, {city.value}, {country.value}")
+
+    return Prism(match=match, build=build)
 
 
 def value_measure_lens() -> AlgebraicLens:
-    # the chain views each level once, so each training flower is
-    # converted once
-    return compose(
-        Adapter(forward=value_to_flower, backward=flower_to_value),
-        measure_lens(),
-        Adapter(forward=measurements_to_value, backward=value_to_measurements),
-    )
+    """The nearest-neighbour lens from a flower record to its measurements."""
+
+    def learn(flowers, query):
+        # a bad training flower is reported before a bad query or an
+        # overflow, and the first of them before the rest
+        flowers = iter(flowers)
+        try:
+            m, (a, b, c, d) = _measurements(query)
+        except FocusError:
+            for flower in flowers:
+                read_flower(flower)
+            raise
+        best = None
+        for flower in flowers:
+            _, (w, x, y, z), kind = read_flower(flower)
+            try:
+                # sum() adds as ``distance`` does: left to right up to
+                # Python 3.11, compensated from 3.12
+                gap = sqrt(sum(((a - w) ** 2, (b - x) ** 2,
+                                (c - y) ** 2, (d - z) ** 2)))
+            except OverflowError:
+                for flower in flowers:
+                    read_flower(flower)
+                raise
+            if best is None or gap < best:  # the earliest of tied distances
+                best, nearest = gap, kind
+        return VRec((("measurements", m), ("species", VText(nearest.value))))
+
+    return AlgebraicLens(view=lambda flower: read_flower(flower)[0],
+                         classify=learn)
 
 
 def value_aggregate_kaleidoscope() -> Kaleidoscope:
-    """Component-wise aggregation; the fold sees plain floats."""
-    return compose(
-        Adapter(forward=value_to_measurements, backward=measurements_to_value),
-        aggregate_kaleidoscope(),
-    )
+    """Folds each number of measurements records independently; the fold
+    sees plain numbers."""
+
+    def aggregate(f):
+        def run(ms):
+            columns = zip(*[_measurements(m)[1] for m in ms])
+            return VRec(tuple((key, VNum(f(list(column))))
+                              for key, column in zip(_MEASUREMENT_KEYS,
+                                                     columns)))
+
+        return run
+
+    return Kaleidoscope(aggregate=aggregate)
 
 
 # built-in names resolvable in optic expressions

@@ -165,6 +165,10 @@ class AlgebraicLens(NamedTuple):
 
     kind = OpticKind.ALGEBRAIC_LENS
 
+    def _over(self, fn, s):
+        # a composite's ``over`` reads each part's view once
+        return self.classify([s], fn(self.view(s)))
+
 
 @record
 class Kaleidoscope(NamedTuple):
@@ -184,6 +188,10 @@ class MonadicLens(NamedTuple):
     pure: Callable[[Any], Any]
 
     kind = OpticKind.MONADIC_LENS
+
+    def _over(self, fn, s):
+        # as an algebraic lens's: a composite's reads each part's view once
+        return self.mupdate(s, fn(self.view(s))).value
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +263,10 @@ def over(optic: Any, fn: Callable[[Any], Any], source: Any) -> Any:
         return optic.run(lambda k: fn(k(source)), source)
     if kind is OpticKind.SETTER:
         return optic.over(fn, source)
-    if kind is OpticKind.ALGEBRAIC_LENS:
-        return optic.classify([source], fn(optic.view(source)))
     if kind is OpticKind.KALEIDOSCOPE:
         return optic.aggregate(lambda foci: fn(foci[0]))([source])
-    # monadic lens
-    return optic.mupdate(source, fn(optic.view(source))).value
+    # an algebraic or monadic lens
+    return optic._over(fn, source)
 
 
 def set_value(optic: Any, source: Any, value: Any) -> Any:

@@ -15,9 +15,10 @@ from functools import reduce
 import pytest
 
 from mixoptic import (
-    AchromaticLens, Adapter, AffineTraversal, Fallback, Focus, INCOMPATIBLE,
-    Lens, Miss, OpticKind, compose, ex2prof, join_kind, over, parse_json,
-    prof2ex, preview, set_value, to_list_of, upcast, view,
+    AchromaticLens, Adapter, AffineTraversal, AlgebraicLens, Fallback, Focus,
+    INCOMPATIBLE, Lens, Miss, MonadicLens, OpticKind, Writer, compose,
+    ex2prof, join_kind, over, parse_json, prof2ex, preview, set_value,
+    to_list_of, upcast, view,
 )
 from mixoptic.errors import CompositionError
 from mixoptic.values import (
@@ -158,8 +159,24 @@ def test_lens_laws_hold_at_depth(shape, depth):
         assert tokens(set_value(optic, missed, new)) == tokens(missed)
 
 
+def _put(s, b):
+    return {**s, "k": b}
+
+
+# each lens-like kind's optic onto the key "k", given the view it runs
+KEY_OPTICS = {
+    Lens: lambda view: Lens(view, _put),
+    AchromaticLens: lambda view: AchromaticLens(view, _put,
+                                                lambda b: {"k": b}),
+    AlgebraicLens: lambda view: AlgebraicLens(
+        view, lambda ss, b: _put(ss[0], b)),
+    MonadicLens: lambda view: MonadicLens(
+        view, lambda s, b: Writer.tell(_put(s, b), "k"), Writer.pure),
+}
+
+
 @pytest.mark.parametrize("depth", [64, 1000])
-@pytest.mark.parametrize("cls", [Lens, AchromaticLens])
+@pytest.mark.parametrize("cls", list(KEY_OPTICS))
 def test_a_write_views_each_part_once(cls, depth):
     wholes = []
 
@@ -167,9 +184,7 @@ def test_a_write_views_each_part_once(cls, depth):
         wholes.append(s)
         return s["k"]
 
-    create = (lambda b: {"k": b},) if cls is AchromaticLens else ()
-    optic = reduce(compose,
-                   [cls(view_k, lambda s, b: {**s, "k": b}, *create)] * depth)
+    optic = reduce(compose, [KEY_OPTICS[cls](view_k)] * depth)
     assert optic.kind is cls.kind and len(optic.parts) == depth
     doc = 0
     for _ in range(depth):

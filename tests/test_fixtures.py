@@ -9,11 +9,9 @@ from mixoptic import (
     Writer, aggregate, classify, mupdate, over, preview, review, view,
 )
 from mixoptic.fixtures import (
-    Address, Box, Flower, Measurements, Species, address_prism,
-    address_to_value, aggregate_kaleidoscope, box_lens, city_lens, distance,
-    flower_to_value, home, iris, mail, mean, measure_lens,
-    measurements_to_value, street_lens, value_to_address, value_to_flower,
-    value_to_measurements,
+    Address, Box, Measurements, Species, address_prism,
+    aggregate_kaleidoscope, box_lens, city_lens, distance, home, iris, mail,
+    mean, measure_lens, street_lens,
 )
 
 from conftest import gen_address
@@ -101,12 +99,3 @@ def test_box_lens_logs_every_update():
     w = mupdate(lens, Box(42), "hello")
     assert w == Writer(Box("hello"),
                        ('[box]: contents changed to "hello".',))
-
-
-def test_value_codecs_round_trip():
-    a = Address("1 Acre Fold", "Truro", "UK")
-    assert value_to_address(address_to_value(a)) == a
-    m = iris[10].measurements
-    assert value_to_measurements(measurements_to_value(m)) == m
-    f = iris[120]
-    assert value_to_flower(flower_to_value(f)) == f

@@ -10,8 +10,8 @@ transformer oracle.
 import pytest
 
 from mixoptic import (
-    MonadicLens, OpticKind, Opt, Writer, compose, ex2prof, mupdate, prof2ex,
-    view,
+    MonadicLens, OpticKind, Opt, Writer, compose, ex2prof, mupdate, over,
+    prof2ex, view,
 )
 from mixoptic.errors import CompositionError
 
@@ -65,6 +65,8 @@ def test_logs_come_innermost_first_as_in_the_oracle():
     assert got == mupdate(oracle(optics), doc, "new")
     assert got == Writer(nested("abcde", "new"),
                          ("[e] set", "[c] set", "[a] set"))
+    # ``over`` reads the focus on the walk that rebuilds
+    assert over(composed, lambda old: "new", doc) == got.value
     assert view(composed, doc) == "old"
 
 

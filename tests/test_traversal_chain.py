@@ -234,10 +234,18 @@ def test_single_focus_segments_stay_native():
     assert [type(p) for p in city.parts] == [Traversal, Lens, Lens]
     street = resolve_expr(parse_expr('each.field("postal").address.street'),
                           names)
-    # ``address`` is a chain of three prisms, which splices in
     assert [p.kind for p in street.parts] == \
+        [K.TRAVERSAL, K.LENS, K.PRISM, K.LENS]
+    # a chain of three prisms splices in as three prism segments
+    names["tags"] = compose(*(variant_prism(t) for t in "abc"))
+    tagged = resolve_expr(parse_expr('each.field("postal").tags.street'),
+                          names)
+    assert [p.kind for p in tagged.parts] == \
         [K.TRAVERSAL, K.LENS, K.PRISM, K.PRISM, K.PRISM, K.LENS]
-    assert not any(isinstance(p, _Chain) for p in street.parts[2:])
+    assert not any(isinstance(p, _Chain) for p in tagged.parts[2:])
+    doc = parse_json('[{"postal": {"@a": {"@b": {"@c": {"street": "x"}}}}},'
+                     ' {"postal": {"@a": {"@u": 1}}}]')
+    assert to_list_of(tagged, doc) == [parse_json('"x"')]
 
 
 @settings(max_examples=200, deadline=None)
