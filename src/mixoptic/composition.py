@@ -40,7 +40,6 @@ tests hold ``compose`` to.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Any, NamedTuple, Optional
@@ -185,6 +184,8 @@ INCOMPATIBLE = _Incompatible()
 # The kinds each kind coerces to, itself included: the order the join reads.
 _ABOVE = {kind: frozenset(goal for source, goal in _COERCION_PATHS
                           if source is kind) for kind in OpticKind}
+_STRICTLY_ABOVE = {kind: above - {kind} for kind, above in _ABOVE.items()}
+_ORDER = tuple(OpticKind)
 
 
 @lru_cache(maxsize=None)
@@ -197,12 +198,12 @@ def _join(kinds: frozenset):
         return INCOMPATIBLE
     common = frozenset.intersection(*(_ABOVE[k] for k in kinds))
     # the kinds in common that no other kind in common coerces to
-    least = common.difference(*(_ABOVE[c] - {c} for c in common))
+    least = common.difference(*(_STRICTLY_ABOVE[c] for c in common))
     if not least:
         return INCOMPATIBLE
     # achromatic-lens and prism have two, affine-traversal and review;
     # declaration order picks affine-traversal
-    joined = next(k for k in OpticKind if k in least)
+    joined = next(k for k in _ORDER if k in least)
     if joined is K.SETTER and K.SETTER not in kinds:
         return Fallback()
     return joined
@@ -628,6 +629,8 @@ def _fail_once(kinds: list, joined) -> OpticKind:
         if pair is INCOMPATIBLE:
             raise CompositionError(kind, nxt)
         if isinstance(pair, Fallback) and joined is not INCOMPATIBLE:
+            import warnings  # the only warning; kept off the import path
+
             warnings.warn(f"{kind.value} and {nxt.value} compose only as a "
                           "setter", stacklevel=3)
             return K.SETTER

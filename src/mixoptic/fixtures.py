@@ -1,36 +1,23 @@
-"""Built-in fixtures: addresses, the iris dataset, and the logging box.
+"""The registry's optics over documents, and what the CLI reads with them.
 
-The typed fixtures mirror the reference examples exactly. The ``value_*``
-optics, which the CLI's registry names, are the same optics over
-documents: one prism, one algebraic lens and one kaleidoscope that read
-and build address, flower and measurements records directly.
+``registry`` names the optics an expression can use: the address prism
+from a postal text to an address record, the nearest-neighbour algebraic
+lens from a flower record to its measurements, and the kaleidoscope that
+folds each number of measurements records. Each reads and builds its
+documents directly. ``read_flower``, ``Species`` and ``mean`` serve the
+CLI's flower summary and its folds.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from enum import Enum
 from math import fsum, sqrt
-from typing import List, NamedTuple, Sequence
 
-from .effects import Writer
 from .errors import FocusError
-from .optics import (
-    AlgebraicLens, Focus, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
-    Traversal,
-)
-from .records import record
+from .optics import AlgebraicLens, Focus, Kaleidoscope, Miss, Prism
 from .values import (
     VNum, VRec, VText, Value, each_traversal, field_lens,
 )
-
-
-@record
-class Address(NamedTuple):
-    street: str
-    city: str
-    country: str
 
 
 class Species(Enum):
@@ -44,82 +31,7 @@ class Species(Enum):
 
 _SPECIES = {s.value: s for s in Species}
 
-
-@record
-class Measurements(NamedTuple):
-    sepal_length: float
-    sepal_width: float
-    petal_length: float
-    petal_width: float
-
-    def as_tuple(self):
-        return tuple(self)
-
-
-@record
-class Flower(NamedTuple):
-    measurements: Measurements
-    species: Species
-
-
-@record
-class Box(NamedTuple):
-    contents: object
-
-
-home = "221b Baker St, London, UK"
-
-mail = [
-    "43 Adlington Rd, Wilmslow, United Kingdom",
-    "26 Westcott Rd, Princeton, USA",
-    "St James's Square, London, United Kingdom",
-]
-
-
 _MEASUREMENT_KEYS = ("sepalLength", "sepalWidth", "petalLength", "petalWidth")
-
-_IRIS_JSON = os.path.join(os.path.dirname(__file__), "data", "iris.json")
-
-
-def load_iris() -> List[Flower]:
-    """The 150-row iris table shipped as ``data/iris.json``, in centimetres."""
-    with open(_IRIS_JSON, encoding="utf-8") as handle:
-        rows = json.load(handle)
-    # the file writes whole numbers as 3, not 3.0
-    return [
-        Flower(
-            Measurements(*(float(row["measurements"][key])
-                           for key in _MEASUREMENT_KEYS)),
-            Species(row["species"]),
-        )
-        for row in rows
-    ]
-
-
-def __getattr__(name):
-    # ``iris`` is read on first use and then kept as a module global
-    if name == "iris":
-        globals()["iris"] = found = load_iris()
-        return found
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Typed optics.
-
-
-def street_lens() -> Lens:
-    return Lens(
-        view=lambda a: a.street,
-        update=lambda a, b: a._replace(street=b),
-    )
-
-
-def city_lens() -> Lens:
-    return Lens(
-        view=lambda a: a.city,
-        update=lambda a, b: a._replace(city=b),
-    )
 
 
 def _postal_parts(text: str):
@@ -135,89 +47,13 @@ def _postal_parts(text: str):
     return text[:cut], rest[:second], rest[second + 2:]
 
 
-def address_prism() -> Prism:
-    """Prism from a postal string to an Address, splitting on ", " twice."""
-
-    def match(text):
-        parts = _postal_parts(text)
-        return Miss(text) if parts is None else Focus(Address(*parts))
-
-    def build(a: Address) -> str:
-        return f"{a.street}, {a.city}, {a.country}"
-
-    return Prism(match=match, build=build)
-
-
-def each() -> Traversal:
-    """Traversal over the elements of a plain list, in order."""
-
-    def extract(items: Sequence):
-        got = list(items)
-        return got, lambda bs: list(bs)
-
-    return Traversal(extract=extract)
-
-
-def distance(a: Measurements, b: Measurements) -> float:
-    return sqrt(sum(
-        (x - y) ** 2 for x, y in zip(a, b)
-    ))
-
-
-def measure_lens() -> AlgebraicLens:
-    """Nearest-neighbour classifying lens over flowers."""
-
-    def learn(flowers: Sequence[Flower], m: Measurements) -> Flower:
-        # min() keeps the earliest of tied distances
-        nearest = min(flowers, key=lambda f: distance(m, f.measurements))
-        return Flower(m, nearest.species)
-
-    return AlgebraicLens(view=lambda f: f.measurements, classify=learn)
-
-
-def aggregate_kaleidoscope() -> Kaleidoscope:
-    """Folds each of the four measurement components independently."""
-
-    def aggregate(f):
-        def run(ms: Sequence[Measurements]) -> Measurements:
-            return Measurements(
-                f([m.sepal_length for m in ms]),
-                f([m.sepal_width for m in ms]),
-                f([m.petal_length for m in ms]),
-                f([m.petal_width for m in ms]),
-            )
-
-        return run
-
-    return Kaleidoscope(aggregate=aggregate)
-
-
-def mean(xs: Sequence[float]) -> float:
+def mean(xs: list) -> float:
     try:
         return fsum(xs) / len(xs)
     except OverflowError:  # the sum leaves the float range; the mean need not
         n = len(xs)
         return fsum(x / n for x in xs)
 
-
-def box_lens() -> MonadicLens:
-    """Logs every update to the box contents."""
-
-    def mupdate(box: Box, new) -> Writer:
-        shown = json.dumps(new) if isinstance(new, (str, int, float)) \
-            else str(new)
-        return Writer.tell(Box(new), f"[box]: contents changed to {shown}.")
-
-    return MonadicLens(
-        view=lambda box: box.contents,
-        mupdate=mupdate,
-        pure=Writer.pure,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The same optics over documents, for the CLI's registry. Each reads and
-# builds its ``VRec``, ``VText`` and ``VNum`` records itself.
 
 _ADDRESS_KEYS = ("street", "city", "country")
 
@@ -304,14 +140,15 @@ def value_measure_lens() -> AlgebraicLens:
         for flower in flowers:
             _, (w, x, y, z), kind = read_flower(flower)
             try:
-                # sum() adds as ``distance`` does: left to right up to
-                # Python 3.11, compensated from 3.12
+                # sum() adds as the typed example's ``distance`` does: left
+                # to right up to Python 3.11, compensated from 3.12
                 gap = sqrt(sum(((a - w) ** 2, (b - x) ** 2,
                                 (c - y) ** 2, (d - z) ** 2)))
-            except OverflowError:
+            except OverflowError:  # float ``**`` raises past the range
                 for flower in flowers:
                     read_flower(flower)
-                raise
+                raise FocusError(
+                    "distance between measurements out of range") from None
             if best is None or gap < best:  # the earliest of tied distances
                 best, nearest = gap, kind
         return VRec((("measurements", m), ("species", VText(nearest.value))))

@@ -5,11 +5,11 @@ position or by keyword, with defaults; its fields cannot be assigned; it
 hashes as the tuple of its fields; and it equals another record only of the
 same class with equal fields, as a frozen dataclass does, so
 ``Focus(1) != Miss(1)`` and ``VText("a") != ("a",)``. The optics, the
-document values, the fixture records, the carriers, ``FunList`` and
-``ProfOptic`` are records. A NamedTuple class is made without the code
-generation a dataclass runs when it is defined, so no module of the
-library loads ``dataclasses`` or ``inspect``; a copy with some fields
-changed is ``r._replace(field=...)``.
+document values, the carriers, ``FunList`` and ``ProfOptic`` are
+records. A NamedTuple class is made without the code generation a
+dataclass runs when it is defined, so no module of the library loads
+``dataclasses`` or ``inspect``; a copy with some fields changed is
+``r._replace(field=...)``.
 """
 
 from __future__ import annotations

@@ -21,11 +21,12 @@ from mixoptic import (
     Focus, Miss, Writer, aggregate, classify, compose, grate_apply, mupdate,
     preview, review, over, to_list_of, upcast, view,
 )
-from mixoptic.fixtures import (
+from mixoptic.cli import main
+
+from typed_examples import (
     Address, Box, Flower, Measurements, address_prism, aggregate_kaleidoscope,
     box_lens, each, iris, measure_lens, street_lens,
 )
-from mixoptic.cli import main
 
 K = OpticKind
 

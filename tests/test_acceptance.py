@@ -17,9 +17,10 @@ from mixoptic import (
     OpticKind, Setter, compose, ex2prof, prof2ex, Fallback, join_kind,
     mupdate, over, view,
 )
-from mixoptic.fixtures import Box, Species, box_lens, iris, measure_lens
+from mixoptic.fixtures import Species
 
 from conftest import assert_extensionally_equal, run_cli, zoo
+from typed_examples import Box, box_lens, iris, measure_lens
 import test_carriers
 import test_composition
 import test_funlist
@@ -74,7 +75,7 @@ def test_criterion_3_view_and_classify_measurements():
         alg = measure_lens()
         assert view(alg, iris[4]).as_tuple() == (5.0, 3.6, 1.4, 0.2)
         from mixoptic import classify
-        from mixoptic.fixtures import Measurements
+        from typed_examples import Measurements
         probe = Measurements(4.8, 3.2, 3.5, 2.1)
         got = classify(alg, iris, probe)
         assert got.species is Species.VERSICOLOR
@@ -86,9 +87,8 @@ def test_criterion_3_view_and_classify_measurements():
 def test_criterion_4_aggregate_means_classify_versicolor():
     def check():
         from mixoptic import aggregate
-        from mixoptic.fixtures import (
-            aggregate_kaleidoscope, mean, measure_lens,
-        )
+        from mixoptic.fixtures import mean
+        from typed_examples import aggregate_kaleidoscope, measure_lens
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             composite = compose(measure_lens(), aggregate_kaleidoscope())

@@ -229,6 +229,18 @@ def test_unknown_species_is_one_error_line():
     ]
 
 
+def test_an_overflowing_distance_is_one_error_line():
+    result = run_process("classify", "--optic", "measure", "--input", IRIS,
+                         "--arg", json.dumps({
+                             "sepalLength": 1e200, "sepalWidth": 3.2,
+                             "petalLength": 3.5, "petalWidth": 2.1}),
+                         stdin=None)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: distance between measurements out of range"]
+
+
 def _nested_list(depth):
     return "[" * depth + "1" + "]" * depth
 

@@ -20,17 +20,17 @@ from mixoptic import (
     upcast, over, preview, review, to_list_of, view,
 )
 from mixoptic.errors import CompositionError, UpcastError
-from mixoptic.fixtures import (
-    Address, Box, Flower, Measurements, Species, address_prism,
-    aggregate_kaleidoscope, box_lens, each, box_lens as _bl, measure_lens,
-    street_lens,
-)
+from mixoptic.fixtures import Species
 from mixoptic.optics import AlgebraicLens, MonadicLens
 
 from conftest import (
     OBSERVERS, addr_ach, dict_grate, gen_address, gen_flower,
     gen_measurements, gen_postal, key_lens, pair_kal, swap_adapter,
     tag_prism, zoo,
+)
+from typed_examples import (
+    Address, Box, Flower, Measurements, address_prism, aggregate_kaleidoscope,
+    box_lens, each, box_lens as _bl, measure_lens, street_lens,
 )
 
 K = OpticKind

@@ -10,9 +10,9 @@ from mixoptic import (
     ex2prof, prof2ex, preview, view, over,
 )
 from mixoptic.errors import NormalFormError
-from mixoptic.fixtures import address_prism, box_lens, street_lens
 
 from conftest import OBSERVERS, assert_extensionally_equal, zoo
+from typed_examples import address_prism, box_lens, street_lens
 
 K = OpticKind
 
@@ -51,7 +51,7 @@ def test_extraction_fails_without_needed_carriers():
     with pytest.raises(NormalFormError):
         prof2ex(p, K.LENS)
     # but it is a perfectly good affine traversal
-    from mixoptic.fixtures import Address
+    from typed_examples import Address
     affine = prof2ex(p, K.AFFINE_TRAVERSAL)
     a = Address("221b Baker St, London, UK", "London", "UK")
     assert preview(affine, a) == Address("221b Baker St", "London", "UK")
@@ -100,7 +100,7 @@ def test_pure_propagates_through_composition():
     p = ex2prof(ex_lens_into_box()).then(ex2prof(box_lens()))
     assert p.pure is not None
     recovered = prof2ex(p, K.MONADIC_LENS)
-    from mixoptic.fixtures import Box
+    from typed_examples import Box
     from mixoptic import mupdate
     got = mupdate(recovered, {"box": Box("a"), "n": 1}, "b")
     assert got.value == {"box": Box("b"), "n": 1}

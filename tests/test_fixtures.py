@@ -1,4 +1,5 @@
-"""Domain fixtures: addresses, the flower dataset, and the logging box."""
+"""The typed examples (addresses, the flower dataset, the logging box) and
+the species and mean that ``mixoptic.fixtures`` keeps for the CLI."""
 
 import math
 import random
@@ -8,21 +9,21 @@ import pytest
 from mixoptic import (
     Writer, aggregate, classify, mupdate, over, preview, review, view,
 )
-from mixoptic.fixtures import (
-    Address, Box, Measurements, Species, address_prism,
-    aggregate_kaleidoscope, box_lens, city_lens, distance, home, iris, mail,
-    mean, measure_lens, street_lens,
-)
+from mixoptic.fixtures import Species, mean
 
 from conftest import gen_address
+from typed_examples import (
+    Address, Box, Measurements, address_prism, aggregate_kaleidoscope,
+    box_lens, city_lens, distance, home, iris, mail, measure_lens, street_lens,
+)
 
 
 def test_iris_is_read_once():
-    import mixoptic.fixtures as fixtures
+    import typed_examples
 
-    assert fixtures.iris is iris
+    assert typed_examples.iris is iris
     with pytest.raises(AttributeError, match="no_such_fixture"):
-        fixtures.no_such_fixture
+        typed_examples.no_such_fixture
 
 
 def test_dataset_shape():

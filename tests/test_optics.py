@@ -12,13 +12,14 @@ from mixoptic import (
 )
 from mixoptic.composition import ADMITS, _EDGES, _ROUTE
 from mixoptic.errors import EmptyInputError, EmptyTrainingError, KindError
-from mixoptic.fixtures import (
-    Address, Flower, Species, address_prism, aggregate_kaleidoscope,
-    each, iris, measure_lens, street_lens,
-)
+from mixoptic.fixtures import Species
 from mixoptic.kinds import NATIVES
 
 from conftest import addr_ach, gen_address, gen_postal, zoo
+from typed_examples import (
+    Address, Flower, address_prism, aggregate_kaleidoscope, each, iris,
+    measure_lens, street_lens,
+)
 
 K = OpticKind
 

@@ -72,10 +72,26 @@ def test_cli_import_loads_no_transformer_modules():
         assert f"mixoptic.{module}" not in loaded
 
 
-def test_cli_import_leaves_iris_unread():
-    loaded = fresh("import sys, mixoptic.cli\n"
-                   "print('iris' in vars(sys.modules['mixoptic.fixtures']))")
-    assert loaded == ["False"]
+TYPED_EXAMPLES = (
+    "Address", "Measurements", "Flower", "Box", "home", "mail", "load_iris",
+    "iris", "street_lens", "city_lens", "address_prism", "each", "distance",
+    "measure_lens", "aggregate_kaleidoscope", "box_lens",
+)
+
+
+def test_set_up_imports_load_no_typed_examples():
+    # the typed examples live in the tests, so neither the CLI nor a
+    # library set-up builds them or the effects their logging box needs
+    for modules in ("mixoptic.cli",
+                    "mixoptic, mixoptic.expr, mixoptic.fixtures"):
+        loaded = fresh(f"import sys, {modules}\n"
+                       "print(*sorted(m for m in sys.modules "
+                       "if m.startswith('mixoptic')))")
+        assert "mixoptic.fixtures" in loaded
+        assert "mixoptic.effects" not in loaded
+    import mixoptic.fixtures as fixtures
+
+    assert [name for name in TYPED_EXAMPLES if hasattr(fixtures, name)] == []
 
 
 def test_imports_leave_dataclasses_and_inspect_unloaded():

@@ -1,6 +1,6 @@
 """The contract of the small immutable records: the concrete optics, the
 partial-match results, ``Fallback``, ``expr.Segment``, the effects, the
-document values, the fixture records, the carriers, ``FunList`` and
+document values, the typed example records, the carriers, ``FunList`` and
 ``ProfOptic``.
 
 Each is built by position and by keyword, cannot be assigned, prints as
@@ -17,9 +17,11 @@ from mixoptic import (
     VNull, VNum, VRec, VTag, VText, Writer, carriers, compose,
 )
 from mixoptic.expr import Segment, parse_expr
-from mixoptic.fixtures import Address, Box, Flower, Measurements, Species
+from mixoptic.fixtures import Species
 from mixoptic.funlist import FunList
 from mixoptic.values import NULL
+
+from typed_examples import Address, Box, Flower, Measurements
 
 K = OpticKind
 

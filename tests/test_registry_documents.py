@@ -1,7 +1,7 @@
 """The registry's document optics against their typed reference.
 
 ``address``, ``measure`` and ``aggregate`` read and build documents
-directly. ``typed_registry`` states the same optics as the typed fixtures
+directly. ``typed_registry`` states the same optics as the typed examples
 composed with converters between documents and typed records. On every
 drawn document, each combinator gives the same value through both, or
 raises the same error class with the same message: a bad training flower
@@ -17,11 +17,12 @@ from mixoptic import (
 from mixoptic.cli import _render
 from mixoptic.expr import parse_expr, resolve_expr
 from mixoptic.fixtures import (
-    Address, Species, iris, mean, registry, value_address_prism,
-    value_aggregate_kaleidoscope, value_measure_lens,
+    Species, mean, registry, value_address_prism, value_aggregate_kaleidoscope,
+    value_measure_lens,
 )
 from mixoptic.values import VList, VNum, VRec, VText, field_lens
 
+from typed_examples import Address, iris
 from typed_registry import (
     MEASUREMENT_KEYS, address_to_value, flower_to_value,
     measurements_to_value, render, typed_address_prism,
@@ -172,6 +173,8 @@ def test_measure_matches_the_typed_lens(flower, query):
 @example([GOOD, VRec((("measurements", QUERY), ("species", VText("Rosa"))))],
          VRec(()))
 @example([GOOD, VText("x")],
+         VRec(tuple((k, VNum(1e200)) for k in MEASUREMENT_KEYS)))
+@example([GOOD, GOOD],
          VRec(tuple((k, VNum(1e200)) for k in MEASUREMENT_KEYS)))
 def test_classify_matches_the_typed_lens(flowers, query):
     got = same(lambda n, ss, b: classify(n["measure"], ss, b), flowers, query)

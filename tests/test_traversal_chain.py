@@ -26,9 +26,10 @@ from mixoptic import (
 from mixoptic.composition import _CHAINS, _Chain, _coerce
 from mixoptic.errors import LengthError
 from mixoptic.expr import parse_expr, resolve_expr
-from mixoptic.fixtures import each, registry
+from mixoptic.fixtures import registry
 
 from conftest import key_lens, tag_prism
+from typed_examples import each
 
 K = OpticKind
 

@@ -1,21 +1,23 @@
-"""The registry's document optics as typed fixtures composed with converters.
+"""The registry's document optics as typed examples composed with converters.
 
 This is the reference the document-native ``value_*`` optics of
 ``mixoptic.fixtures`` are held to: each converts a document to a typed
-record (``Address``, ``Flower``, ``Measurements``), runs the typed fixture
-on it and converts the result back, through ``Adapter``s. ``render`` is the
-CLI's flower summary over the typed record.
+record (``Address``, ``Flower``, ``Measurements``), runs the typed example
+of ``typed_examples`` on it and converts the result back, through
+``Adapter``s. ``render`` is the CLI's flower summary over the typed record.
 """
 
 from __future__ import annotations
 
 from mixoptic import Adapter, compose
 from mixoptic.errors import FocusError
-from mixoptic.fixtures import (
-    Address, Flower, Measurements, Species, address_prism,
-    aggregate_kaleidoscope, measure_lens,
-)
+from mixoptic.fixtures import Species
 from mixoptic.values import VNum, VRec, VText, serialize
+
+from typed_examples import (
+    Address, Flower, Measurements, address_prism, aggregate_kaleidoscope,
+    measure_lens,
+)
 
 MEASUREMENT_KEYS = ("sepalLength", "sepalWidth", "petalLength", "petalWidth")
 SPECIES = {s.value: s for s in Species}
@@ -97,9 +99,19 @@ def typed_address_prism():
 
 
 def typed_measure_lens():
+    lens = measure_lens()
+
+    def learn(flowers, m):
+        # the CLI reports a runtime error, not the float ``**`` overflow
+        try:
+            return lens.classify(flowers, m)
+        except OverflowError:
+            raise FocusError(
+                "distance between measurements out of range") from None
+
     return compose(
         Adapter(forward=value_to_flower, backward=flower_to_value),
-        measure_lens(),
+        lens._replace(classify=learn),
         Adapter(forward=measurements_to_value, backward=value_to_measurements),
     )
 
