@@ -4,7 +4,8 @@ Every action is one row of ``_ACTIONS``: how it reads ``--arg``, what it
 reads from ``--input``, the combinator it runs and how it prints the
 result. ``main`` is one path through the row: parse the command line, build
 the names (the registry and ``--defs``), resolve the expression, read
-``--arg``, read the input, apply, print.
+``--arg``, check that the optic admits the action, read the input, apply,
+print.
 
 Exit codes: 0 on success (a preview miss is success and prints ``null``),
 1 for runtime errors raised while applying an optic (shape, length,
@@ -253,6 +254,7 @@ def main(argv=None):
             warnings.showwarning = _warning_line
             optic = resolve_expr(parse_expr(expression), names)
         given = None if read_arg is None else read_arg(arg)
+        op._admit(optic, action)  # a wrong kind is usage, whatever the input
         doc = None if reads is None else _read_input(source, action, reads)
         out = prints(run(optic, doc, given))
     except _RUNTIME_ERRORS as exc:

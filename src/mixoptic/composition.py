@@ -4,7 +4,7 @@ Every coercion edge is one row of ``_EDGES``: how it builds the goal optic
 and whether it is public. ``upcast`` embeds an optic into a more general
 kind along the public edges only, and ``compose`` along all of them; both
 follow shortest paths computed once at import. A kind admits what every
-kind it upcasts to, itself included, runs natively (``kinds.NATIVES``):
+kind it upcasts to, itself included, runs natively (``optics.NATIVES``):
 ``ADMITS`` is derived so, and ``_ROUTE`` names, for each admitted cell that
 is not native, the kind its combinator runs at.
 
@@ -17,23 +17,24 @@ where it fails or falls back, ``compose`` raises or warns once, naming the
 first pair where the left fold of ``join_kind`` does. Achromatic-lens and
 prism join to affine-traversal, which review cannot reach, so only the
 flat ``compose(ach, prism, review)`` is a review; nested, it raises.
-For every kind the result is a flat chain: an instance of the kind's class
-holding ``parts``, its segments outermost first, each coerced to the first
-kind of the chain's ``_NATIVE`` row it reaches: traversal and affine
-chains keep lens, prism and affine segments as they are. An affine
-chain's ``access`` walks down once, to its focus or its first miss, and
-rebuilds upwards from there; the ``over`` of a lens, achromatic-lens,
-algebraic-lens or monadic-lens chain reads each part's view once. A read
-never runs the write path: ``preview`` through a prism or affine chain
-(``_read``) and ``to_list_of`` through a traversal chain (``_read_all``)
-walk down only, keeping nothing to rebuild with. A chain of the join
-splices its parts in, and so do a prism chain entering an affine or
-traversal chain and an affine chain entering a traversal.
+For every kind the result is a flat chain: an instance of a subclass of
+the kind's record class holding ``parts``, its segments outermost first,
+each coerced to the first kind of the chain's ``_NATIVE`` row it reaches:
+traversal and affine chains keep lens, prism and affine segments as they
+are. A chain's fields loop over the parts, and it overrides the runners
+it walks in one pass. An affine chain's ``access`` (and a prism chain's
+``match``) walks down to the focus or the first miss and rebuilds upwards
+from there; the ``over`` of a lens, achromatic-lens, algebraic-lens or
+monadic-lens chain reads each part's view once. A read never runs the
+write path: ``preview`` through a prism or affine chain (``_read``) and
+``to_list_of`` through a traversal or fold chain (``_read_all``) walk
+down only, keeping nothing to rebuild with. A chain
+of the join splices its parts in, and so do a prism chain entering an
+affine or traversal chain and an affine chain entering a traversal.
 Segments collect in one list while the left fold's join stays the same,
-so building is linear in the operands, and the kind's functions loop over
-the parts, so applying is linear in depth.
+so building is linear in the operands and applying linear in depth.
 A coercion into getter, fold, setter or review, whatever its path, is one
-record that runs the kind's combinator (such as ``over``) on the optic.
+record holding the optic's own runner of that kind's combinator.
 ``encoding.ProfOptic.then`` stays nested: it is the independent oracle the
 tests hold ``compose`` to.
 """
@@ -45,11 +46,11 @@ from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
 from .errors import CompositionError, LengthError, UpcastError
-from .kinds import NATIVES, OpticKind
+from .kinds import OpticKind
 from .optics import (
-    Adapter, AffineTraversal, AchromaticLens, AlgebraicLens, Focus, Fold,
-    Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
-    Review, Setter, Traversal, over, review, to_list_of, view,
+    NATIVES, Adapter, AffineTraversal, AchromaticLens, AlgebraicLens, Focus,
+    Fold, Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
+    Review, Setter, Traversal,
 )
 from .records import record
 
@@ -65,16 +66,15 @@ def _one_segment(kind):
     return lambda o: _CHAINS[kind](_segments(o, kind))
 
 
-# goal: (class, combinator). Each of these kinds is its combinator, which
-# every kind that reaches it admits, and no path goes on past them but
-# getter's into fold, so ``_shortest_paths`` keeps the last edge alone.
-_RUN_BY = {K.GETTER: (Getter, view), K.FOLD: (Fold, to_list_of),
-           K.SETTER: (Setter, over), K.REVIEW: (Review, review)}
-
-
-def _by(goal):
-    cls, combinator = _RUN_BY[goal]
-    return lambda o: cls(partial(combinator, o))
+# goal: the edge into it. Each of these kinds is one combinator, which
+# every kind that reaches it runs natively, and no path goes on past them
+# but getter's into fold, so ``_shortest_paths`` keeps the last edge alone.
+# The record holds the optic's own runner, so a chain of them nests one
+# call per part.
+_RUN_BY = {K.GETTER: lambda o: Getter(o._view),
+           K.FOLD: lambda o: Fold(o._tolist),
+           K.SETTER: lambda o: Setter(o._over),
+           K.REVIEW: lambda o: Review(o._review)}
 
 
 # (source kind, goal kind): (build, public). ``upcast`` follows the public
@@ -100,26 +100,24 @@ _EDGES = {
         run=lambda h, s: o.update(s, h(o.view))), True),
     (K.ACHROMATIC_LENS, K.LENS): (
         lambda o: Lens(view=o.view, update=o.update), True),
-    (K.ACHROMATIC_LENS, K.ALGEBRAIC_LENS): (lambda o: AlgebraicLens(
-        view=o.view,
-        classify=lambda ss, b: o.update(ss[0], b) if ss else o.create(b),
-    ), True),
+    (K.ACHROMATIC_LENS, K.ALGEBRAIC_LENS): (
+        lambda o: AlgebraicLens(view=o.view, classify=o._classify), True),
     (K.PRISM, K.AFFINE_TRAVERSAL): (_one_segment(K.AFFINE_TRAVERSAL), True),
     (K.AFFINE_TRAVERSAL, K.TRAVERSAL): (_one_segment(K.TRAVERSAL), True),
-    (K.GRATE, K.GLASS): (lambda o: Glass(run=lambda h, s: o.run(h)), True),
+    (K.GRATE, K.GLASS): (lambda o: Glass(run=o._zip), True),
     (K.MONADIC_LENS, K.LENS): (lambda o: Lens(
         view=o.view, update=lambda s, b: o.mupdate(s, b).value), True),
-    (K.ADAPTER, K.GETTER): (_by(K.GETTER), True),
-    (K.LENS, K.GETTER): (_by(K.GETTER), True),
-    (K.TRAVERSAL, K.FOLD): (_by(K.FOLD), True),
-    (K.GETTER, K.FOLD): (_by(K.FOLD), True),
-    (K.TRAVERSAL, K.SETTER): (_by(K.SETTER), True),
-    (K.GLASS, K.SETTER): (_by(K.SETTER), True),
-    (K.ALGEBRAIC_LENS, K.SETTER): (_by(K.SETTER), True),
-    (K.KALEIDOSCOPE, K.SETTER): (_by(K.SETTER), True),
-    (K.ADAPTER, K.REVIEW): (_by(K.REVIEW), True),
-    (K.ACHROMATIC_LENS, K.REVIEW): (_by(K.REVIEW), True),
-    (K.PRISM, K.REVIEW): (_by(K.REVIEW), True),
+    (K.ADAPTER, K.GETTER): (_RUN_BY[K.GETTER], True),
+    (K.LENS, K.GETTER): (_RUN_BY[K.GETTER], True),
+    (K.TRAVERSAL, K.FOLD): (_RUN_BY[K.FOLD], True),
+    (K.GETTER, K.FOLD): (_RUN_BY[K.FOLD], True),
+    (K.TRAVERSAL, K.SETTER): (_RUN_BY[K.SETTER], True),
+    (K.GLASS, K.SETTER): (_RUN_BY[K.SETTER], True),
+    (K.ALGEBRAIC_LENS, K.SETTER): (_RUN_BY[K.SETTER], True),
+    (K.KALEIDOSCOPE, K.SETTER): (_RUN_BY[K.SETTER], True),
+    (K.ADAPTER, K.REVIEW): (_RUN_BY[K.REVIEW], True),
+    (K.ACHROMATIC_LENS, K.REVIEW): (_RUN_BY[K.REVIEW], True),
+    (K.PRISM, K.REVIEW): (_RUN_BY[K.REVIEW], True),
     # an algebraic lens is a lens or a kaleidoscope only inside a composite
     (K.ALGEBRAIC_LENS, K.LENS): (lambda o: Lens(
         view=o.view, update=lambda s, b: o.classify([s], b)), False),
@@ -382,15 +380,9 @@ def _classify_over(self, fn, s):
 
 
 def _match(self, s):
-    for depth, p in enumerate(self.parts):
-        res = p.match(s)
-        if isinstance(res, Miss):
-            t = res.value
-            for q in reversed(self.parts[:depth]):
-                t = q.build(t)
-            return Miss(t)
-        s = res.value
-    return Focus(s)
+    # an affine chain's walk, keeping only the focus
+    res = _access(self, s)
+    return res if isinstance(res, Miss) else Focus(res.value[0])
 
 
 _HIT = object()  # what a prism level of ``_extract`` keeps for a hit
@@ -490,7 +482,8 @@ def _read(self, s):
 
 
 def _read_all(self, s):
-    # ``to_list_of``'s walk: each level's foci, and nothing kept to rebuild
+    # ``to_list_of``'s walk: each level's foci, and nothing kept to rebuild;
+    # a part that is no lens, prism or affine lists its own
     foci = [s]
     for p in self.parts:
         kind = p.kind
@@ -505,7 +498,7 @@ def _read_all(self, s):
         else:
             wholes, foci = foci, []
             for whole in wholes:
-                foci += p.extract(whole)[0]
+                foci += p._tolist(whole)
     return foci
 
 
@@ -515,14 +508,7 @@ def _rebuild(levels, b):
     return b
 
 
-def _foci(self, s):
-    found = [s]
-    for p in self.parts:
-        found = [x for a in found for x in p.foci(a)]
-    return found
-
-
-def _over(self, f, s):
+def _setter_over(self, f, s):
     for p in reversed(self.parts):
         f = partial(p.over, f)
     return f(s)
@@ -576,12 +562,12 @@ _CHAINS = {
                     _over=_lens_over),
         _chain_type(Prism, _match, _up("build"), _preview=_read),
         _chain_type(AffineTraversal, _access, _preview=_read),
-        _chain_type(Traversal, _extract, _to_list=_read_all),
+        _chain_type(Traversal, _extract, _tolist=_read_all),
         _chain_type(Grate, _grate_run),
         _chain_type(Glass, _glass_run),
-        _chain_type(Setter, _over),
+        _chain_type(Setter, _setter_over),
         _chain_type(Getter, _down("get")),
-        _chain_type(Fold, _foci),
+        _chain_type(Fold, _read_all),
         _chain_type(Review, _up("build")),
         _chain_type(AlgebraicLens, _VIEW, _classify, _over=_classify_over),
         _chain_type(Kaleidoscope, _up("aggregate")),

@@ -1,19 +1,22 @@
 """Concrete optic representations and the combinators that run them.
 
 Each optic variant is an immutable record (``records.record``), the tuple
-of functions that defines it: a lens is ``(view, update)``. The combinators
-(`view`, `over`, `preview`, ...) dispatch on the kind of the optic they run
-on, which is the given optic or, for a cell of ``composition.ADMITS`` that
-is not native to its kind, its upcast; they raise `KindError` when
-``composition.ADMITS`` does not admit the combinator for the optic's kind.
+of functions that defines it: a lens is ``(view, update)``. Its class also
+holds one runner per combinator it runs natively, named ``_`` and the
+combinator (``_view``, ``_over``, ``_tolist``, ...), and ``NATIVES`` is read
+off those runners, so a kind runs natively exactly what it has a runner
+for. The combinators (`view`, `over`, `preview`, ...) admit the optic once
+and call its runner; they raise `KindError` when ``composition.ADMITS``
+does not admit the combinator for the optic's kind.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import EmptyInputError, EmptyTrainingError, KindError
-from .kinds import NATIVES, OpticKind
+from .kinds import OpticKind
 from .records import record
 
 
@@ -36,29 +39,87 @@ class Focus(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# Runners, and what each kind runs natively. A runner takes the combinator's
+# arguments after the optic. A chain type (``composition._CHAINS``) inherits
+# its kind's runners, which then run the chain's own fields, and overrides
+# those it walks in one pass.
+
+# The combinators, named as the CLI actions plus "mupdate" and "zip" (a
+# grate's or glass's continuation), and what a refusal says is not possible.
+_REFUSALS = {
+    "view": "view through", "preview": "preview through",
+    "set": "set through", "over": "rewrite through",
+    "tolist": "enumerate foci of", "review": "build through",
+    "classify": "classify through", "aggregate": "aggregate through",
+    "mupdate": "run an effectful update through", "zip": "zip through",
+}
+NATIVES = {}  # kind -> the combinators its record class runs natively
+
+
+def natives(cls) -> frozenset:
+    """The combinators ``cls`` has a runner for; ``set`` runs ``_over``."""
+    return frozenset(name for name in _REFUSALS if getattr(
+        cls, "_over" if name == "set" else "_" + name, None) is not None)
+
+
+def _runs(name):
+    """The runner that is the optic's own attribute ``name``: a field, or
+    the method a chain type puts in its place; it adds no call frame."""
+    return property(attrgetter(name))
+
+
+def _listed_view(self, s):
+    return [self._view(s)]
+
+
+def _listed_preview(self, s):
+    found = self._preview(s)
+    return [] if found is None else [found]
+
+
+def _optic(cls):
+    """The record class of its kind, with the runners of two rules: a kind
+    that views previews, and one that previews lists the focus it finds
+    (the third, ``set`` from ``over``, is in ``natives``)."""
+    record(cls)
+    if hasattr(cls, "_view"):
+        cls._preview, cls._tolist = _runs("_view"), _listed_view
+    elif hasattr(cls, "_preview"):
+        cls._tolist = _listed_preview
+    NATIVES[cls.kind] = natives(cls)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Concrete optics.
 
 
-@record
+@_optic
 class Adapter(NamedTuple):
     forward: Callable[[Any], Any]
     backward: Callable[[Any], Any]
 
     kind = OpticKind.ADAPTER
+    _view = _runs("forward")
+    _review = _runs("backward")
+
+    def _over(self, fn, s):
+        return self.backward(fn(self.forward(s)))
 
 
-@record
+@_optic
 class Lens(NamedTuple):
     view: Callable[[Any], Any]
     update: Callable[[Any, Any], Any]
 
     kind = OpticKind.LENS
-    # a composite's ``over`` in one walk down its parts; a plain lens has
-    # none and ``over`` runs it inline, with no frame of its own
-    _over = None
+    _view = _runs("view")
+
+    def _over(self, fn, s):
+        return self.update(s, fn(self.view(s)))
 
 
-@record
+@_optic
 class AchromaticLens(NamedTuple):
     """A lens that can also conjure a whole from a focus alone."""
 
@@ -67,24 +128,32 @@ class AchromaticLens(NamedTuple):
     create: Callable[[Any], Any]
 
     kind = OpticKind.ACHROMATIC_LENS
+    _view, _over = Lens._view, Lens._over
+    _review = _runs("create")
 
-    _over = None  # as a lens's
+    def _classify(self, training, b):
+        return self.update(training[0], b) if training else self.create(b)
 
 
-@record
+@_optic
 class Prism(NamedTuple):
     match: Callable[[Any], Any]  # s -> Miss t | Focus a
     build: Callable[[Any], Any]
 
     kind = OpticKind.PRISM
+    _review = _runs("build")
 
     def _preview(self, s):
         # a composite's is one walk down that rebuilds nothing on a miss
         res = self.match(s)
         return res.value if isinstance(res, Focus) else None
 
+    def _over(self, fn, s):
+        res = self.match(s)
+        return self.build(fn(res.value)) if isinstance(res, Focus) else res.value
 
-@record
+
+@_optic
 class AffineTraversal(NamedTuple):
     """At most one focus; `access` returns Miss t or Focus (a, b -> t)."""
 
@@ -96,8 +165,15 @@ class AffineTraversal(NamedTuple):
         res = self.access(s)
         return res.value[0] if isinstance(res, Focus) else None
 
+    def _over(self, fn, s):
+        res = self.access(s)
+        if isinstance(res, Focus):
+            focus, rebuild = res.value
+            return rebuild(fn(focus))
+        return res.value
 
-@record
+
+@_optic
 class Traversal(NamedTuple):
     """`extract` returns (foci, rebuild); rebuild demands the same arity."""
 
@@ -105,12 +181,16 @@ class Traversal(NamedTuple):
 
     kind = OpticKind.TRAVERSAL
 
-    def _to_list(self, s):
+    def _over(self, fn, s):
+        foci, rebuild = self.extract(s)
+        return rebuild([fn(a) for a in foci])
+
+    def _tolist(self, s):
         # a composite's is one walk down that keeps nothing to rebuild with
         return list(self.extract(s)[0])
 
 
-@record
+@_optic
 class Grate(NamedTuple):
     """`run` turns a continuation ((s -> a) -> b) into a t."""
 
@@ -118,45 +198,58 @@ class Grate(NamedTuple):
 
     kind = OpticKind.GRATE
 
+    def _over(self, fn, s):  # a glass's too: zip with ``fn`` of the focus
+        return self._zip(lambda k: fn(k(s)), s)
 
-@record
+    def _zip(self, continuation, s):  # a grate zips without the whole
+        return self.run(continuation)
+
+
+@_optic
 class Glass(NamedTuple):
     """Like a grate but with access to the concrete whole: run(f, s) -> t."""
 
     run: Callable[[Callable[[Callable[[Any], Any]], Any], Any], Any]
 
     kind = OpticKind.GLASS
+    _over, _zip = Grate._over, _runs("run")
 
 
-@record
+@_optic
 class Setter(NamedTuple):
     over: Callable[[Callable[[Any], Any], Any], Any]
 
     kind = OpticKind.SETTER
+    _over = _runs("over")
 
 
-@record
+@_optic
 class Getter(NamedTuple):
     get: Callable[[Any], Any]
 
     kind = OpticKind.GETTER
+    _view = _runs("get")
 
 
-@record
+@_optic
 class Review(NamedTuple):
     build: Callable[[Any], Any]
 
     kind = OpticKind.REVIEW
+    _review = _runs("build")
 
 
-@record
+@_optic
 class Fold(NamedTuple):
     foci: Callable[[Any], Sequence[Any]]
 
     kind = OpticKind.FOLD
 
+    def _tolist(self, s):
+        return list(self.foci(s))
 
-@record
+
+@_optic
 class AlgebraicLens(NamedTuple):
     """A lens whose update direction consumes a list of wholes."""
 
@@ -164,13 +257,18 @@ class AlgebraicLens(NamedTuple):
     classify: Callable[[Sequence[Any], Any], Any]
 
     kind = OpticKind.ALGEBRAIC_LENS
+    _view = Lens._view
 
     def _over(self, fn, s):
-        # a composite's ``over`` reads each part's view once
         return self.classify([s], fn(self.view(s)))
 
+    def _classify(self, training, b):
+        if not training:
+            raise EmptyTrainingError("classify requires a non-empty training list")
+        return self.classify(training, b)
 
-@record
+
+@_optic
 class Kaleidoscope(NamedTuple):
     """`aggregate` lifts a list-level focus function to the wholes."""
 
@@ -178,8 +276,16 @@ class Kaleidoscope(NamedTuple):
 
     kind = OpticKind.KALEIDOSCOPE
 
+    def _over(self, fn, s):
+        return self.aggregate(lambda foci: fn(foci[0]))([s])
 
-@record
+    def _aggregate(self, fn, sources):
+        if not sources:
+            raise EmptyInputError("aggregate requires a non-empty input list")
+        return self.aggregate(fn)(list(sources))
+
+
+@_optic
 class MonadicLens(NamedTuple):
     """A lens whose update runs in an effect; `pure` injects into it."""
 
@@ -188,141 +294,77 @@ class MonadicLens(NamedTuple):
     pure: Callable[[Any], Any]
 
     kind = OpticKind.MONADIC_LENS
+    _view = Lens._view
+    _mupdate = _runs("mupdate")
 
     def _over(self, fn, s):
-        # as an algebraic lens's: a composite's reads each part's view once
         return self.mupdate(s, fn(self.view(s))).value
 
 
 # ---------------------------------------------------------------------------
-# Combinators. Each runs on the optic ``_admit`` returns and dispatches on
-# its kind: the optic itself when its kind's row of ``kinds.NATIVES`` holds
-# the combinator, the optic upcast to the kind ``composition._ROUTE`` names
-# when ``composition.ADMITS`` admits it there (such as ``classify`` on an
+# Combinators. Each runs its runner on the optic ``_admit`` returns: the
+# optic itself when its kind's row of ``NATIVES`` holds the combinator, the
+# optic upcast to the kind ``composition._ROUTE`` names when
+# ``composition.ADMITS`` admits it there (such as ``classify`` on an
 # adapter, run on it as an achromatic lens), and otherwise ``KindError``.
-# ``composition`` imports this module, so only a call that is not native
-# imports it.
+# Only a call that is not native imports ``composition``, which imports
+# this module.
 
 
-def _admit(optic: Any, combinator: str, refusal: str) -> Any:
+def _admit(optic: Any, combinator: str) -> Any:
     kind = optic.kind
     if combinator in NATIVES[kind]:
         return optic
     from .composition import _ROUTE, upcast
     goal = _ROUTE.get((kind, combinator))
     if goal is None:
-        raise KindError(f"cannot {refusal} {kind.with_article}")
+        raise KindError(f"cannot {_REFUSALS[combinator]} {kind.with_article}")
     return upcast(optic, goal)
 
 
 def view(optic: Any, source: Any) -> Any:
     """Extract the unique focus of a single-focus read-capable optic."""
-    optic = _admit(optic, "view", "view through")
-    kind = optic.kind
-    if kind is OpticKind.ADAPTER:
-        return optic.forward(source)
-    if kind is OpticKind.GETTER:
-        return optic.get(source)
-    return optic.view(source)
+    return _admit(optic, "view")._view(source)
 
 
 def preview(optic: Any, source: Any) -> Any:
     """Return the focus if present, else None."""
-    optic = _admit(optic, "preview", "preview through")
-    kind = optic.kind
-    if kind is OpticKind.PRISM or kind is OpticKind.AFFINE_TRAVERSAL:
-        return optic._preview(source)
-    return view(optic, source)
+    return _admit(optic, "preview")._preview(source)
 
 
 def over(optic: Any, fn: Callable[[Any], Any], source: Any) -> Any:
     """Rewrite every focus with `fn`, returning the new whole."""
-    optic = _admit(optic, "over", "rewrite through")
-    kind = optic.kind
-    if kind is OpticKind.ADAPTER:
-        return optic.backward(fn(optic.forward(source)))
-    if kind is OpticKind.LENS or kind is OpticKind.ACHROMATIC_LENS:
-        if optic._over is None:
-            return optic.update(source, fn(optic.view(source)))
-        return optic._over(fn, source)
-    if kind is OpticKind.PRISM:
-        res = optic.match(source)
-        return optic.build(fn(res.value)) if isinstance(res, Focus) else res.value
-    if kind is OpticKind.AFFINE_TRAVERSAL:
-        res = optic.access(source)
-        if isinstance(res, Focus):
-            focus, rebuild = res.value
-            return rebuild(fn(focus))
-        return res.value
-    if kind is OpticKind.TRAVERSAL:
-        foci, rebuild = optic.extract(source)
-        return rebuild([fn(a) for a in foci])
-    if kind is OpticKind.GRATE:
-        return optic.run(lambda k: fn(k(source)))
-    if kind is OpticKind.GLASS:
-        return optic.run(lambda k: fn(k(source)), source)
-    if kind is OpticKind.SETTER:
-        return optic.over(fn, source)
-    if kind is OpticKind.KALEIDOSCOPE:
-        return optic.aggregate(lambda foci: fn(foci[0]))([source])
-    # an algebraic or monadic lens
-    return optic._over(fn, source)
+    return _admit(optic, "over")._over(fn, source)
 
 
 def set_value(optic: Any, source: Any, value: Any) -> Any:
     """Replace the focus with a constant; misses return the whole unchanged."""
-    return over(_admit(optic, "set", "set through"), lambda _: value, source)
+    return _admit(optic, "set")._over(lambda _: value, source)
 
 
 def to_list_of(optic: Any, source: Any) -> List[Any]:
     """Collect all foci of a read-capable optic, left to right."""
-    optic = _admit(optic, "tolist", "enumerate foci of")
-    kind = optic.kind
-    if kind is OpticKind.FOLD:
-        return list(optic.foci(source))
-    if kind is OpticKind.TRAVERSAL:
-        return optic._to_list(source)
-    if kind in (OpticKind.PRISM, OpticKind.AFFINE_TRAVERSAL):
-        found = preview(optic, source)
-        return [] if found is None else [found]
-    return [view(optic, source)]
+    return _admit(optic, "tolist")._tolist(source)
 
 
 def classify(optic: Any, training: Sequence[Any], value: Any) -> Any:
     """Rebuild a whole from a focus, guided by a list of example wholes."""
-    optic = _admit(optic, "classify", "classify through")
-    if optic.kind is OpticKind.ALGEBRAIC_LENS:
-        if not training:
-            raise EmptyTrainingError("classify requires a non-empty training list")
-        return optic.classify(training, value)
-    if not training:
-        return optic.create(value)
-    return optic.update(training[0], value)
+    return _admit(optic, "classify")._classify(training, value)
 
 
 def aggregate(optic: Any, fn: Callable[[Sequence[Any]], Any], sources: Sequence[Any]) -> Any:
     """Combine a list of wholes focus-wise with `fn`."""
-    optic = _admit(optic, "aggregate", "aggregate through")
-    if not sources:
-        raise EmptyInputError("aggregate requires a non-empty input list")
-    return optic.aggregate(fn)(list(sources))
+    return _admit(optic, "aggregate")._aggregate(fn, sources)
 
 
 def mupdate(optic: Any, source: Any, value: Any) -> Any:
     """Effectful update; returns the effect wrapping the new whole."""
-    optic = _admit(optic, "mupdate", "run an effectful update through")
-    return optic.mupdate(source, value)
+    return _admit(optic, "mupdate")._mupdate(source, value)
 
 
 def review(optic: Any, value: Any) -> Any:
     """Construct a whole from a focus alone."""
-    optic = _admit(optic, "review", "build through")
-    kind = optic.kind
-    if kind is OpticKind.ADAPTER:
-        return optic.backward(value)
-    if kind is OpticKind.ACHROMATIC_LENS:
-        return optic.create(value)
-    return optic.build(value)
+    return _admit(optic, "review")._review(value)
 
 
 def grate_apply(optic: Any, continuation: Callable[[Callable[[Any], Any]], Any],
@@ -332,7 +374,4 @@ def grate_apply(optic: Any, continuation: Callable[[Callable[[Any], Any]], Any],
     A grate, and an adapter, which zips as one, ignore ``source``; a glass,
     and a lens, achromatic-lens or monadic-lens, which zip as one, need it.
     """
-    optic = _admit(optic, "zip", "zip through")
-    if optic.kind is OpticKind.GRATE:
-        return optic.run(continuation)
-    return optic.run(continuation, source)
+    return _admit(optic, "zip")._zip(continuation, source)

@@ -152,6 +152,21 @@ def test_a_malformed_arg_says_so(action):
                              "in double quotes (line 1, column 2)\n")
 
 
+@pytest.mark.parametrize("document", ["{}", "[]", "not json"])
+@pytest.mark.parametrize("action,arg,line", [
+    ("aggregate", "mean", "cannot aggregate through a prism"),
+    ("classify", "{}", "cannot classify through a prism"),
+    ("view", None, "cannot view through a prism"),
+])
+def test_a_wrong_kind_is_usage_whatever_the_input(document, action, arg,
+                                                  line):
+    # admission is checked before the input is read
+    args = () if arg is None else ("--arg", arg)
+    result = run_cli(action, "--optic", "address", *args, stdin=document)
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("action,line", [
     ("set", "this action needs --arg"),
     ("review", "this action needs --arg"),

@@ -3,8 +3,9 @@
 Each of those kinds is one combinator (``view``, ``to_list_of``, ``over``,
 ``review``) that every kind reaching it admits, and no coercion path goes
 on past them but getter's into fold. So coercing into one of them, along
-any path, gives one record whose field runs the combinator on the optic
-itself, not one wrapper per step of the path.
+any path, gives one record whose field is the optic's own runner of that
+combinator (``_view``, ``_tolist``, ``_over``, ``_review``), not one
+wrapper per step of the path.
 """
 
 import random
@@ -25,13 +26,14 @@ from conftest import zoo
 K = OpticKind
 ENTRIES = zoo()
 
-# goal -> its record class, its combinator, and the combinator run on a case
+# goal -> its record class, its combinator, the combinator's runner, and
+# the combinator run on a case
 RUNS = {
-    K.GETTER: (Getter, view, lambda run, c: run(c["s"])),
-    K.FOLD: (Fold, to_list_of, lambda run, c: run(c["s"])),
-    K.SETTER: (Setter, over,
+    K.GETTER: (Getter, view, "_view", lambda run, c: run(c["s"])),
+    K.FOLD: (Fold, to_list_of, "_tolist", lambda run, c: run(c["s"])),
+    K.SETTER: (Setter, over, "_over",
                lambda run, c: run(c.get("f", lambda _: c.get("b")), c["s"])),
-    K.REVIEW: (Review, review, lambda run, c: run(c["b"])),
+    K.REVIEW: (Review, review, "_review", lambda run, c: run(c["b"])),
 }
 PAIRS = sorted(((kind, goal) for kind, goal in _COERCION_PATHS
                 if goal in RUNS and kind is not goal),
@@ -50,7 +52,7 @@ def zoo_case(kind, r):
 @pytest.mark.parametrize("kind,goal", PAIRS,
                          ids=[f"{k.value}-{g.value}" for k, g in PAIRS])
 def test_a_coercion_into_a_combinator_kind_is_one_record(kind, goal):
-    cls, combinator, run = RUNS[goal]
+    cls, combinator, runner, run = RUNS[goal]
     optic = ENTRIES[kind].optic
     coerced = [_coerce(optic, goal)]
     if (kind, goal) in _EMBED_PATHS:
@@ -59,9 +61,8 @@ def test_a_coercion_into_a_combinator_kind_is_one_record(kind, goal):
     for got in coerced:
         assert type(got) is cls
         (field,) = got
-        (arg,) = field.args
-        assert type(field) is partial and field.func is combinator
-        assert arg is optic
+        # a bound runner equals another only if bound to the same optic
+        assert field == getattr(optic, runner)
         for _ in range(20):
             case = zoo_case(kind, r)
             assert run(partial(combinator, got), case) == \
@@ -76,7 +77,7 @@ def test_a_deep_setter_fallback_nests_one_call_per_part():
     assert len(optic.parts) == depth + 1
     for part, lens in zip(optic.parts[1:], lenses):
         assert type(part) is Setter
-        assert part.over.func is over and part.over.args[0] is lens
+        assert part.over.__self__ is lens and part.over == lens._over
 
     doc = VText("leaf")
     for _ in range(depth):

@@ -10,10 +10,11 @@ from mixoptic import (
     aggregate, classify, compose, grate_apply, mupdate, over, preview,
     review, set_value, to_list_of, upcast, view,
 )
-from mixoptic.composition import ADMITS, _EDGES, _ROUTE
+from mixoptic import optics
+from mixoptic.composition import _CHAINS, ADMITS, _EDGES, _ROUTE
 from mixoptic.errors import EmptyInputError, EmptyTrainingError, KindError
 from mixoptic.fixtures import Species
-from mixoptic.kinds import NATIVES
+from mixoptic.optics import NATIVES, natives
 
 from conftest import addr_ach, gen_address, gen_postal, zoo
 from typed_examples import (
@@ -148,6 +149,30 @@ def test_natives_rows_are_closed_under_their_implications(kind):
     assert "preview" not in row or "tolist" in row
 
 
+# kind -> every record class of ``optics`` that declares it
+RECORD_CLASSES = {kind: [cls for cls in vars(optics).values()
+                         if isinstance(cls, type)
+                         and vars(cls).get("kind") is kind]
+                  for kind in K}
+
+
+def test_each_kind_has_one_record_class_and_its_natives_are_read_off_it():
+    assert NATIVES.keys() == set(K)
+    for kind, classes in RECORD_CLASSES.items():
+        assert len(classes) == 1, (kind, classes)
+        assert NATIVES[kind] == natives(classes[0])
+
+
+@pytest.mark.parametrize("kind", list(K), ids=lambda k: k.value)
+def test_a_chain_runs_natively_what_its_record_runs(kind):
+    # a chain overrides runners to walk in one pass, never to gain or drop
+    # a combinator
+    (record,) = RECORD_CLASSES[kind]
+    chain = _CHAINS[kind]
+    assert chain.kind is kind and issubclass(chain, record)
+    assert natives(chain) == natives(record) == NATIVES[kind]
+
+
 def test_set_rejects_read_only_optics():
     with pytest.raises(KindError, match="cannot set through a getter"):
         set_value(Getter(get=lambda s: s), 1, 2)
@@ -203,6 +228,15 @@ COMBINATORS = {
     "zip": lambda o, c: grate_apply(o, lambda k: c["f"](k(c["s"])), c["s"]),
 }
 
+# combinator -> what its refusal says cannot be done through the optic
+REFUSALS = {
+    "view": "view through", "preview": "preview through",
+    "set": "set through", "over": "rewrite through",
+    "tolist": "enumerate foci of", "review": "build through",
+    "classify": "classify through", "aggregate": "aggregate through",
+    "mupdate": "run an effectful update through", "zip": "zip through",
+}
+
 ADMITTED = {
     K.ADAPTER: {"view", "preview", "set", "over", "tolist", "review",
                 "classify", "aggregate", "zip"},
@@ -237,8 +271,10 @@ def test_admissibility_matrix(kind):
         if name in ADMITTED[kind]:
             run(entry.optic, case)
         else:
-            with pytest.raises(KindError):
+            with pytest.raises(KindError) as refused:
                 run(entry.optic, case)
+            assert str(refused.value) == \
+                f"cannot {REFUSALS[name]} {kind.with_article}"
 
 
 def test_admits_is_the_spec_and_closed_under_public_edges():
