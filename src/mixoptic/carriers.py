@@ -1,12 +1,13 @@
 """Combinator carriers: the profunctor-like accessor states optics act on.
 
 Each carrier wraps a single ``run`` function and supports ``dimap`` plus a
-declared subset of capability lifts. Lifting moves the carrier across a
-residual context: product lifts act on ``(residual, value)`` pairs with the
-residual first, sum lifts act on ``Miss``/``Focus`` values, list-algebra
-lifts act on ``(list-residual, value)`` pairs and flatten residuals,
-funlist lifts act on FunList containers, and closed lifts act on functions
-into the focus.
+declared subset of capability lifts, one per action a transformer lifts
+through. Lifting moves the carrier across a residual context: product lifts
+act on ``(residual, value)`` pairs with the residual first, sum lifts act on
+``Miss``/``Focus`` values, list-algebra lifts act on ``(list-residual,
+value)`` pairs and flatten residuals, funlist lifts act on FunList
+containers, and closed lifts (``Replacing``, ``Grating``, ``Glassing``) act
+on functions into the focus.
 """
 
 from __future__ import annotations
@@ -212,6 +213,9 @@ class Grating(Carrier):
     def dimap(self, l, r):
         return Grating(lambda h: r(self.run(lambda k: h(lambda s: k(l(s))))))
 
+    def lift_closed(self):
+        return Grating(lambda h: lambda m: self.run(lambda k: h(lambda f: k(f(m)))))
+
 
 class Glassing(Carrier):
     """run: (((S -> A) -> B), S) -> T."""
@@ -222,3 +226,11 @@ class Glassing(Carrier):
         return Glassing(
             lambda h, s: r(self.run(lambda k: h(lambda x: k(l(x))), l(s)))
         )
+
+    def lift_product(self):
+        return Glassing(lambda h, pair: (
+            pair[0], self.run(lambda k: h(lambda q: k(q[1])), pair[1])))
+
+    def lift_closed(self):
+        return Glassing(lambda h, f: lambda m: self.run(
+            lambda k: h(lambda g: k(g(m))), f(m)))

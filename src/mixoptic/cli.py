@@ -104,7 +104,7 @@ def _read_input(source: str, action: str, reads: str):
     if reads == "document":
         return doc
     if not isinstance(doc, VList):
-        raise FocusError(f"{action} expects a list document")
+        raise UsageError(f"{action} expects a list document")
     return list(doc.items)
 
 

@@ -560,8 +560,10 @@ _CHAINS = {
         _chain_type(Lens, _VIEW, _lens_update, _over=_lens_over),
         _chain_type(AchromaticLens, _VIEW, _lens_update, _up("create"),
                     _over=_lens_over),
-        _chain_type(Prism, _match, _up("build"), _preview=_read),
-        _chain_type(AffineTraversal, _access, _preview=_read),
+        _chain_type(Prism, _match, _up("build"), _preview=_read,
+                    _tolist=_read_all),
+        _chain_type(AffineTraversal, _access, _preview=_read,
+                    _tolist=_read_all),
         _chain_type(Traversal, _extract, _tolist=_read_all),
         _chain_type(Grate, _grate_run),
         _chain_type(Glass, _glass_run),

@@ -2,8 +2,14 @@
 
 ``ex2prof`` turns a concrete optic into a ``ProfOptic``: a function that
 rewrites any supported carrier over the focus pair into a carrier over the
-whole pair. ``prof2ex`` recovers the concrete normal form by running the
-transformer on kind-specific identity probes.
+whole pair. Most transformers, as for a Tambara module, lift the carrier
+through an action, then apply one ``dimap``: a lens lifts through the
+product, a prism the sum, an affine traversal the product then the sum, a
+traversal FunList, a grate the closed action, a glass the closed action then
+the product, an algebraic lens the list algebra, and an adapter, getter and
+review through nothing; the other kinds build their carrier. ``prof2ex``
+recovers the normal form one record field at a time, running the
+transformer on identity probes of the carriers that field needs.
 """
 
 from __future__ import annotations
@@ -50,13 +56,6 @@ class ProfOptic(NamedTuple):
         )
 
 
-def _lens_glassing(view, update, p):
-    def run(h, s):
-        return update(s, p.run(lambda k2: h(lambda x: k2(view(x))), view(s)))
-
-    return c.Glassing(run)
-
-
 def ex2prof(optic: Any) -> ProfOptic:
     kind = optic.kind
 
@@ -70,8 +69,6 @@ def ex2prof(optic: Any) -> ProfOptic:
                      c.Updating, c.Glassing}
 
         def t_lens(p):
-            if isinstance(p, c.Glassing):
-                return _lens_glassing(v, u, p)
             return p.lift_product().dimap(
                 lambda s: (s, v(s)), lambda pair: u(pair[0], pair[1])
             )
@@ -142,48 +139,20 @@ def ex2prof(optic: Any) -> ProfOptic:
 
     if kind is OpticKind.GRATE:
         grate = optic.run
-
-        def t_grate(p):
-            if isinstance(p, c.Grating):
-                return c.Grating(
-                    lambda h: grate(
-                        lambda k1: p.run(lambda k2: h(lambda s: k2(k1(s))))
-                    )
-                )
-            if isinstance(p, c.Glassing):
-                return c.Glassing(
-                    lambda h, s: grate(
-                        lambda k1: p.run(
-                            lambda k2: h(lambda x: k2(k1(x))), k1(s)
-                        )
-                    )
-                )
-            return p.lift_closed().dimap(lambda s: lambda k: k(s), grate)
-
         return ProfOptic(
-            t_grate, frozenset({c.Replacing, c.Grating, c.Glassing}),
+            lambda p: p.lift_closed().dimap(lambda s: lambda k: k(s), grate),
+            frozenset({c.Replacing, c.Grating, c.Glassing}),
         )
 
     if kind is OpticKind.GLASS:
         glass = optic.run
-
-        def t_glass(p):
-            if isinstance(p, c.Glassing):
-                return c.Glassing(
-                    lambda h, s: glass(
-                        lambda k1: p.run(
-                            lambda k2: h(lambda x: k2(k1(x))), k1(s)
-                        ),
-                        s,
-                    )
-                )
-            if isinstance(p, c.Replacing):
-                return c.Replacing(
-                    lambda u: lambda s: glass(lambda k: p.run(u)(k(s)), s)
-                )
-            raise p._no("product+closed")
-
-        return ProfOptic(t_glass, frozenset({c.Replacing, c.Glassing}))
+        return ProfOptic(
+            lambda p: p.lift_closed().lift_product().dimap(
+                lambda s: (s, lambda k: k(s)),
+                lambda pair: glass(pair[1], pair[0]),
+            ),
+            frozenset({c.Replacing, c.Glassing}),
+        )
 
     if kind is OpticKind.SETTER:
         over_fn = optic.over
@@ -267,143 +236,115 @@ def ex2prof(optic: Any) -> ProfOptic:
 
 
 # ---------------------------------------------------------------------------
-# prof2ex: probe the transformer with identity carriers.
+# prof2ex: probe the transformer with identity carriers, one record field at
+# a time. ``_FIELDS`` maps a field name (a grate's and a glass's ``run``, by
+# their class) to the carriers whose probes it runs and its reader, which
+# takes the transformer to the field; a kind needs what its fields need.
 
-_PROBES_NEEDED = {
-    OpticKind.ADAPTER: {c.Viewing, c.Reviewing},
-    OpticKind.LENS: {c.Viewing, c.Replacing},
-    OpticKind.ACHROMATIC_LENS: {c.Viewing, c.Replacing, c.Reviewing},
-    OpticKind.PRISM: {c.Previewing, c.Replacing, c.Reviewing},
-    OpticKind.AFFINE_TRAVERSAL: {c.Previewing, c.Replacing},
-    OpticKind.TRAVERSAL: {c.Folding, c.Replacing},
-    OpticKind.GRATE: {c.Grating},
-    OpticKind.GLASS: {c.Glassing},
-    OpticKind.SETTER: {c.Replacing},
-    OpticKind.GETTER: {c.Viewing},
-    OpticKind.REVIEW: {c.Reviewing},
-    OpticKind.FOLD: {c.Folding},
-    OpticKind.ALGEBRAIC_LENS: {c.Viewing, c.Classifying},
-    OpticKind.KALEIDOSCOPE: {c.Aggregating},
-    OpticKind.MONADIC_LENS: {c.Viewing, c.Updating},
+_VIEW = c.Viewing(lambda a: a)
+_OVER = c.Replacing(lambda f: f)
+_PREVIEW = c.Previewing(lambda a: a)
+_FOCI = c.Folding(lambda a: [a])
+_BUILD = c.Reviewing(lambda x: x)
+
+
+def _match(p, hit=lambda p, found, s: found):
+    """A prism's ``match``; with ``hit=_rebuilt``, an affine's ``access``."""
+    def match(s):
+        found = p.transform(_PREVIEW).run(s)
+        if found is None:
+            return Miss(p.transform(_OVER).run(lambda a: a)(s))
+        return Focus(hit(p, found, s))
+
+    return match
+
+
+def _rebuilt(p, found, s):
+    return found, lambda b: p.transform(_OVER).run(lambda _: b)(s)
+
+
+def _extract(p):
+    def extract(s):
+        foci = p.transform(_FOCI).run(s)
+
+        def rebuild(bs, _n=len(foci)):
+            if len(bs) != _n:
+                raise LengthError(f"expected {_n} replacements, got {len(bs)}")
+            queue = iter(bs)
+            return p.transform(_OVER).run(lambda _: next(queue))(s)
+
+        return foci, rebuild
+
+    return extract
+
+
+def _aggregate(p):
+    run = p.transform(c.Aggregating(lambda foci, f: f(foci))).run
+    return lambda f: lambda ss: run(ss, f)
+
+
+def _mupdate(p):
+    run = p.transform(c.Updating(lambda b, a: p.pure(b))).run
+    return lambda s, b: run(b, s)
+
+
+def _pure(p):
+    if p.pure is None:
+        raise NormalFormError(
+            "cannot extract an effectful lens: no effect context recorded"
+        )
+    return p.pure
+
+
+_FIELDS = {
+    **dict.fromkeys(("view", "forward", "get"), (
+        {c.Viewing}, lambda p: lambda s: p.transform(_VIEW).run(s))),
+    "update": ({c.Replacing},
+               lambda p: lambda s, b: p.transform(_OVER).run(lambda _: b)(s)),
+    **dict.fromkeys(("build", "backward", "create"), (
+        {c.Reviewing}, lambda p: lambda b: p.transform(_BUILD).run(b))),
+    "match": ({c.Previewing, c.Replacing}, _match),
+    "access": ({c.Previewing, c.Replacing}, lambda p: _match(p, _rebuilt)),
+    "extract": ({c.Folding, c.Replacing}, _extract),
+    "over": ({c.Replacing},
+             lambda p: lambda f, s: p.transform(_OVER).run(f)(s)),
+    "foci": ({c.Folding}, lambda p: lambda s: p.transform(_FOCI).run(s)),
+    "classify": ({c.Classifying},
+                 lambda p: p.transform(c.Classifying(lambda ss, b: b)).run),
+    "aggregate": ({c.Aggregating}, _aggregate),
+    "mupdate": ({c.Updating}, _mupdate),
+    "pure": (set(), _pure),
+    Grate: ({c.Grating},
+            lambda p: p.transform(c.Grating(lambda h: h(lambda a: a))).run),
+    Glass: ({c.Glassing}, lambda p: p.transform(
+        c.Glassing(lambda h, a: h(lambda x: x))).run),
 }
 
 
+def _form(cls):
+    """The record class, the probes its fields need, and their readers."""
+    entries = [_FIELDS.get(name) or _FIELDS[cls] for name in cls._fields]
+    return (cls, frozenset().union(*(probes for probes, _ in entries)),
+            tuple(read for _, read in entries))
+
+
+_FORMS = {cls.kind: _form(cls) for cls in (
+    Adapter, Lens, AchromaticLens, Prism, AffineTraversal, Traversal, Grate,
+    Glass, Setter, Getter, Review, Fold, AlgebraicLens, Kaleidoscope,
+    MonadicLens)}
+
+
 def prof2ex(p: ProfOptic, kind: OpticKind) -> Any:
-    needed = _PROBES_NEEDED.get(kind)
-    if needed is None:
+    form = _FORMS.get(kind)
+    if form is None:
         raise NormalFormError(f"no normal form registered for {kind!r}")
+    cls, needed, readers = form
     if not needed <= p.supported:
         missing = ", ".join(sorted(
-            cls.__name__ for cls in needed - p.supported
+            probe.__name__ for probe in needed - p.supported
         ))
         raise NormalFormError(
             f"cannot extract {kind.with_article}: transformer does not act on"
             f" {missing}"
         )
-
-    def view_run(s):
-        return p.transform(c.Viewing(lambda a: a)).run(s)
-
-    def over_run(u):
-        return p.transform(c.Replacing(lambda f: f)).run(u)
-
-    def preview_run(s):
-        return p.transform(c.Previewing(lambda a: a)).run(s)
-
-    def foci_run(s):
-        return p.transform(c.Folding(lambda a: [a])).run(s)
-
-    def build_run(b):
-        return p.transform(c.Reviewing(lambda x: x)).run(b)
-
-    if kind is OpticKind.ADAPTER:
-        return Adapter(forward=view_run, backward=build_run)
-
-    if kind is OpticKind.LENS:
-        return Lens(view=view_run, update=lambda s, b: over_run(lambda _: b)(s))
-
-    if kind is OpticKind.ACHROMATIC_LENS:
-        return AchromaticLens(
-            view=view_run,
-            update=lambda s, b: over_run(lambda _: b)(s),
-            create=build_run,
-        )
-
-    if kind is OpticKind.PRISM:
-        def match(s):
-            found = preview_run(s)
-            if found is None:
-                return Miss(over_run(lambda a: a)(s))
-            return Focus(found)
-
-        return Prism(match=match, build=build_run)
-
-    if kind is OpticKind.AFFINE_TRAVERSAL:
-        def access(s):
-            found = preview_run(s)
-            if found is None:
-                return Miss(over_run(lambda a: a)(s))
-            return Focus((found, lambda b: over_run(lambda _: b)(s)))
-
-        return AffineTraversal(access=access)
-
-    if kind is OpticKind.TRAVERSAL:
-        def extract(s):
-            foci = foci_run(s)
-
-            def rebuild(bs, _n=len(foci), _s=s):
-                if len(bs) != _n:
-                    raise LengthError(
-                        f"expected {_n} replacements, got {len(bs)}"
-                    )
-                queue = iter(bs)
-                return over_run(lambda _: next(queue))(_s)
-
-            return foci, rebuild
-
-        return Traversal(extract=extract)
-
-    if kind is OpticKind.GRATE:
-        probe = c.Grating(lambda h: h(lambda a: a))
-        return Grate(run=p.transform(probe).run)
-
-    if kind is OpticKind.GLASS:
-        probe = c.Glassing(lambda h, a: h(lambda x: x))
-        return Glass(run=p.transform(probe).run)
-
-    if kind is OpticKind.SETTER:
-        return Setter(over=lambda f, s: over_run(f)(s))
-
-    if kind is OpticKind.GETTER:
-        return Getter(get=view_run)
-
-    if kind is OpticKind.REVIEW:
-        return Review(build=build_run)
-
-    if kind is OpticKind.FOLD:
-        return Fold(foci=foci_run)
-
-    if kind is OpticKind.ALGEBRAIC_LENS:
-        probe = c.Classifying(lambda ss, b: b)
-        classify_run = p.transform(probe).run
-        return AlgebraicLens(view=view_run, classify=classify_run)
-
-    if kind is OpticKind.KALEIDOSCOPE:
-        probe = c.Aggregating(lambda foci, f: f(foci))
-        agg_run = p.transform(probe).run
-        return Kaleidoscope(aggregate=lambda f: lambda ss: agg_run(ss, f))
-
-    if kind is OpticKind.MONADIC_LENS:
-        if p.pure is None:
-            raise NormalFormError(
-                "cannot extract an effectful lens: no effect context recorded"
-            )
-        probe = c.Updating(lambda b, a: p.pure(b))
-        upd_run = p.transform(probe).run
-        return MonadicLens(
-            view=view_run,
-            mupdate=lambda s, b: upd_run(b, s),
-            pure=p.pure,
-        )
-
-    raise NormalFormError(f"no normal form registered for {kind!r}")
+    return cls(*[read(p) for read in readers])

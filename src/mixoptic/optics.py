@@ -72,20 +72,13 @@ def _listed_view(self, s):
     return [self._view(s)]
 
 
-def _listed_preview(self, s):
-    found = self._preview(s)
-    return [] if found is None else [found]
-
-
 def _optic(cls):
-    """The record class of its kind, with the runners of two rules: a kind
-    that views previews, and one that previews lists the focus it finds
-    (the third, ``set`` from ``over``, is in ``natives``)."""
+    """The record class of its kind; a kind that views also previews and
+    lists its one focus (the other rule, ``set`` from ``over``, is in
+    ``natives``)."""
     record(cls)
     if hasattr(cls, "_view"):
         cls._preview, cls._tolist = _runs("_view"), _listed_view
-    elif hasattr(cls, "_preview"):
-        cls._tolist = _listed_preview
     NATIVES[cls.kind] = natives(cls)
     return cls
 
@@ -148,6 +141,10 @@ class Prism(NamedTuple):
         res = self.match(s)
         return res.value if isinstance(res, Focus) else None
 
+    def _tolist(self, s):  # lists a ``None`` focus, which ``over`` rewrites
+        res = self.match(s)
+        return [res.value] if isinstance(res, Focus) else []
+
     def _over(self, fn, s):
         res = self.match(s)
         return self.build(fn(res.value)) if isinstance(res, Focus) else res.value
@@ -164,6 +161,10 @@ class AffineTraversal(NamedTuple):
     def _preview(self, s):  # as a prism's
         res = self.access(s)
         return res.value[0] if isinstance(res, Focus) else None
+
+    def _tolist(self, s):
+        res = self.access(s)
+        return [res.value[0]] if isinstance(res, Focus) else []
 
     def _over(self, fn, s):
         res = self.access(s)

@@ -9,8 +9,8 @@ import random
 import pytest
 
 from mixoptic import (
-    Aggregating, Classifying, Folding, Grating, Previewing, Replacing,
-    Reviewing, Updating, Viewing, Writer,
+    Aggregating, Classifying, Folding, Glassing, Grating, Previewing,
+    Replacing, Reviewing, Updating, Viewing, Writer,
 )
 from mixoptic.errors import CapabilityError
 
@@ -30,6 +30,8 @@ APPLYERS = {
     Replacing: lambda c, x: c.run(lambda a: a * 2)(x),
     Folding: lambda c, x: c.run(x),
     Updating: lambda c, x: c.run(x, x + 3),
+    Grating: lambda c, x: c.run(lambda k: k(x) - 7),
+    Glassing: lambda c, x: c.run(lambda k: k(x) - 7, x + 5),
 }
 
 
@@ -44,11 +46,15 @@ def _make(cls):
         return cls(run=lambda s: [s, s + 1])
     if cls is Updating:
         return cls(run=lambda b, s: Writer.tell(b + s, f"set {b}"))
+    if cls is Grating:
+        return cls(run=lambda h: h(lambda s: s * 3) + 1)
+    if cls is Glassing:
+        return cls(run=lambda h, s: h(lambda x: x * 3 + s) - s)
     raise AssertionError(cls)
 
 
 @pytest.mark.parametrize("cls", [Viewing, Previewing, Replacing, Folding,
-                                 Updating])
+                                 Updating, Grating, Glassing])
 def test_dimap_identity_and_composition(cls):
     r = random.Random(5)
     c = _make(cls)
@@ -63,7 +69,7 @@ def test_dimap_identity_and_composition(cls):
 
 
 @pytest.mark.parametrize("cls", [Viewing, Previewing, Replacing, Folding,
-                                 Updating])
+                                 Updating, Glassing])
 def test_product_lift_unit_coherence(cls):
     """Lifting then focusing through a unit residual is the identity."""
     r = random.Random(6)
@@ -85,7 +91,7 @@ def test_sum_lift_unit_coherence(cls):
 
 
 @pytest.mark.parametrize("cls", [Viewing, Previewing, Replacing, Folding,
-                                 Updating])
+                                 Updating, Glassing])
 def test_double_product_lift_pairing_coherence(cls):
     """Two nested residuals behave like one paired residual."""
     r = random.Random(9)
@@ -103,6 +109,16 @@ def test_double_product_lift_pairing_coherence(cls):
     )
     _agree(r, nested, paired, apply)
     _agree(r, nested, c, apply)
+
+
+@pytest.mark.parametrize("cls", [Replacing, Grating, Glassing])
+def test_closed_lift_unit_coherence(cls):
+    """Lifting through a constant reader, then reading it back, is the
+    identity."""
+    r = random.Random(7)
+    c = _make(cls)
+    unit = c.lift_closed().dimap(lambda s: lambda m: s, lambda g: g(None))
+    _agree(r, unit, c, APPLYERS[cls])
 
 
 def test_undeclared_lifts_raise():

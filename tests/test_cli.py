@@ -167,6 +167,20 @@ def test_a_wrong_kind_is_usage_whatever_the_input(document, action, arg,
         (2, "", f"error: {line}\n")
 
 
+@pytest.mark.parametrize("document", ['{"a": 1}', '"text"', "3"])
+@pytest.mark.parametrize("action,optic,arg", [
+    ("aggregate", "aggregate", "mean"),
+    ("classify", "measure", json.dumps({
+        "sepalLength": 1, "sepalWidth": 1, "petalLength": 1,
+        "petalWidth": 1})),
+])
+def test_a_document_that_is_no_list_is_usage_where_a_list_is_read(
+        document, action, optic, arg):
+    result = run_cli(action, "--optic", optic, "--arg", arg, stdin=document)
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        (2, "", f"error: {action} expects a list document\n")
+
+
 @pytest.mark.parametrize("action,line", [
     ("set", "this action needs --arg"),
     ("review", "this action needs --arg"),

@@ -6,10 +6,11 @@ import zlib
 import pytest
 
 from mixoptic import (
-    Folding, Lens, OpticKind, Previewing, Replacing, Setter, Viewing,
+    Aggregating, Classifying, Folding, Glassing, Grating, Lens, OpticKind,
+    Previewing, Replacing, Reviewing, Setter, Updating, Viewing, Writer,
     ex2prof, prof2ex, preview, view, over,
 )
-from mixoptic.errors import NormalFormError
+from mixoptic.errors import CapabilityError, NormalFormError
 
 from conftest import OBSERVERS, assert_extensionally_equal, zoo
 from typed_examples import address_prism, box_lens, street_lens
@@ -109,3 +110,54 @@ def test_pure_propagates_through_composition():
 
 def ex_lens_into_box():
     return Lens(view=lambda d: d["box"], update=lambda d, b: {**d, "box": b})
+
+
+# Each carrier class's identity probe, as ``prof2ex`` runs it.
+PROBES = {
+    Viewing: Viewing(run=lambda a: a),
+    Previewing: Previewing(run=lambda a: a),
+    Replacing: Replacing(run=lambda f: f),
+    Folding: Folding(run=lambda a: [a]),
+    Reviewing: Reviewing(run=lambda b: b),
+    Classifying: Classifying(run=lambda ss, b: b),
+    Aggregating: Aggregating(run=lambda foci, f: f(foci)),
+    Updating: Updating(run=lambda b, a: Writer.pure(b)),
+    Grating: Grating(run=lambda h: h(lambda a: a)),
+    Glassing: Glassing(run=lambda h, a: h(lambda x: x)),
+}
+
+# The carriers a transformer accepts beyond its ``supported``: a traversal
+# lifts ``Aggregating`` through FunList, and these five build their carrier
+# whatever the one they are given.
+ACCEPTED_UNLISTED = {
+    K.TRAVERSAL: {Aggregating},
+    **dict.fromkeys((K.SETTER, K.GETTER, K.REVIEW, K.FOLD, K.MONADIC_LENS),
+                    set(PROBES)),
+}
+
+
+@pytest.mark.parametrize("kind", list(zoo()), ids=lambda k: k.value)
+def test_supported_names_what_the_transformer_accepts(kind):
+    """Every supported carrier transforms into a carrier of its class, and
+    every other raises ``CapabilityError`` but for the gaps named above."""
+    p = ex2prof(zoo()[kind].optic)
+    accepted = set()
+    for cls, probe in PROBES.items():
+        try:
+            out = p.transform(probe)
+        except CapabilityError:
+            continue
+        accepted.add(cls)
+        if cls in p.supported:
+            assert type(out) is cls
+    assert p.supported <= accepted
+    assert accepted - p.supported == (
+        ACCEPTED_UNLISTED.get(kind, set()) - p.supported)
+
+
+def test_a_glass_names_the_first_lift_a_carrier_lacks():
+    p = ex2prof(zoo()[K.GLASS].optic)
+    with pytest.raises(CapabilityError, match="the closed capability"):
+        p.transform(PROBES[Viewing])
+    with pytest.raises(CapabilityError, match="the product capability"):
+        p.transform(PROBES[Grating])

@@ -60,6 +60,19 @@ def test_prism_miss_leaves_source_alone():
         "nothing here"
 
 
+def test_to_list_of_lists_a_focus_that_is_none_as_over_rewrites_it():
+    p = optics.Prism(match=lambda s: Focus(None), build=lambda b: b)
+    a = optics.AffineTraversal(access=lambda s: Focus((None, lambda b: b)))
+    t = optics.Traversal(extract=lambda xs: (list(xs), list))
+    for optic in (p, a, compose(p, p), compose(a, a), upcast(p, K.FOLD)):
+        assert to_list_of(optic, 1) == [None]
+    for optic in (p, a, compose(p, p), compose(a, a)):
+        assert over(optic, lambda x: "hit", 1) == "hit"
+    assert to_list_of(compose(t, p), [1, 2]) == [None, None]
+    missing = optics.Prism(match=Miss, build=lambda b: b)
+    assert to_list_of(missing, 1) == to_list_of(compose(missing, p), 1) == []
+
+
 @given(st.lists(st.integers(), max_size=8))
 def test_traversal_laws(xs):
     t = each()
