@@ -31,6 +31,8 @@ _ALL_CARRIERS = frozenset({
     c.Viewing, c.Previewing, c.Replacing, c.Classifying,
     c.Aggregating, c.Updating, c.Folding, c.Reviewing, c.Grating, c.Glassing,
 })
+# The carriers whose ``dimap`` discards the output map.
+_READ_ONLY = (c.Viewing, c.Previewing, c.Folding)
 
 
 @record
@@ -156,33 +158,45 @@ def ex2prof(optic: Any) -> ProfOptic:
 
     if kind is OpticKind.SETTER:
         over_fn = optic.over
-        return ProfOptic(
-            lambda p: c.Replacing(lambda u: lambda s: over_fn(p.run(u), s)),
-            frozenset({c.Replacing}),
-        )
+
+        def t_setter(p):
+            if not isinstance(p, c.Replacing):
+                raise p._no("mapping")
+            return c.Replacing(lambda u: lambda s: over_fn(p.run(u), s))
+
+        return ProfOptic(t_setter, frozenset({c.Replacing}))
 
     if kind is OpticKind.GETTER:
         get = optic.get
         ident = lambda x: x
-        return ProfOptic(
-            lambda p: p.dimap(get, ident),
-            frozenset({c.Viewing, c.Previewing, c.Folding}),
-        )
+
+        def t_getter(p):
+            if not isinstance(p, _READ_ONLY):
+                raise p._no("read-only")
+            return p.dimap(get, ident)
+
+        return ProfOptic(t_getter, frozenset(_READ_ONLY))
 
     if kind is OpticKind.REVIEW:
         build = optic.build
         ident = lambda x: x
-        return ProfOptic(
-            lambda p: p.dimap(ident, build),
-            frozenset({c.Reviewing}),
-        )
+
+        def t_review(p):
+            if not isinstance(p, c.Reviewing):
+                raise p._no("write-only")
+            return p.dimap(ident, build)
+
+        return ProfOptic(t_review, frozenset({c.Reviewing}))
 
     if kind is OpticKind.FOLD:
         foci = optic.foci
-        return ProfOptic(
-            lambda p: c.Folding(lambda s: [x for a in foci(s) for x in p.run(a)]),
-            frozenset({c.Folding}),
-        )
+
+        def t_fold(p):
+            if not isinstance(p, c.Folding):
+                raise p._no("folding")
+            return c.Folding(lambda s: [x for a in foci(s) for x in p.run(a)])
+
+        return ProfOptic(t_fold, frozenset({c.Folding}))
 
     if kind is OpticKind.ALGEBRAIC_LENS:
         v, classify = optic.view, optic.classify
@@ -223,12 +237,13 @@ def ex2prof(optic: Any) -> ProfOptic:
                 return c.Replacing(
                     lambda u: lambda s: mupd(s, p.run(u)(v(s))).value
                 )
-            return p.dimap(v, lambda x: x)  # read-only carriers
+            if not isinstance(p, _READ_ONLY):
+                raise p._no("read-only")
+            return p.dimap(v, lambda x: x)
 
         return ProfOptic(
             t_monadic,
-            frozenset({c.Viewing, c.Previewing, c.Folding, c.Updating,
-                       c.Replacing}),
+            frozenset({*_READ_ONLY, c.Updating, c.Replacing}),
             pure=pure,
         )
 

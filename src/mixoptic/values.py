@@ -6,6 +6,9 @@ are 64-bit floats, and serialization prints integral floats without a
 decimal point. The values are records (``records.record``); ``parse_json``
 makes them inside the standard decoder, numbers in its number hooks and
 records and tags in its one pairs hook, and converts the rest by exact type.
+Each call makes one node per distinct string and per distinct number literal
+of its document, so every repeated leaf is one shared node. Nodes are
+immutable and the optics copy on write, so no result shows the sharing.
 """
 
 from __future__ import annotations
@@ -73,59 +76,105 @@ _FLOAT_MAX = sys.float_info.max
 # same, but as a Python call.
 _new = tuple.__new__
 
+TRUE = _new(VBool, (True,))
+FALSE = _new(VBool, (False,))
 
-def _number(num):
-    # A number no float holds comes back as its error, raised when its
-    # object's values convert, after any fault the decoder met before that.
-    try:
-        if -_FLOAT_MAX <= (num := float(num)) <= _FLOAT_MAX:  # 1e400 is inf
-            return _new(VNum, (num,))
-    except OverflowError:  # an integer past the float range
-        pass
-    return ParseError("number out of range")
+# What the decoder's hooks return as nodes already: numbers, records, tags.
+_BUILT = frozenset((VNum, VRec, VTag))
 
 
-def _raise(error):
-    raise error
+class _Texts(dict):
+    """One ``VText`` per distinct string of one document."""
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        node = self[text] = _new(VText, (text,))
+        return node
 
 
-# ``_list`` and ``_to_python`` recurse once per level of the document. They
-# are loops, not comprehensions: a comprehension runs in a frame of its own
-# before Python 3.12, which would halve the depth they reach.
-def _list(items):
-    for i, x in enumerate(items):  # the decoder's own list, converted in place
-        if (to := _CONVERT.get(type(x))) is not None:
-            items[i] = to(x)
+class _Numbers(dict):
+    """One ``VNum`` per distinct number literal of one document, keyed on
+    the literal's text, never on the value: ``-0.0`` and ``0`` are equal
+    values with equal hashes, but they are different nodes.
+
+    A literal no float holds maps to its error, raised when its object's
+    values convert, after any fault the decoder met before that.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, literal):
+        # An integer literal goes through int(), which refuses at once more
+        # digits than it reads.
+        fraction = "." in literal or "e" in literal or "E" in literal
+        try:
+            num = float(literal if fraction else int(literal))
+            if -_FLOAT_MAX <= num <= _FLOAT_MAX:  # 1e400 is inf
+                node = self[literal] = _new(VNum, (num,))
+                return node
+        except OverflowError:  # an integer past the float range
+            pass
+        node = self[literal] = ParseError("number out of range")
+        return node
+
+
+def _not_a_number(name):
+    raise ParseError(f"{name} is not a JSON number")
+
+
+# ``_list``, like ``_to_python`` below, recurses once per level of the
+# document. Both are loops, not comprehensions: a comprehension runs in a frame
+# of its own before Python 3.12, which would halve their depth.
+def _list(items, texts):
+    for i, x in enumerate(items):  # the decoder's own list, in place
+        if (kind := type(x)) is str:
+            items[i] = texts[x]
+        elif kind is list:
+            items[i] = _list(x, texts)
+        elif kind not in _BUILT:
+            items[i] = _leaf(x)
     return _new(VList, (tuple(items),))
 
 
-# What the decoder leaves as Python objects, by exact type; numbers, records
-# and tags leave the hooks as values.
-_CONVERT = {str: lambda s: _new(VText, (s,)), list: _list,
-            bool: lambda b: _new(VBool, (b,)), type(None): lambda _: NULL,
-            ParseError: _raise}
-
-
-def _record(pairs):
-    fields = tuple([(k, v if (to := _CONVERT.get(type(v))) is None else to(v))
-                    for k, v in pairs])
-    if len(dict(pairs)) != len(pairs):  # the scan runs only on a duplicate
-        keys = [k for k, _ in pairs]
-        dup = next(k for k in keys if keys.count(k) > 1)
-        raise ParseError(f"duplicate key {dup!r}")
-    if len(fields) == 1 and (key := fields[0][0]).startswith("@"):
-        return _new(VTag, (key[1:], fields[0][1]))
-    return _new(VRec, (fields,))
+def _leaf(x):
+    # what the decoder leaves as Python objects, besides strings and lists
+    if x is None:
+        return NULL
+    if x is True:
+        return TRUE
+    if x is False:
+        return FALSE
+    raise x  # a number out of range
 
 
 def parse_json(text: str) -> Value:
+    # A repeated string or number is one C-level lookup, with no Python
+    # frame. ``_record`` is the one closure and nothing refers back to the
+    # call, so the tables go when it returns, not at a collection.
+    texts = _Texts()
+    numbers = _Numbers()
+
+    def _record(pairs):
+        fields = tuple([(k, texts[v] if (kind := type(v)) is str
+                         else v if kind in _BUILT
+                         else _list(v, texts) if kind is list else _leaf(v))
+                        for k, v in pairs])
+        if len(dict(pairs)) != len(pairs):  # the scan runs only on a duplicate
+            keys = [k for k, _ in pairs]
+            dup = next(k for k in keys if keys.count(k) > 1)
+            raise ParseError(f"duplicate key {dup!r}")
+        if len(fields) == 1 and (key := fields[0][0]).startswith("@"):
+            return _new(VTag, (key[1:], fields[0][1]))
+        return _new(VRec, (fields,))
+
     try:
-        raw = json.loads(text, object_pairs_hook=_record, parse_float=_number,
-                         parse_int=lambda digits: _number(int(digits)),
-                         parse_constant=lambda name: _raise(
-                             ParseError(f"{name} is not a JSON number")))
-        to = _CONVERT.get(type(raw))
-        return raw if to is None else to(raw)
+        raw = json.loads(text, object_pairs_hook=_record,
+                         parse_float=numbers.__getitem__,
+                         parse_int=numbers.__getitem__,
+                         parse_constant=_not_a_number)
+        # the root converts as a list's one item
+        return _list([raw], texts).items[0]
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     except ValueError:  # an integer past the digits int() reads

@@ -127,13 +127,8 @@ PROBES = {
 }
 
 # The carriers a transformer accepts beyond its ``supported``: a traversal
-# lifts ``Aggregating`` through FunList, and these five build their carrier
-# whatever the one they are given.
-ACCEPTED_UNLISTED = {
-    K.TRAVERSAL: {Aggregating},
-    **dict.fromkeys((K.SETTER, K.GETTER, K.REVIEW, K.FOLD, K.MONADIC_LENS),
-                    set(PROBES)),
-}
+# lifts ``Aggregating`` through FunList.
+ACCEPTED_UNLISTED = {K.TRAVERSAL: {Aggregating}}
 
 
 @pytest.mark.parametrize("kind", list(zoo()), ids=lambda k: k.value)
@@ -153,6 +148,18 @@ def test_supported_names_what_the_transformer_accepts(kind):
     assert p.supported <= accepted
     assert accepted - p.supported == (
         ACCEPTED_UNLISTED.get(kind, set()) - p.supported)
+
+
+@pytest.mark.parametrize("kind,capability", [
+    (K.SETTER, "mapping"), (K.GETTER, "read-only"), (K.REVIEW, "write-only"),
+    (K.FOLD, "folding"), (K.MONADIC_LENS, "read-only"),
+], ids=lambda x: getattr(x, "value", x))
+def test_a_transformer_that_lifts_nothing_names_what_it_asks_for(
+        kind, capability):
+    p = ex2prof(zoo()[kind].optic)
+    with pytest.raises(CapabilityError, match=(
+            f"^Classifying does not declare the {capability} capability$")):
+        p.transform(PROBES[Classifying])
 
 
 def test_a_glass_names_the_first_lift_a_carrier_lacks():

@@ -348,6 +348,117 @@ def test_fault_order_and_edge_numbers_match_the_replaced_route(text):
     check_against_oracle(text)
 
 
+# ---------------------------------------------------------------------------
+# One node per distinct leaf: ``parse_json`` shares every repeated string and
+# number literal of a document, which no ``==``, ``serialize`` or optic shows.
+
+
+@pytest.mark.parametrize("text", [
+    "[-0.0, 0, -0, 0.0, -0.0]",  # equal values, different literals
+    "[1, 1.0, 1e0, 10E-1]",
+    '{"a": "x", "b": ["x", {"@x": "x"}]}',  # a text as value, key and tag
+    "[1e400, 1e400]",  # one literal out of range, twice
+    '{"a": [1e400], "a": 2}',
+], ids=lambda text: text[:32])
+def test_literals_repeated_in_different_roles_match_the_replaced_route(text):
+    check_against_oracle(text)
+
+
+# leaves from a small pool, so that they repeat within one document
+_pooled_leaves = st.sampled_from([
+    "0", "-0", "0.0", "-0.0", "1", "1.0", "1e0", "2.5", "1e400", '"x"',
+    '"y"', '"@x"', '""', "null", "true", "false",
+])
+
+
+@given(st.recursive(_pooled_leaves, _containers, max_leaves=24))
+def test_repeated_leaves_match_the_replaced_route(text):
+    check_against_oracle(text)
+
+
+def test_setting_one_shared_leaf_leaves_the_others_and_the_input_unchanged():
+    doc = parse_json('[{"a": "x", "n": 1}, {"a": "x", "n": 1}, ["x", 1]]')
+    first, second, tail = doc.items
+    assert first.get("a") is second.get("a") is tail.items[0]  # shared
+    assert first.get("n") is second.get("n") is tail.items[1]
+    before = serialize(doc)
+    lens = field_lens("a")
+    out = set_value(lens, first, VText("y"))
+    assert view(lens, out) == VText("y")
+    assert view(lens, second) == VText("x") and tail.items[0] == VText("x")
+    assert set_value(field_lens("n"), second, VNum(2.0)).get("n") == VNum(2.0)
+    assert first.get("n") == VNum(1.0) and tail.items[1] == VNum(1.0)
+    assert serialize(doc) == before
+
+
+def test_a_parse_leaves_nothing_to_the_collector():
+    # the per-call tables go when parse_json returns, not at a collection
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        doc = parse_json('[{"a": "x", "b": [1, 2.5, "x"]}, {"@t": [true]}]')
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert serialize(doc) == '[{"a": "x", "b": [1, 2.5, "x"]}, {"@t": [true]}]'
+
+
+def _address_book(r, n):
+    # the benchmark's address-book shape: a unique id; streets and postal
+    # strings numbered from 1 to 998, so most are unique; names, cities,
+    # countries, tags and one postal string in ten from small pools
+    streets = ["Baker St", "Rowan Rd", "High Ln", "Elm Way", "Forge Yard",
+               "Mill Bank", "Dean Gate", "Acre Fold", "Quay Side", "Kings Row"]
+    cities = ["London", "Leeds", "York", "Bath", "Derby", "Truro", "Oslo",
+              "Lyon", "Porto", "Ghent", "Princeton", "Wilmslow"]
+    countries = ["UK", "USA", "France", "Norway", "Portugal", "Belgium"]
+    tags = ["home", "work", "family", "club", "school", "old"]
+    return [{"id": i,
+             "name": f"{r.choice('ABCDEFGHIJKLMN')} {r.choice('OPQRSTUVWXYZ')}",
+             "address": {"street": f"{r.randrange(1, 999)} {r.choice(streets)}",
+                         "city": r.choice(cities),
+                         "country": r.choice(countries)},
+             "postal": (r.choice(["PO Box 12", "no separators here"])
+                        if i % 10 == 0 else
+                        f"{r.randrange(1, 999)} {r.choice(streets)}, "
+                        f"{r.choice(cities)}, {r.choice(countries)}"),
+             "tags": [r.choice(tags), r.choice(tags)]}
+            for i in range(n)]
+
+
+def _flowers(r, n):
+    # the benchmark's flower shape: four measurements to one decimal place
+    keys = ("sepalLength", "sepalWidth", "petalLength", "petalWidth")
+    return [{"measurements": {k: round(r.uniform(0.1, 8.0), 1) for k in keys},
+             "species": r.choice(["Setosa", "Versicolor", "Virginica"])}
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("make,bound", [(_address_book, 17), (_flowers, 10.1)],
+                         ids=["address", "flowers"])
+def test_tracked_nodes_per_parsed_record(make, bound):
+    # A record is its node, its fields tuple and one tuple per pair; leaves
+    # add a node only where they are new to the document: one node per leaf
+    # would give 22 (address) and 15 (flowers).
+    import gc
+    import random
+
+    n = 2000
+    text = json.dumps(make(random.Random(5), n))
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        doc = parse_json(text)
+        tracked = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(doc.items) == n
+    assert tracked / n <= bound, tracked / n
+
+
 def test_serialize_matches_the_replaced_route_on_built_values():
     built = VRec((
         ("n", VNum(3)), ("big", VNum(2 ** 60)), ("f", VNum(2.0 ** 60)),
