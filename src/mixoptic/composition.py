@@ -632,11 +632,15 @@ def compose(first: Any, *rest: Any) -> Any:
     target = _join(frozenset(kinds))
     if not isinstance(target, OpticKind):
         target = _fail_once(kinds, target)
-    # parts: the segments of a chain of ``kind`` not built yet, or None
+    # parts: the segments of a chain of ``kind`` not built yet, or None; a
+    # tuple until a third operand joins, so that a run of two copies a long
+    # chain's parts once
     optic, kind, parts = first, first.kind, None
     for nxt in rest:
         joined = _JOIN[kind][nxt.kind]
         if joined is kind and parts is not None:
+            if type(parts) is tuple:
+                parts = [*parts]
             parts.extend(_segments(nxt, kind))
             continue
         if _JOIN[target].get(joined) is not target:
@@ -646,5 +650,5 @@ def compose(first: Any, *rest: Any) -> Any:
         if parts is not None:
             optic = _CHAINS[kind](tuple(parts))
         kind = joined
-        parts = [*_segments(optic, kind), *_segments(nxt, kind)]
+        parts = _segments(optic, kind) + _segments(nxt, kind)
     return optic if parts is None else _CHAINS[kind](tuple(parts))

@@ -11,7 +11,10 @@ pattern; an argument with an escape, and every error, goes the long way
 through the string reader, which keeps each message and position. Segments
 resolve to optics through the registry (plain names) or through the
 parameterized forms ``field("key")`` and ``variant("tag")``; the whole chain
-is one call to the variadic ``compose``, at the join of all its kinds.
+is one call to the variadic ``compose``, at the join of all its kinds. A run
+of ``field`` segments before the first segment of another kind than lens,
+prism or affine traversal resolves to one ``field_lens`` of the run's keys,
+one segment of the chain.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .composition import compose
 from .errors import ExprError
+from .kinds import OpticKind as K
 from .records import record
 from .values import each_traversal, field_lens, variant_prism
 
@@ -116,6 +120,31 @@ def resolve_segment(segment: Segment, registry: Dict[str, object]):
     return found
 
 
+# The segment kinds before which a run of fields is one lens. Down to the
+# first segment of another kind, a chain reads one whole per level, so there
+# the lens reads, rebuilds and fails as the run's lenses would. Past a
+# traversal many wholes are read level by level, which decides the first
+# error met, so each field after it stays a lens of its own.
+_WALKS = frozenset((K.LENS, K.PRISM, K.AFFINE_TRAVERSAL))
+
+
 def resolve_expr(segments: List[Segment], registry: Dict[str, object]):
-    """Resolve every segment and compose the chain in one call."""
-    return compose(*[resolve_segment(seg, registry) for seg in segments])
+    """Resolve every segment and compose the chain in one call. Each run of
+    ``field`` segments before the first segment of a kind outside
+    ``_WALKS`` resolves to one ``field_lens`` of its keys."""
+    optics, keys = [], []
+    walks = True  # no kind outside ``_WALKS`` met yet
+    for seg in segments:
+        if walks and seg.name == "field" and seg.argument is not None:
+            keys.append(seg.argument)
+            continue
+        if keys:
+            optics.append(field_lens(*keys))
+            keys = []
+        optic = resolve_segment(seg, registry)
+        if optic.kind not in _WALKS:
+            walks = False
+        optics.append(optic)
+    if keys:
+        optics.append(field_lens(*keys))
+    return compose(*optics)

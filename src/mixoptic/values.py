@@ -219,27 +219,69 @@ def serialize(value: Value) -> str:
 # Generic optics over values.
 
 
-def field_lens(key: str) -> Lens:
-    """Lens onto a record field; shape errors surface at application time."""
+def field_lens(key: str, *more: str) -> Lens:
+    """Lens onto a path of one or more record fields, outermost key first.
+    It reads, rebuilds and fails as the chain of one lens per key does, in
+    one loop: shape errors surface at application time, at the first level
+    that is no record or lacks its key, with that level's message. The pair
+    a level reads and replaces is the first with its key; the other pairs
+    are shared."""
+    if not more:
+        def view(value):
+            if not isinstance(value, VRec):
+                raise FocusError(f"expected a record with key {key!r}")
+            for k, found in value.fields:
+                if k == key:
+                    return found
+            raise FocusError(f"record has no key {key!r}")
+
+        def update(value, new):
+            if not isinstance(value, VRec):
+                raise FocusError(f"expected a record with key {key!r}")
+            fields = value.fields
+            for i, (k, _) in enumerate(fields):
+                if k == key:
+                    return _new(VRec, (fields[:i] + ((key, new),)
+                                       + fields[i + 1:],))
+            raise FocusError(f"record has no key {key!r}")
+
+        return _new(Lens, (view, update))
+
+    keys = (key, *more)
 
     def view(value):
-        if not isinstance(value, VRec):
-            raise FocusError(f"expected a record with key {key!r}")
-        found = value.get(key)
-        if found is None:
-            raise FocusError(f"record has no key {key!r}")
-        return found
+        for key in keys:
+            if not isinstance(value, VRec):
+                raise FocusError(f"expected a record with key {key!r}")
+            for k, value in value.fields:
+                if k == key:
+                    break
+            else:
+                raise FocusError(f"record has no key {key!r}")
+        return value
 
     def update(value, new):
-        # the pair view reads is the first with the key; the rest are shared
-        if not isinstance(value, VRec):
-            raise FocusError(f"expected a record with key {key!r}")
-        fields = value.fields
-        for i, (k, _) in enumerate(fields):
-            if k == key:
-                return _new(VRec, (fields[:i] + ((key, new),)
-                                   + fields[i + 1:],))
-        raise FocusError(f"record has no key {key!r}")
+        # down once, keeping each level's pairs and the index of its key's,
+        # then up from the focus
+        levels = []
+        for key in keys:
+            if not isinstance(value, VRec):
+                raise FocusError(f"expected a record with key {key!r}")
+            fields, i = value.fields, 0
+            for k, value in fields:
+                if k == key:
+                    break
+                i += 1
+            else:
+                raise FocusError(f"record has no key {key!r}")
+            levels.append(fields)
+            levels.append(i)
+        pop = levels.pop
+        for key in reversed(keys):
+            i = pop()
+            fields = pop()
+            new = _new(VRec, (fields[:i] + ((key, new),) + fields[i + 1:],))
+        return new
 
     return _new(Lens, (view, update))
 

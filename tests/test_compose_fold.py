@@ -248,16 +248,31 @@ def test_resolving_builds_one_chain_per_kind(depth, monkeypatch):
         init(self, parts)
 
     monkeypatch.setattr(_Chain, "__init__", counting)
+    cities = ["city"] * (depth // 2)
     fields = ['field("k")'] * (depth // 2)
 
-    optic = resolve_expr(parse_expr(".".join(fields * 2)), names)
+    # a registry lens is no field segment: a run of it is one lens chain
+    optic = resolve_expr(parse_expr(".".join(cities * 2)), names)
     assert built == [K.LENS]
     assert len(optic.parts) == depth
 
     # a variant half-way changes the kind once: the lens chain becomes one
     # segment of the affine chain
     built.clear()
-    text = ".".join(fields + ['variant("t")'] + fields)
-    optic = resolve_expr(parse_expr(text), names)
+    optic = resolve_expr(parse_expr(".".join(cities + ['variant("t")']
+                                             + cities)), names)
     assert built == [K.LENS, K.AFFINE_TRAVERSAL]
     assert len(optic.parts) == 2 + depth // 2
+
+    # a run of fields is one lens and builds no chain
+    built.clear()
+    optic = resolve_expr(parse_expr(".".join(fields * 2)), names)
+    assert built == []
+    assert type(optic) is Lens
+
+    # either side of a variant, each run of fields is one lens part
+    built.clear()
+    optic = resolve_expr(parse_expr(".".join(fields + ['variant("t")']
+                                             + fields)), names)
+    assert built == [K.AFFINE_TRAVERSAL]
+    assert [type(part) for part in optic.parts] == [Lens, Prism, Lens]
