@@ -12,12 +12,18 @@ on functions into the focus.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import funlist as fl
 from .errors import CapabilityError
 from .optics import Focus, Miss
 from .records import record
+
+# Every lift and ``dimap`` builds its carrier, and a sum lift its ``Focus``,
+# with the tuple constructor, as ``values`` builds nodes: a NamedTuple's
+# ``__new__`` adds a Python frame per record.
+_new = tuple.__new__
 
 
 class _Run(NamedTuple):
@@ -64,10 +70,10 @@ class Viewing(Carrier):
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Viewing(lambda s: self.run(l(s)))
+        return _new(Viewing, (lambda s: self.run(l(s)),))
 
     def lift_product(self):
-        return Viewing(lambda pair: self.run(pair[1]))
+        return _new(Viewing, (lambda pair: self.run(pair[1]),))
 
     lift_list_algebra = lift_product
 
@@ -78,43 +84,61 @@ class Previewing(Carrier):
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Previewing(lambda s: self.run(l(s)))
+        return _new(Previewing, (lambda s: self.run(l(s)),))
 
     def lift_product(self):
-        return Previewing(lambda pair: self.run(pair[1]))
+        return _new(Previewing, (lambda pair: self.run(pair[1]),))
 
     def lift_sum(self):
-        return Previewing(
-            lambda m: None if isinstance(m, Miss) else self.run(m.value)
-        )
+        return _new(Previewing, (
+            lambda m: None if isinstance(m, Miss) else self.run(m.value),))
 
     lift_list_algebra = lift_product
 
 
 class Replacing(Carrier):
-    """run: (A -> B) -> S -> T. Declares every capability."""
+    """run: (A -> B) -> S -> T. Declares every capability.
+
+    Each lift runs the inner ``run(u)`` once per ``u``, not once per whole,
+    so a walk over n wholes calls the probe's ``run`` once.
+    """
 
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Replacing(lambda u: lambda s: r(self.run(u)(l(s))))
+        def lifted(u):
+            f = self.run(u)
+            return lambda s: r(f(l(s)))
+
+        return _new(Replacing, (lifted,))
 
     def lift_product(self):
-        return Replacing(lambda u: lambda pair: (pair[0], self.run(u)(pair[1])))
+        def lifted(u):
+            f = self.run(u)
+            return lambda pair: (pair[0], f(pair[1]))
+
+        return _new(Replacing, (lifted,))
 
     def lift_sum(self):
-        return Replacing(
-            lambda u: lambda m: m if isinstance(m, Miss)
-            else Focus(self.run(u)(m.value))
-        )
+        def lifted(u):
+            f = self.run(u)
+            return lambda m: (m if isinstance(m, Miss)
+                              else _new(Focus, (f(m.value),)))
+
+        return _new(Replacing, (lifted,))
 
     lift_list_algebra = lift_product
 
     def lift_funlist(self):
-        return Replacing(lambda u: lambda flist: fl.map_sources(self.run(u), flist))
+        return _new(Replacing, (
+            lambda u: partial(fl.map_sources, self.run(u)),))
 
     def lift_closed(self):
-        return Replacing(lambda u: lambda k: lambda x: self.run(u)(k(x)))
+        def lifted(u):
+            f = self.run(u)
+            return lambda k: lambda x: f(k(x))
+
+        return _new(Replacing, (lifted,))
 
 
 class Classifying(Carrier):
@@ -123,7 +147,8 @@ class Classifying(Carrier):
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Classifying(lambda ss, b: r(self.run([l(s) for s in ss], b)))
+        return _new(Classifying, (
+            lambda ss, b: r(self.run([l(s) for s in ss], b)),))
 
     def lift_list_algebra(self):
         # residuals are themselves lists; the algebra flattens them
@@ -131,7 +156,7 @@ class Classifying(Carrier):
             residual = [w for ws, _ in pairs for w in ws]
             return residual, self.run([a for _, a in pairs], b)
 
-        return Classifying(lifted)
+        return _new(Classifying, (lifted,))
 
 
 class Aggregating(Carrier):
@@ -140,21 +165,22 @@ class Aggregating(Carrier):
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Aggregating(lambda ss, f: r(self.run([l(s) for s in ss], f)))
+        return _new(Aggregating, (
+            lambda ss, f: r(self.run([l(s) for s in ss], f)),))
 
     def lift_list_algebra(self):
         def lifted(pairs, f):
             residual = [w for ws, _ in pairs for w in ws]
             return residual, self.run([a for _, a in pairs], f)
 
-        return Aggregating(lifted)
+        return _new(Aggregating, (lifted,))
 
     def lift_funlist(self):
         # a list of FunLists is sequenced into a FunList of focus lists
         def lifted(flists, f):
             return fl.fmap(lambda ss: self.run(ss, f), fl.sequence(list(flists)))
 
-        return Aggregating(lifted)
+        return _new(Aggregating, (lifted,))
 
 
 class Updating(Carrier):
@@ -163,12 +189,11 @@ class Updating(Carrier):
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Updating(lambda b, s: self.run(b, l(s)).map(r))
+        return _new(Updating, (lambda b, s: self.run(b, l(s)).map(r),))
 
     def lift_product(self):
-        return Updating(
-            lambda b, pair: self.run(b, pair[1]).map(lambda t: (pair[0], t))
-        )
+        return _new(Updating, (lambda b, pair: self.run(b, pair[1]).map(
+            lambda t: (pair[0], t)),))
 
 
 class Folding(Carrier):
@@ -177,20 +202,20 @@ class Folding(Carrier):
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Folding(lambda s: self.run(l(s)))
+        return _new(Folding, (lambda s: self.run(l(s)),))
 
     def lift_product(self):
-        return Folding(lambda pair: self.run(pair[1]))
+        return _new(Folding, (lambda pair: self.run(pair[1]),))
 
     def lift_sum(self):
-        return Folding(lambda m: [] if isinstance(m, Miss) else self.run(m.value))
+        return _new(Folding, (
+            lambda m: [] if isinstance(m, Miss) else self.run(m.value),))
 
     lift_list_algebra = lift_product
 
     def lift_funlist(self):
-        return Folding(
-            lambda flist: [a for src in fl.sources(flist) for a in self.run(src)]
-        )
+        return _new(Folding, (lambda flist: [
+            a for src in fl.sources(flist) for a in self.run(src)],))
 
 
 class Reviewing(Carrier):
@@ -199,10 +224,10 @@ class Reviewing(Carrier):
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Reviewing(lambda b: r(self.run(b)))
+        return _new(Reviewing, (lambda b: r(self.run(b)),))
 
     def lift_sum(self):
-        return Reviewing(lambda b: Focus(self.run(b)))
+        return _new(Reviewing, (lambda b: _new(Focus, (self.run(b),)),))
 
 
 class Grating(Carrier):
@@ -211,10 +236,12 @@ class Grating(Carrier):
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Grating(lambda h: r(self.run(lambda k: h(lambda s: k(l(s))))))
+        return _new(Grating, (
+            lambda h: r(self.run(lambda k: h(lambda s: k(l(s))))),))
 
     def lift_closed(self):
-        return Grating(lambda h: lambda m: self.run(lambda k: h(lambda f: k(f(m)))))
+        return _new(Grating, (
+            lambda h: lambda m: self.run(lambda k: h(lambda f: k(f(m)))),))
 
 
 class Glassing(Carrier):
@@ -223,14 +250,13 @@ class Glassing(Carrier):
     __slots__ = ()
 
     def dimap(self, l, r):
-        return Glassing(
-            lambda h, s: r(self.run(lambda k: h(lambda x: k(l(x))), l(s)))
-        )
+        return _new(Glassing, (
+            lambda h, s: r(self.run(lambda k: h(lambda x: k(l(x))), l(s))),))
 
     def lift_product(self):
-        return Glassing(lambda h, pair: (
-            pair[0], self.run(lambda k: h(lambda q: k(q[1])), pair[1])))
+        return _new(Glassing, (lambda h, pair: (
+            pair[0], self.run(lambda k: h(lambda q: k(q[1])), pair[1])),))
 
     def lift_closed(self):
-        return Glassing(lambda h, f: lambda m: self.run(
-            lambda k: h(lambda g: k(g(m))), f(m)))
+        return _new(Glassing, (lambda h, f: lambda m: self.run(
+            lambda k: h(lambda g: k(g(m))), f(m)),))

@@ -7,13 +7,29 @@ through an action, then apply one ``dimap``: a lens lifts through the
 product, a prism the sum, an affine traversal the product then the sum, a
 traversal FunList, a grate the closed action, a glass the closed action then
 the product, an algebraic lens the list algebra, and an adapter, getter and
-review through nothing; the other kinds build their carrier. ``prof2ex``
-recovers the normal form one record field at a time, running the
-transformer on identity probes of the carriers that field needs.
+review through nothing; the other kinds build their carrier.
+
+Each kind has one row, built at import: the carriers its transformer
+supports and a builder. The builder makes the optic's own closures (a
+lens's ``s -> (s, view(s))`` and ``pair -> update(*pair)``) once per
+``ex2prof`` call, so a ``transform`` call makes only the carriers it lifts.
+
+``prof2ex`` checks that the transformer supports the probes the kind's
+record fields need and returns an instance of the kind's normal-form type,
+also built at import: the one-item tuple of the transformer, whose record
+fields are methods that each run the transformer on one identity probe per
+call. The lens, achromatic-lens, prism, affine-traversal and adapter forms
+run ``over`` (so ``set``) as one ``Replacing`` walk; the prism and affine
+forms ``preview`` as one ``Previewing`` walk, and ``match`` and ``access``
+as one ``Replacing`` walk that stops at the focus. A traversal's ``over``
+stays two walks, a fold and then a replace, so its focus function runs only
+after every view, as the concrete chain's does, and an error is the one the
+chain raises first.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, FrozenSet, NamedTuple, Optional
 
 from . import carriers as c
@@ -26,6 +42,9 @@ from .optics import (
     Review, Setter, Traversal,
 )
 from .records import record
+
+K = OpticKind
+_new = tuple.__new__  # builds a record without its ``__new__`` frame
 
 _ALL_CARRIERS = frozenset({
     c.Viewing, c.Previewing, c.Replacing, c.Classifying,
@@ -51,309 +70,390 @@ class ProfOptic(NamedTuple):
 
     def then(self, inner: "ProfOptic") -> "ProfOptic":
         """Compose transformers, outer first."""
-        return ProfOptic(
-            transform=lambda p: self.transform(inner.transform(p)),
-            supported=self.supported & inner.supported,
-            pure=self.pure if self.pure is not None else inner.pure,
-        )
+        return _new(ProfOptic, (
+            lambda p: self.transform(inner.transform(p)),
+            self.supported & inner.supported,
+            self.pure if self.pure is not None else inner.pure))
+
+
+# ---------------------------------------------------------------------------
+# ex2prof: one row per kind, ``_ROWS[kind] = (supported, builder)``. A
+# builder takes the optic and returns its ``transform``.
+
+
+def _ident(x):
+    return x
+
+
+def _feed(s):
+    """The closed action's ``s -> ((s -> a) -> a)``."""
+    return lambda k: k(s)
+
+
+def _adapter(optic):
+    fwd, bwd = optic.forward, optic.backward
+    return lambda p: p.dimap(fwd, bwd)
+
+
+def _lens(optic):
+    v, u = optic.view, optic.update
+
+    def l(s):
+        return s, v(s)
+
+    def r(pair):
+        return u(*pair)
+
+    return lambda p: p.lift_product().dimap(l, r)
+
+
+def _achromatic(optic):
+    v, u, create = optic.view, optic.update, optic.create
+    t_lens = _lens(optic)
+
+    def t_ach(p):
+        if isinstance(p, c.Reviewing):
+            return _new(c.Reviewing, (lambda b: create(p.run(b)),))
+        if isinstance(p, c.Classifying):
+            def classify(ss, b):
+                b = p.run([v(s) for s in ss], b)
+                return u(ss[0], b) if ss else create(b)
+
+            return _new(c.Classifying, (classify,))
+        return t_lens(p)
+
+    return t_ach
+
+
+def _prism(optic):
+    match, build = optic.match, optic.build
+
+    def r(m):
+        return m.value if isinstance(m, Miss) else build(m.value)
+
+    return lambda p: p.lift_sum().dimap(match, r)
+
+
+def _affine(optic):
+    access = optic.access
+
+    def l(s):
+        res = access(s)
+        if isinstance(res, Miss):
+            return res
+        focus, rebuild = res.value
+        return _new(Focus, ((rebuild, focus),))  # residual first
+
+    def r(m):
+        if isinstance(m, Miss):
+            return m.value
+        rebuild, b = m.value
+        return rebuild(b)
+
+    return lambda p: p.lift_product().lift_sum().dimap(l, r)
+
+
+def _traversal(optic):
+    extract = optic.extract
+
+    def l(s):
+        foci, rebuild = extract(s)
+        return fl.of_extract(foci, rebuild)
+
+    return lambda p: p.lift_funlist().dimap(l, fl.fuse)
+
+
+def _grate(optic):
+    grate = optic.run
+    return lambda p: p.lift_closed().dimap(_feed, grate)
+
+
+def _glass(optic):
+    glass = optic.run
+
+    def l(s):
+        return s, _feed(s)
+
+    def r(pair):
+        return glass(pair[1], pair[0])
+
+    return lambda p: p.lift_closed().lift_product().dimap(l, r)
+
+
+def _setter(optic):
+    over_fn = optic.over
+
+    def t_setter(p):
+        if not isinstance(p, c.Replacing):
+            raise p._no("mapping")
+        return _new(c.Replacing, (lambda u: partial(over_fn, p.run(u)),))
+
+    return t_setter
+
+
+def _getter(optic):
+    get = optic.get
+
+    def t_getter(p):
+        if not isinstance(p, _READ_ONLY):
+            raise p._no("read-only")
+        return p.dimap(get, _ident)
+
+    return t_getter
+
+
+def _review(optic):
+    build = optic.build
+
+    def t_review(p):
+        if not isinstance(p, c.Reviewing):
+            raise p._no("write-only")
+        return p.dimap(_ident, build)
+
+    return t_review
+
+
+def _fold(optic):
+    foci = optic.foci
+
+    def t_fold(p):
+        if not isinstance(p, c.Folding):
+            raise p._no("folding")
+        return _new(c.Folding, (
+            lambda s: [x for a in foci(s) for x in p.run(a)],))
+
+    return t_fold
+
+
+def _algebraic(optic):
+    v, classify = optic.view, optic.classify
+
+    def l(s):
+        return [s], v(s)
+
+    def r(pair):
+        return classify(*pair)
+
+    return lambda p: p.lift_list_algebra().dimap(l, r)
+
+
+def _kaleidoscope(optic):
+    agg = optic.aggregate
+
+    def t_kal(p):
+        if isinstance(p, c.Aggregating):
+            return _new(c.Aggregating, (
+                lambda ss, f: agg(lambda foci: p.run(foci, f))(ss),))
+        if isinstance(p, c.Replacing):
+            def replacing(u):
+                f = p.run(u)
+                return lambda s: agg(lambda foci: f(foci[0]))([s])
+
+            return _new(c.Replacing, (replacing,))
+        raise p._no("funlist-applicative")
+
+    return t_kal
+
+
+def _monadic(optic):
+    v, mupd = optic.view, optic.mupdate
+
+    def t_monadic(p):
+        if isinstance(p, c.Updating):
+            return _new(c.Updating, (
+                lambda b, s: p.run(b, v(s)).bind(partial(mupd, s)),))
+        if isinstance(p, c.Replacing):
+            def replacing(u):
+                f = p.run(u)
+                return lambda s: mupd(s, f(v(s))).value
+
+            return _new(c.Replacing, (replacing,))
+        if not isinstance(p, _READ_ONLY):
+            raise p._no("read-only")
+        return p.dimap(v, _ident)
+
+    return t_monadic
+
+
+_LENS_CARRIERS = frozenset({c.Viewing, c.Previewing, c.Replacing, c.Folding,
+                            c.Updating, c.Glassing})
+_ROWS = {
+    K.ADAPTER: (_ALL_CARRIERS, _adapter),
+    K.LENS: (_LENS_CARRIERS, _lens),
+    K.ACHROMATIC_LENS: (_LENS_CARRIERS | {c.Reviewing, c.Classifying},
+                        _achromatic),
+    K.PRISM: (frozenset({c.Previewing, c.Replacing, c.Folding, c.Reviewing}),
+              _prism),
+    K.AFFINE_TRAVERSAL: (frozenset({c.Previewing, c.Replacing, c.Folding}),
+                         _affine),
+    K.TRAVERSAL: (frozenset({c.Replacing, c.Folding}), _traversal),
+    K.GRATE: (frozenset({c.Replacing, c.Grating, c.Glassing}), _grate),
+    K.GLASS: (frozenset({c.Replacing, c.Glassing}), _glass),
+    K.SETTER: (frozenset({c.Replacing}), _setter),
+    K.GETTER: (frozenset(_READ_ONLY), _getter),
+    K.REVIEW: (frozenset({c.Reviewing}), _review),
+    K.FOLD: (frozenset({c.Folding}), _fold),
+    K.ALGEBRAIC_LENS: (frozenset({c.Viewing, c.Previewing, c.Folding,
+                                  c.Replacing, c.Classifying, c.Aggregating}),
+                       _algebraic),
+    K.KALEIDOSCOPE: (frozenset({c.Aggregating, c.Replacing}), _kaleidoscope),
+    K.MONADIC_LENS: (frozenset({*_READ_ONLY, c.Updating, c.Replacing}),
+                     _monadic),
+}
 
 
 def ex2prof(optic: Any) -> ProfOptic:
     kind = optic.kind
-
-    if kind is OpticKind.ADAPTER:
-        fwd, bwd = optic.forward, optic.backward
-        return ProfOptic(lambda p: p.dimap(fwd, bwd), _ALL_CARRIERS)
-
-    if kind in (OpticKind.LENS, OpticKind.ACHROMATIC_LENS):
-        v, u = optic.view, optic.update
-        supported = {c.Viewing, c.Previewing, c.Replacing, c.Folding,
-                     c.Updating, c.Glassing}
-
-        def t_lens(p):
-            return p.lift_product().dimap(
-                lambda s: (s, v(s)), lambda pair: u(pair[0], pair[1])
-            )
-
-        if kind is OpticKind.LENS:
-            return ProfOptic(t_lens, frozenset(supported))
-
-        create = optic.create
-
-        def ach_classify(wholes, b):
-            return u(wholes[0], b) if wholes else create(b)
-
-        def t_ach(p):
-            if isinstance(p, c.Reviewing):
-                return c.Reviewing(lambda b: create(p.run(b)))
-            if isinstance(p, c.Classifying):
-                return c.Classifying(
-                    lambda ss, b: ach_classify(ss, p.run([v(s) for s in ss], b))
-                )
-            return t_lens(p)
-
-        supported |= {c.Reviewing, c.Classifying}
-        return ProfOptic(t_ach, frozenset(supported))
-
-    if kind is OpticKind.PRISM:
-        match, build = optic.match, optic.build
-
-        def r_prism(m):
-            return m.value if isinstance(m, Miss) else build(m.value)
-
-        return ProfOptic(
-            lambda p: p.lift_sum().dimap(match, r_prism),
-            frozenset({c.Previewing, c.Replacing, c.Folding, c.Reviewing}),
-        )
-
-    if kind is OpticKind.AFFINE_TRAVERSAL:
-        access = optic.access
-
-        def l_affine(s):
-            res = access(s)
-            if isinstance(res, Miss):
-                return res
-            focus, rebuild = res.value
-            return Focus((rebuild, focus))  # residual first
-
-        def r_affine(m):
-            if isinstance(m, Miss):
-                return m.value
-            rebuild, b = m.value
-            return rebuild(b)
-
-        return ProfOptic(
-            lambda p: p.lift_product().lift_sum().dimap(l_affine, r_affine),
-            frozenset({c.Previewing, c.Replacing, c.Folding}),
-        )
-
-    if kind is OpticKind.TRAVERSAL:
-        extract = optic.extract
-
-        def l_trav(s):
-            foci, rebuild = extract(s)
-            return fl.of_extract(foci, rebuild)
-
-        return ProfOptic(
-            lambda p: p.lift_funlist().dimap(l_trav, fl.fuse),
-            frozenset({c.Replacing, c.Folding}),
-        )
-
-    if kind is OpticKind.GRATE:
-        grate = optic.run
-        return ProfOptic(
-            lambda p: p.lift_closed().dimap(lambda s: lambda k: k(s), grate),
-            frozenset({c.Replacing, c.Grating, c.Glassing}),
-        )
-
-    if kind is OpticKind.GLASS:
-        glass = optic.run
-        return ProfOptic(
-            lambda p: p.lift_closed().lift_product().dimap(
-                lambda s: (s, lambda k: k(s)),
-                lambda pair: glass(pair[1], pair[0]),
-            ),
-            frozenset({c.Replacing, c.Glassing}),
-        )
-
-    if kind is OpticKind.SETTER:
-        over_fn = optic.over
-
-        def t_setter(p):
-            if not isinstance(p, c.Replacing):
-                raise p._no("mapping")
-            return c.Replacing(lambda u: lambda s: over_fn(p.run(u), s))
-
-        return ProfOptic(t_setter, frozenset({c.Replacing}))
-
-    if kind is OpticKind.GETTER:
-        get = optic.get
-        ident = lambda x: x
-
-        def t_getter(p):
-            if not isinstance(p, _READ_ONLY):
-                raise p._no("read-only")
-            return p.dimap(get, ident)
-
-        return ProfOptic(t_getter, frozenset(_READ_ONLY))
-
-    if kind is OpticKind.REVIEW:
-        build = optic.build
-        ident = lambda x: x
-
-        def t_review(p):
-            if not isinstance(p, c.Reviewing):
-                raise p._no("write-only")
-            return p.dimap(ident, build)
-
-        return ProfOptic(t_review, frozenset({c.Reviewing}))
-
-    if kind is OpticKind.FOLD:
-        foci = optic.foci
-
-        def t_fold(p):
-            if not isinstance(p, c.Folding):
-                raise p._no("folding")
-            return c.Folding(lambda s: [x for a in foci(s) for x in p.run(a)])
-
-        return ProfOptic(t_fold, frozenset({c.Folding}))
-
-    if kind is OpticKind.ALGEBRAIC_LENS:
-        v, classify = optic.view, optic.classify
-        return ProfOptic(
-            lambda p: p.lift_list_algebra().dimap(
-                lambda s: ([s], v(s)),
-                lambda pair: classify(pair[0], pair[1]),
-            ),
-            frozenset({c.Viewing, c.Previewing, c.Folding, c.Replacing,
-                       c.Classifying, c.Aggregating}),
-        )
-
-    if kind is OpticKind.KALEIDOSCOPE:
-        agg = optic.aggregate
-
-        def t_kal(p):
-            if isinstance(p, c.Aggregating):
-                return c.Aggregating(
-                    lambda ss, f: agg(lambda foci: p.run(foci, f))(ss)
-                )
-            if isinstance(p, c.Replacing):
-                return c.Replacing(
-                    lambda u: lambda s: agg(lambda foci: p.run(u)(foci[0]))([s])
-                )
-            raise p._no("funlist-applicative")
-
-        return ProfOptic(t_kal, frozenset({c.Aggregating, c.Replacing}))
-
-    if kind is OpticKind.MONADIC_LENS:
-        v, mupd, pure = optic.view, optic.mupdate, optic.pure
-
-        def t_monadic(p):
-            if isinstance(p, c.Updating):
-                return c.Updating(
-                    lambda b, s: p.run(b, v(s)).bind(lambda b2: mupd(s, b2))
-                )
-            if isinstance(p, c.Replacing):
-                return c.Replacing(
-                    lambda u: lambda s: mupd(s, p.run(u)(v(s))).value
-                )
-            if not isinstance(p, _READ_ONLY):
-                raise p._no("read-only")
-            return p.dimap(v, lambda x: x)
-
-        return ProfOptic(
-            t_monadic,
-            frozenset({*_READ_ONLY, c.Updating, c.Replacing}),
-            pure=pure,
-        )
-
-    raise NormalFormError(f"no transformer for kind {kind!r}")
+    row = _ROWS.get(kind)
+    if row is None:
+        raise NormalFormError(f"no transformer for kind {kind!r}")
+    supported, build = row
+    return _new(ProfOptic, (build(optic), supported, optic.pure
+                            if kind is K.MONADIC_LENS else None))
 
 
 # ---------------------------------------------------------------------------
-# prof2ex: probe the transformer with identity carriers, one record field at
-# a time. ``_FIELDS`` maps a field name (a grate's and a glass's ``run``, by
-# their class) to the carriers whose probes it runs and its reader, which
-# takes the transformer to the field; a kind needs what its fields need.
+# prof2ex. A normal form is an instance of its kind's ``_Form`` type: the
+# one-item tuple of the transformer, whose record fields are methods. Each
+# method runs the transformer on one identity probe per call.
 
-_VIEW = c.Viewing(lambda a: a)
-_OVER = c.Replacing(lambda f: f)
-_PREVIEW = c.Previewing(lambda a: a)
+_VIEW = c.Viewing(_ident)
+_OVER = c.Replacing(_ident)
+_PREVIEW = c.Previewing(_ident)
 _FOCI = c.Folding(lambda a: [a])
-_BUILD = c.Reviewing(lambda x: x)
+_BUILD = c.Reviewing(_ident)
+_CLASSIFY = c.Classifying(lambda ss, b: b)
+_AGGREGATE = c.Aggregating(lambda foci, f: f(foci))
+_GRATE = c.Grating(lambda h: h(_ident))
+_GLASS = c.Glassing(lambda h, a: h(_ident))
 
 
-def _match(p, hit=lambda p, found, s: found):
-    """A prism's ``match``; with ``hit=_rebuilt``, an affine's ``access``."""
-    def match(s):
-        found = p.transform(_PREVIEW).run(s)
-        if found is None:
-            return Miss(p.transform(_OVER).run(lambda a: a)(s))
-        return Focus(hit(p, found, s))
+class _Form:
+    """A normal form is the one-item tuple of its transformer, so it is as
+    immutable and compared as its kind's records are; its kind's fields
+    are methods, and its ``len``, iteration and ``_replace`` are a
+    one-item tuple's."""
 
-    return match
+    __slots__ = ()
 
-
-def _rebuilt(p, found, s):
-    return found, lambda b: p.transform(_OVER).run(lambda _: b)(s)
+    def __repr__(self):
+        return f"{type(self).__name__}({self[0]!r})"
 
 
-def _extract(p):
-    def extract(s):
-        foci = p.transform(_FOCI).run(s)
+def _probe(carrier):
+    """The method that runs ``carrier``'s transform on its arguments."""
+    def run(self, *args):
+        return self[0].transform(carrier).run(*args)
 
-        def rebuild(bs, _n=len(foci)):
-            if len(bs) != _n:
-                raise LengthError(f"expected {_n} replacements, got {len(bs)}")
-            queue = iter(bs)
-            return p.transform(_OVER).run(lambda _: next(queue))(s)
-
-        return foci, rebuild
-
-    return extract
+    return run
 
 
-def _aggregate(p):
-    run = p.transform(c.Aggregating(lambda foci, f: f(foci))).run
-    return lambda f: lambda ss: run(ss, f)
+def _over(self, fn, s):
+    # one ``Replacing`` walk: ``fn`` reads the focus the walk reaches
+    return self[0].transform(_OVER).run(fn)(s)
 
 
-def _mupdate(p):
-    run = p.transform(c.Updating(lambda b, a: p.pure(b))).run
-    return lambda s, b: run(b, s)
+def _update(self, s, b):
+    return self[0].transform(_OVER).run(lambda _: b)(s)
 
 
-def _pure(p):
-    if p.pure is None:
-        raise NormalFormError(
-            "cannot extract an effectful lens: no effect context recorded"
-        )
-    return p.pure
+class _Found(Exception):
+    """Stops a ``Replacing`` walk at its focus, which it carries."""
 
 
-_FIELDS = {
-    **dict.fromkeys(("view", "forward", "get"), (
-        {c.Viewing}, lambda p: lambda s: p.transform(_VIEW).run(s))),
-    "update": ({c.Replacing},
-               lambda p: lambda s, b: p.transform(_OVER).run(lambda _: b)(s)),
-    **dict.fromkeys(("build", "backward", "create"), (
-        {c.Reviewing}, lambda p: lambda b: p.transform(_BUILD).run(b))),
-    "match": ({c.Previewing, c.Replacing}, _match),
-    "access": ({c.Previewing, c.Replacing}, lambda p: _match(p, _rebuilt)),
-    "extract": ({c.Folding, c.Replacing}, _extract),
-    "over": ({c.Replacing},
-             lambda p: lambda f, s: p.transform(_OVER).run(f)(s)),
-    "foci": ({c.Folding}, lambda p: lambda s: p.transform(_FOCI).run(s)),
-    "classify": ({c.Classifying},
-                 lambda p: p.transform(c.Classifying(lambda ss, b: b)).run),
-    "aggregate": ({c.Aggregating}, _aggregate),
-    "mupdate": ({c.Updating}, _mupdate),
-    "pure": (set(), _pure),
-    Grate: ({c.Grating},
-            lambda p: p.transform(c.Grating(lambda h: h(lambda a: a))).run),
-    Glass: ({c.Glassing}, lambda p: p.transform(
-        c.Glassing(lambda h, a: h(lambda x: x))).run),
+def _stop(a):
+    raise _Found(a)
+
+
+def _match(self, s):
+    # one ``Replacing`` walk that stops at the focus, before any rebuild,
+    # or rebuilds the whole on a miss
+    try:
+        return _new(Miss, (self[0].transform(_OVER).run(_stop)(s),))
+    except _Found as hit:
+        return _new(Focus, (hit.args[0],))
+
+
+def _access(self, s):
+    res = _match(self, s)
+    if isinstance(res, Miss):
+        return res
+    return _new(Focus, ((res.value, partial(_update, self, s)),))
+
+
+def _refill(self, s, n, bs):
+    if len(bs) != n:
+        raise LengthError(f"expected {n} replacements, got {len(bs)}")
+    queue = iter(bs)
+    return self[0].transform(_OVER).run(lambda _: next(queue))(s)
+
+
+def _extract(self, s):
+    foci = self[0].transform(_FOCI).run(s)
+    return foci, partial(_refill, self, s, len(foci))
+
+
+def _aggregate(self, f):
+    run = self[0].transform(_AGGREGATE).run
+    return lambda ss: run(ss, f)
+
+
+def _mupdate(self, s, b):
+    p = self[0]
+    return p.transform(_new(c.Updating, (lambda x, _: p.pure(x),))).run(b, s)
+
+
+_viewed, _built = _probe(_VIEW), _probe(_BUILD)
+
+# The probes each record field needs (a grate's and a glass's ``run``, by
+# their class): those its method runs, and for ``match`` and ``access`` also
+# the ``Previewing`` probe of the form's ``preview``; a kind needs what its
+# fields need.
+_NEEDS = {
+    **dict.fromkeys(("view", "forward", "get"), {c.Viewing}),
+    **dict.fromkeys(("build", "backward", "create"), {c.Reviewing}),
+    "update": {c.Replacing}, "over": {c.Replacing},
+    **dict.fromkeys(("match", "access"), {c.Previewing, c.Replacing}),
+    "extract": {c.Folding, c.Replacing}, "foci": {c.Folding},
+    "classify": {c.Classifying}, "aggregate": {c.Aggregating},
+    "mupdate": {c.Updating}, "pure": set(),
+    Grate: {c.Grating}, Glass: {c.Glassing},
 }
 
 
-def _form(cls):
-    """The record class, the probes its fields need, and their readers."""
-    entries = [_FIELDS.get(name) or _FIELDS[cls] for name in cls._fields]
-    return (cls, frozenset().union(*(probes for probes, _ in entries)),
-            tuple(read for _, read in entries))
+def _form(base, *fields, **methods):
+    """The normal-form type of ``base``'s kind, whose fields are the
+    methods ``fields``, in order, and the probes they need."""
+    form = type(base.__name__, (_Form, base),
+                dict(zip(base._fields, fields), __slots__=(), **methods))
+    return form, frozenset().union(*(_NEEDS[name if name in _NEEDS else base]
+                                     for name in base._fields))
 
 
-_FORMS = {cls.kind: _form(cls) for cls in (
-    Adapter, Lens, AchromaticLens, Prism, AffineTraversal, Traversal, Grate,
-    Glass, Setter, Getter, Review, Fold, AlgebraicLens, Kaleidoscope,
-    MonadicLens)}
+_FORMS = {form[0].kind: form for form in (
+    _form(Adapter, _viewed, _built, _over=_over),
+    _form(Lens, _viewed, _update, _over=_over),
+    _form(AchromaticLens, _viewed, _update, _built, _over=_over),
+    _form(Prism, _match, _built, _preview=_probe(_PREVIEW), _over=_over),
+    _form(AffineTraversal, _access, _preview=_probe(_PREVIEW), _over=_over),
+    _form(Traversal, _extract, _tolist=_probe(_FOCI)),
+    _form(Grate, _probe(_GRATE)),
+    _form(Glass, _probe(_GLASS)),
+    _form(Setter, _over),
+    _form(Getter, _viewed),
+    _form(Review, _built),
+    _form(Fold, _probe(_FOCI)),
+    _form(AlgebraicLens, _viewed, _probe(_CLASSIFY)),
+    _form(Kaleidoscope, _aggregate),
+    _form(MonadicLens, _viewed, _mupdate, property(lambda self: self[0].pure)),
+)}
 
 
 def prof2ex(p: ProfOptic, kind: OpticKind) -> Any:
     form = _FORMS.get(kind)
     if form is None:
         raise NormalFormError(f"no normal form registered for {kind!r}")
-    cls, needed, readers = form
+    cls, needed = form
     if not needed <= p.supported:
         missing = ", ".join(sorted(
             probe.__name__ for probe in needed - p.supported
@@ -362,4 +462,8 @@ def prof2ex(p: ProfOptic, kind: OpticKind) -> Any:
             f"cannot extract {kind.with_article}: transformer does not act on"
             f" {missing}"
         )
-    return cls(*[read(p) for read in readers])
+    if kind is K.MONADIC_LENS and p.pure is None:
+        raise NormalFormError(
+            "cannot extract an effectful lens: no effect context recorded"
+        )
+    return _new(cls, (p,))

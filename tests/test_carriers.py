@@ -9,8 +9,8 @@ import random
 import pytest
 
 from mixoptic import (
-    Aggregating, Classifying, Folding, Glassing, Grating, Previewing,
-    Replacing, Reviewing, Updating, Viewing, Writer,
+    Aggregating, Classifying, Focus, Folding, Glassing, Grating, Miss,
+    Previewing, Replacing, Reviewing, Updating, Viewing, Writer,
 )
 from mixoptic.errors import CapabilityError
 
@@ -82,8 +82,6 @@ def test_product_lift_unit_coherence(cls):
 @pytest.mark.parametrize("cls", [Previewing, Replacing, Folding])
 def test_sum_lift_unit_coherence(cls):
     """A sum lift applied to an always-focused wrapper is the identity."""
-    from mixoptic import Focus
-
     r = random.Random(8)
     c = _make(cls)
     unit = c.lift_sum().dimap(Focus, lambda out: out.value)
@@ -139,8 +137,6 @@ def test_undeclared_lifts_raise():
 
 
 def test_reviewing_sum_lift_tags_focus():
-    from mixoptic import Focus
-
     c = Reviewing(run=lambda b: f"<{b}>")
     lifted = c.lift_sum()
     assert lifted.run(7) == Focus("<7>")
@@ -172,3 +168,62 @@ def test_replacing_closed_lift():
     lifted = c.lift_closed()
     fn = lifted.run(lambda a: a + 1)(lambda k: k * 2)
     assert fn(5) == 11
+
+
+def _counting_replacing():
+    calls = []
+
+    def run(u):
+        calls.append(u)
+        return u
+
+    return Replacing(run=run), calls
+
+
+def test_a_transformer_walk_runs_the_replacing_probe_once():
+    """Every ``Replacing`` lift runs the inner ``run(u)`` once per ``u``,
+    so one ``over`` through ``each`` then a field over 50 foci calls the
+    probe's ``run`` once, not once per focus."""
+    import json
+
+    from mixoptic import ex2prof, parse_json, serialize
+    from mixoptic.values import VText, each_traversal, field_lens
+
+    probe, calls = _counting_replacing()
+    p = ex2prof(each_traversal()).then(ex2prof(field_lens("v")))
+    doc = parse_json(json.dumps([{"v": f"x{i}", "w": i} for i in range(50)]))
+    out = p.transform(probe).run(lambda a: VText(a.value.upper()))(doc)
+    assert len(calls) == 1
+    assert json.loads(serialize(out)) == [
+        {"v": f"X{i}", "w": i} for i in range(50)]
+
+
+@pytest.mark.parametrize("lift", [
+    lambda c: c.dimap(lambda s: s - 1, lambda t: t * 10),
+    lambda c: c.lift_product().dimap(lambda s: ("r", s), lambda pair: pair[1]),
+    lambda c: c.lift_sum().dimap(
+        lambda s: Focus(s) if s % 2 else Miss(-s),
+        lambda m: m.value),
+    lambda c: c.lift_list_algebra().dimap(lambda s: ([s], s),
+                                         lambda pair: pair[1]),
+    lambda c: c.lift_closed().dimap(lambda s: lambda m: s + m,
+                                    lambda g: g(100)),
+], ids=["dimap", "product", "sum", "list_algebra", "closed"])
+def test_each_replacing_lift_runs_the_inner_run_once_per_function(lift):
+    probe, calls = _counting_replacing()
+    fn = lift(probe).run(lambda a: a * 3)
+    assert len(calls) == 1
+    for s in range(20):
+        fn(s)
+    assert len(calls) == 1
+
+
+def test_the_replacing_funlist_lift_runs_the_inner_run_once_per_function():
+    from mixoptic import funlist as fl
+
+    probe, calls = _counting_replacing()
+    fn = probe.lift_funlist().run(lambda a: a + 1)
+    for n in range(5):
+        assert fl.fuse(fn(fl.of_extract(list(range(n)), list))) == list(
+            range(1, n + 1))
+    assert len(calls) == 1

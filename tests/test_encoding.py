@@ -6,9 +6,9 @@ import zlib
 import pytest
 
 from mixoptic import (
-    Aggregating, Classifying, Folding, Glassing, Grating, Lens, OpticKind,
-    Previewing, Replacing, Reviewing, Setter, Updating, Viewing, Writer,
-    ex2prof, prof2ex, preview, view, over,
+    Aggregating, Classifying, Focus, Folding, Glassing, Grating, Lens,
+    OpticKind, Previewing, Replacing, Reviewing, Setter, Updating, Viewing,
+    Writer, ex2prof, prof2ex, preview, set_value, view, over,
 )
 from mixoptic.errors import CapabilityError, NormalFormError
 
@@ -95,6 +95,11 @@ def test_lens_transformer_downcasts_to_weaker_kinds():
         view(street_lens(), case["s"]),)
     assert over(setter, case["f"], case["s"]) == over(
         street_lens(), case["f"], case["s"])
+    # a monadic lens rewrites through its ``Replacing`` carrier too
+    monadic = zoo()[K.MONADIC_LENS]
+    case = monadic.make_case(r)
+    setter = prof2ex(ex2prof(monadic.optic), K.SETTER)
+    assert over(setter, str, case["s"]) == over(monadic.optic, str, case["s"])
 
 
 def test_pure_propagates_through_composition():
@@ -168,3 +173,77 @@ def test_a_glass_names_the_first_lift_a_carrier_lacks():
         p.transform(PROBES[Viewing])
     with pytest.raises(CapabilityError, match="the product capability"):
         p.transform(PROBES[Grating])
+
+
+def _counting(p):
+    """``p`` with a ``transform`` that records each carrier it is run on."""
+    calls = []
+
+    def transform(carrier):
+        calls.append(type(carrier))
+        return p.transform(carrier)
+
+    return p._replace(transform=transform), calls
+
+
+@pytest.mark.parametrize("kind", [
+    K.LENS, K.ACHROMATIC_LENS, K.PRISM, K.AFFINE_TRAVERSAL,
+], ids=lambda k: k.value)
+def test_a_normal_form_runs_one_probe_per_call(kind):
+    """``prof2ex`` runs no probe, and each of ``view``, ``preview``,
+    ``over`` and ``set_value`` runs the transformer once, on hits and
+    misses alike, and agrees with the concrete optic."""
+    entry = zoo()[kind]
+    p, calls = _counting(ex2prof(entry.optic))
+    form = prof2ex(p, kind)
+    assert calls == []
+    runs = {
+        "preview": lambda o, c: preview(o, c["s"]),
+        "over": lambda o, c: over(o, c["f"], c["s"]),
+        "set_value": lambda o, c: set_value(o, c["s"], c.get("b", "New St")),
+    }
+    if kind in (K.LENS, K.ACHROMATIC_LENS):
+        runs["view"] = lambda o, c: view(o, c["s"])
+    r = random.Random(zlib.crc32(b"one probe") + len(kind.value))
+    hits = set()
+    for _ in range(40):
+        case = entry.make_case(r)
+        hits.add(preview(entry.optic, case["s"]) is not None)
+        for name, run in runs.items():
+            calls.clear()
+            assert run(form, case) == run(entry.optic, case), name
+            assert len(calls) == 1, (name, calls)
+        # the fields that rebuild a whole run one probe too
+        calls.clear()
+        if kind in (K.LENS, K.ACHROMATIC_LENS):
+            assert form.update(case["s"], "New St") == entry.optic.update(
+                case["s"], "New St")
+        elif kind is K.AFFINE_TRAVERSAL:
+            got, want = form.access(case["s"]), entry.optic.access(case["s"])
+            assert type(got) is type(want)
+            if isinstance(got, Focus):
+                calls.clear()
+                assert got.value[0] == want.value[0]
+                assert got.value[1]("New St") == want.value[1]("New St")
+            else:
+                assert got == want
+        else:
+            assert form.match(case["s"]) == entry.optic.match(case["s"])
+        assert len(calls) == 1, calls
+    assert hits == ({True} if kind in (K.LENS, K.ACHROMATIC_LENS)
+                    else {True, False})
+
+
+def test_a_prism_form_lists_a_none_focus_as_the_concrete_prism_does():
+    """A form's ``match`` is one walk that stops at the focus, so a focus
+    that is ``None`` is a hit, as it is for the concrete prism."""
+    from mixoptic import Miss, Prism, to_list_of
+
+    prism = Prism(match=lambda s: Focus(None) if s == "none" else Miss(s),
+                  build=lambda b: "none")
+    form = prof2ex(ex2prof(prism), K.PRISM)
+    assert repr(form).startswith("Prism(ProfOptic(transform=")
+    for s in ("none", "other"):
+        assert form.match(s) == prism.match(s)
+        assert to_list_of(form, s) == to_list_of(prism, s)
+        assert over(form, lambda b: b, s) == over(prism, lambda b: b, s)
