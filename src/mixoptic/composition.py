@@ -22,15 +22,17 @@ the kind's record class holding ``parts``, its segments outermost first,
 each coerced to the first kind of the chain's ``_NATIVE`` row it reaches:
 traversal and affine chains keep lens, prism and affine segments as they
 are. A chain's fields loop over the parts, and it overrides the runners
-it walks in one pass. An affine chain's ``access`` (and a prism chain's
-``match``) walks down to the focus or the first miss and rebuilds upwards
-from there; the ``over`` of a lens, achromatic-lens, algebraic-lens or
-monadic-lens chain reads each part's view once. A read never runs the
-write path: ``preview`` through a prism or affine chain (``_read``) and
-``to_list_of`` through a traversal or fold chain (``_read_all``) walk
-down only, keeping nothing to rebuild with. A chain
-of the join splices its parts in, and so do a prism chain entering an
-affine or traversal chain and an affine chain entering a traversal.
+it walks in one pass. The walks of traversal, affine, prism and fold
+chains have no branch on a part's kind: each level runs its segment's
+steps (``optics``). A traversal chain's ``extract`` runs ``_down`` then
+``_up``, and ``to_list_of`` (``_read_all``) only ``_down``. An affine
+chain's ``access`` and a prism chain's ``match`` run ``_at`` down to the
+focus or the first miss and rebuild upwards from there; ``preview``
+(``_read``) rebuilds nothing. The ``over`` of a lens, achromatic-lens,
+algebraic-lens or monadic-lens chain reads each part's view once
+(``_one_walk``). A chain of the join splices its parts in, and so do a
+prism chain entering an affine or traversal chain and an affine chain
+entering a traversal.
 Segments collect in one list while the left fold's join stays the same,
 so building is linear in the operands and applying linear in depth.
 A coercion into getter, fold, setter or review, whatever its path, is one
@@ -272,7 +274,7 @@ class _Chain:
         return f"{type(self).__name__}(parts={self.parts!r})"
 
 
-def _down(name):
+def _run_down(name):
     def run(self, s):
         for p in self.parts:
             s = getattr(p, name)(s)
@@ -281,7 +283,7 @@ def _down(name):
     return run
 
 
-def _up(name):
+def _run_up(name):
     def run(self, b):
         for p in reversed(self.parts):
             b = getattr(p, name)(b)
@@ -300,29 +302,33 @@ def _wholes(parts, s):
     return wholes
 
 
-def _rise(parts, wholes, b):
-    """Rebuild upwards: each part puts ``b`` back into the whole it read."""
-    for p, whole in zip(reversed(parts), reversed(wholes)):
+def _one_walk(rise):
+    """``over`` in one walk: the last part's view is the focus ``fn`` reads,
+    and ``rise(self, wholes, b)`` rebuilds upwards from ``fn``'s result."""
+    def run(self, fn, s):
+        parts = self.parts
+        wholes = _wholes(parts, s)
+        return rise(self, wholes, fn(parts[-1].view(wholes[-1])))
+
+    return run
+
+
+def _rise(self, wholes, b):
+    """Each part puts ``b`` back into the whole it read."""
+    for p, whole in zip(reversed(self.parts), reversed(wholes)):
         b = p.update(whole, b)
     return b
 
 
 def _lens_update(self, s, b):
-    parts = self.parts
-    return _rise(parts, _wholes(parts, s), b)
+    return _rise(self, _wholes(self.parts, s), b)
 
 
-def _lens_over(self, fn, s):
-    # ``over`` in one walk: the last part's view is the focus ``fn`` reads
-    parts = self.parts
-    wholes = _wholes(parts, s)
-    return _rise(parts, wholes, fn(parts[-1].view(wholes[-1])))
-
-
-def _kleisli(parts, wholes, m):
+def _kleisli(self, wholes, b):
     # the Kleisli rebuild: a lens maps its update over the effect, a
     # monadic lens binds its own, so the innermost log comes first
-    for p, whole in zip(reversed(parts), reversed(wholes)):
+    m = self.pure(b)
+    for p, whole in zip(reversed(self.parts), reversed(wholes)):
         if p.kind is K.MONADIC_LENS:
             m = m.bind(partial(p.mupdate, whole))
         else:
@@ -331,16 +337,7 @@ def _kleisli(parts, wholes, m):
 
 
 def _mupdate(self, s, b):
-    parts = self.parts
-    return _kleisli(parts, _wholes(parts, s), self.pure(b))
-
-
-def _monadic_over(self, fn, s):
-    # as ``_lens_over``: the walk that reads the focus is the rebuild's
-    parts = self.parts
-    wholes = _wholes(parts, s)
-    b = fn(parts[-1].view(wholes[-1]))
-    return _kleisli(parts, wholes, self.pure(b)).value
+    return _kleisli(self, _wholes(self.parts, s), b)
 
 
 def _pure(self):
@@ -369,51 +366,18 @@ def _classify(self, ss, b):
     return b
 
 
-def _classify_over(self, fn, s):
-    # as ``_lens_over``: each part classifies the one whole it read
-    parts = self.parts
-    wholes = _wholes(parts, s)
-    b = fn(parts[-1].view(wholes[-1]))
-    for p, whole in zip(reversed(parts), reversed(wholes)):
+def _classify_rise(self, wholes, b):
+    # each part classifies the one whole it read
+    for p, whole in zip(reversed(self.parts), reversed(wholes)):
         b = p.classify([whole], b)
     return b
 
 
-def _match(self, s):
-    # an affine chain's walk, keeping only the focus
-    res = _access(self, s)
-    return res if isinstance(res, Miss) else Focus(res.value[0])
-
-
-_HIT = object()  # what a prism level of ``_extract`` keeps for a hit
-
-
 def _extract(self, s):
-    # a level: its part and one flat list its rebuild reads: a lens's
-    # wholes; per whole, the whole a prism's miss returned or ``_HIT``, or
-    # what the affine's access returned; per whole of a traversal, the
-    # inner rebuild and its width
+    # a level: its part and the memo its ``_down`` kept for its ``_up``
     levels, foci = [], [s]
     for p in self.parts:
-        wholes, kind = foci, p.kind
-        if kind is K.LENS:
-            memo, foci = wholes, list(map(p.view, wholes))
-        elif kind is K.PRISM:
-            memo, foci = [], []
-            for res in map(p.match, wholes):
-                if isinstance(res, Miss):
-                    memo.append(res.value)
-                else:
-                    memo.append(_HIT)
-                    foci.append(res.value)
-        elif kind is K.AFFINE_TRAVERSAL:
-            memo = list(map(p.access, wholes))
-            foci = [res.value[0] for res in memo if not isinstance(res, Miss)]
-        else:
-            memo, foci = [], []
-            for inner, inner_rebuild in map(p.extract, wholes):
-                foci += inner
-                memo += (inner_rebuild, len(inner))
+        foci, memo = p._down(foci)
         levels.append((p, memo))
 
     def rebuild(bs, _n=len(foci)):
@@ -421,84 +385,51 @@ def _extract(self, s):
             raise LengthError(f"expected {_n} replacements, got {len(bs)}")
         bs = list(bs)
         for p, memo in reversed(levels):
-            kind = p.kind
-            if kind is K.LENS:
-                bs = list(map(p.update, memo, bs))
-            elif kind is K.TRAVERSAL:
-                rebuilt, cursor, pairs = [], 0, iter(memo)
-                for inner_rebuild, width in zip(pairs, pairs):
-                    rebuilt.append(inner_rebuild(bs[cursor:cursor + width]))
-                    cursor += width
-                bs = rebuilt
-            elif kind is K.PRISM:
-                build, bs = p.build, iter(bs)
-                bs = [build(next(bs)) if kept is _HIT else kept
-                      for kept in memo]
-            else:
-                bs = iter(bs)
-                bs = [res.value if isinstance(res, Miss)
-                      else res.value[1](next(bs)) for res in memo]
+            bs = p._up(memo, bs)
         return bs[0]
 
     return foci, rebuild
 
 
-def _access(self, s):
+def _at(self, s):
     # one walk down to the focus or to the first miss, keeping per level
-    # the function that rebuilds it from below: a lens's update of the
-    # whole it read, a prism's build, an affine part's own rebuild
+    # the function that rebuilds it from below
     levels = []
     for p in self.parts:
-        kind = p.kind
-        if kind is K.LENS:
-            levels.append(partial(p.update, s))
-            s = p.view(s)
-            continue
-        res = p.match(s) if kind is K.PRISM else p.access(s)
+        res = p._at(s)
         if isinstance(res, Miss):
             return Miss(_rebuild(levels, res.value))
-        if kind is K.PRISM:
-            levels.append(p.build)
-            s = res.value
-        else:
-            s, rebuild = res.value
-            levels.append(rebuild)
-    return Focus((s, partial(_rebuild, levels)))
+        s, rebuild = res
+        levels.append(rebuild)
+    return s, partial(_rebuild, levels)
+
+
+def _access(self, s):
+    res = _at(self, s)
+    return res if isinstance(res, Miss) else Focus(res)
+
+
+def _match(self, s):
+    res = _at(self, s)
+    return res if isinstance(res, Miss) else Focus(res[0])
 
 
 def _read(self, s):
     # ``preview``'s walk: down to the focus, or ``None`` at the first miss,
-    # with nothing rebuilt and nothing kept
+    # with nothing rebuilt
     for p in self.parts:
-        kind = p.kind
-        if kind is K.LENS:
-            s = p.view(s)
-            continue
-        res = p.match(s) if kind is K.PRISM else p.access(s)
+        res = p._at(s)
         if isinstance(res, Miss):
             return None
-        s = res.value if kind is K.PRISM else res.value[0]
+        s = res[0]
     return s
 
 
 def _read_all(self, s):
-    # ``to_list_of``'s walk: each level's foci, and nothing kept to rebuild;
-    # a part that is no lens, prism or affine lists its own
+    # ``to_list_of``'s walk: each level's foci, with nothing rebuilt
     foci = [s]
     for p in self.parts:
-        kind = p.kind
-        if kind is K.LENS:
-            foci = list(map(p.view, foci))
-        elif kind is K.PRISM:
-            foci = [res.value for res in map(p.match, foci)
-                    if not isinstance(res, Miss)]
-        elif kind is K.AFFINE_TRAVERSAL:
-            foci = [res.value[0] for res in map(p.access, foci)
-                    if not isinstance(res, Miss)]
-        else:
-            wholes, foci = foci, []
-            for whole in wholes:
-                foci += p._tolist(whole)
+        foci = p._down(foci)[0]
     return foci
 
 
@@ -552,29 +483,31 @@ def _chain_type(base, *runs, **methods):
                 dict(zip(base._fields, runs), __slots__=(), **methods))
 
 
-_VIEW = _down("view")
+_VIEW = _run_down("view")
 
 _CHAINS = {
     chain.kind: chain for chain in (
-        _chain_type(Adapter, _down("forward"), _up("backward")),
-        _chain_type(Lens, _VIEW, _lens_update, _over=_lens_over),
-        _chain_type(AchromaticLens, _VIEW, _lens_update, _up("create"),
-                    _over=_lens_over),
-        _chain_type(Prism, _match, _up("build"), _preview=_read,
+        _chain_type(Adapter, _run_down("forward"), _run_up("backward")),
+        _chain_type(Lens, _VIEW, _lens_update, _over=_one_walk(_rise)),
+        _chain_type(AchromaticLens, _VIEW, _lens_update, _run_up("create"),
+                    _over=_one_walk(_rise)),
+        _chain_type(Prism, _match, _run_up("build"), _at=_at, _preview=_read,
                     _tolist=_read_all),
-        _chain_type(AffineTraversal, _access, _preview=_read,
+        _chain_type(AffineTraversal, _access, _at=_at, _preview=_read,
                     _tolist=_read_all),
         _chain_type(Traversal, _extract, _tolist=_read_all),
         _chain_type(Grate, _grate_run),
         _chain_type(Glass, _glass_run),
         _chain_type(Setter, _setter_over),
-        _chain_type(Getter, _down("get")),
+        _chain_type(Getter, _run_down("get")),
         _chain_type(Fold, _read_all),
-        _chain_type(Review, _up("build")),
-        _chain_type(AlgebraicLens, _VIEW, _classify, _over=_classify_over),
-        _chain_type(Kaleidoscope, _up("aggregate")),
+        _chain_type(Review, _run_up("build")),
+        _chain_type(AlgebraicLens, _VIEW, _classify,
+                    _over=_one_walk(_classify_rise)),
+        _chain_type(Kaleidoscope, _run_up("aggregate")),
         _chain_type(MonadicLens, _VIEW, _mupdate, property(_pure),
-                    __init__=_one_pure, _over=_monadic_over),
+                    __init__=_one_pure, _over=_one_walk(
+                        lambda self, wholes, b: _kleisli(self, wholes, b).value)),
     )
 }
 

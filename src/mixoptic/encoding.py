@@ -18,10 +18,11 @@ lens's ``s -> (s, view(s))`` and ``pair -> update(*pair)``) once per
 record fields need and returns an instance of the kind's normal-form type,
 also built at import: the one-item tuple of the transformer, whose record
 fields are methods that each run the transformer on one identity probe per
-call. The lens, achromatic-lens, prism, affine-traversal and adapter forms
-run ``over`` (so ``set``) as one ``Replacing`` walk; the prism and affine
-forms ``preview`` as one ``Previewing`` walk, and ``match`` and ``access``
-as one ``Replacing`` walk that stops at the focus. A traversal's ``over``
+call. The lens, achromatic-lens, algebraic-lens, monadic-lens, prism,
+affine-traversal and adapter forms run ``over`` (so ``set``) as one
+``Replacing`` walk; the prism and affine forms ``preview`` as one
+``Previewing`` walk, and ``match`` and ``access`` as one ``Replacing`` walk
+that stops at the focus. A traversal's ``over``
 stays two walks, a fold and then a replace, so its focus function runs only
 after every view, as the concrete chain's does, and an error is the one the
 chain raises first.
@@ -406,17 +407,18 @@ def _mupdate(self, s, b):
 _viewed, _built = _probe(_VIEW), _probe(_BUILD)
 
 # The probes each record field needs (a grate's and a glass's ``run``, by
-# their class): those its method runs, and for ``match`` and ``access`` also
-# the ``Previewing`` probe of the form's ``preview``; a kind needs what its
-# fields need.
+# their class): those its method runs, for ``match`` and ``access`` also
+# the ``Previewing`` probe of the form's ``preview``, and for ``classify``
+# and ``mupdate`` the ``Replacing`` probe of its ``over``; a kind needs what
+# its fields need.
 _NEEDS = {
     **dict.fromkeys(("view", "forward", "get"), {c.Viewing}),
     **dict.fromkeys(("build", "backward", "create"), {c.Reviewing}),
     "update": {c.Replacing}, "over": {c.Replacing},
     **dict.fromkeys(("match", "access"), {c.Previewing, c.Replacing}),
     "extract": {c.Folding, c.Replacing}, "foci": {c.Folding},
-    "classify": {c.Classifying}, "aggregate": {c.Aggregating},
-    "mupdate": {c.Updating}, "pure": set(),
+    "classify": {c.Classifying, c.Replacing}, "aggregate": {c.Aggregating},
+    "mupdate": {c.Updating, c.Replacing}, "pure": set(),
     Grate: {c.Grating}, Glass: {c.Glassing},
 }
 
@@ -443,9 +445,10 @@ _FORMS = {form[0].kind: form for form in (
     _form(Getter, _viewed),
     _form(Review, _built),
     _form(Fold, _probe(_FOCI)),
-    _form(AlgebraicLens, _viewed, _probe(_CLASSIFY)),
+    _form(AlgebraicLens, _viewed, _probe(_CLASSIFY), _over=_over),
     _form(Kaleidoscope, _aggregate),
-    _form(MonadicLens, _viewed, _mupdate, property(lambda self: self[0].pure)),
+    _form(MonadicLens, _viewed, _mupdate, property(lambda self: self[0].pure),
+          _over=_over),
 )}
 
 

@@ -23,7 +23,7 @@ import json
 import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .composition import compose
+from .composition import _NATIVE, compose
 from .errors import ExprError
 from .kinds import OpticKind as K
 from .records import record
@@ -120,12 +120,12 @@ def resolve_segment(segment: Segment, registry: Dict[str, object]):
     return found
 
 
-# The segment kinds before which a run of fields is one lens. Down to the
-# first segment of another kind, a chain reads one whole per level, so there
-# the lens reads, rebuilds and fails as the run's lenses would. Past a
-# traversal many wholes are read level by level, which decides the first
-# error met, so each field after it stays a lens of its own.
-_WALKS = frozenset((K.LENS, K.PRISM, K.AFFINE_TRAVERSAL))
+# The kinds before which a run of fields is one lens: an affine chain's
+# segments, which step to one focus. Down to the first segment of another
+# kind a chain reads one whole per level, so there the lens reads, rebuilds
+# and fails as the run's lenses would. Past a traversal, which reads many
+# wholes level by level and so decides the first error met, it does not.
+_WALKS = frozenset(_NATIVE[K.AFFINE_TRAVERSAL])
 
 
 def resolve_expr(segments: List[Segment], registry: Dict[str, object]):

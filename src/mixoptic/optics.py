@@ -8,10 +8,19 @@ off those runners, so a kind runs natively exactly what it has a runner
 for. The combinators (`view`, `over`, `preview`, ...) admit the optic once
 and call its runner; they raise `KindError` when ``composition.ADMITS``
 does not admit the combinator for the optic's kind.
+
+A segment class of the walk chains (lens, prism, affine traversal and
+traversal; fold for fold chains) also holds its walk steps: the write step
+``_down(wholes) -> (foci, memo)``, the rebuild ``_up(memo, bs) -> wholes``
+and, but for the traversal's and the fold's, the one-focus step
+``_at(s) -> Miss(t) | (focus, rebuild)``, where any result that is not a
+``Miss`` is a hit. Prisms and affine traversals run their combinators over
+``_at``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
@@ -111,6 +120,15 @@ class Lens(NamedTuple):
     def _over(self, fn, s):
         return self.update(s, fn(self.view(s)))
 
+    def _down(self, wholes):  # the memo is the wholes ``update`` reads
+        return list(map(self.view, wholes)), wholes
+
+    def _up(self, memo, bs):
+        return list(map(self.update, memo, bs))
+
+    def _at(self, s):
+        return self.view(s), partial(self.update, s)
+
 
 @_optic
 class AchromaticLens(NamedTuple):
@@ -128,6 +146,9 @@ class AchromaticLens(NamedTuple):
         return self.update(training[0], b) if training else self.create(b)
 
 
+_HIT = object()  # what a prism's ``_down`` keeps for a whole it matched
+
+
 @_optic
 class Prism(NamedTuple):
     match: Callable[[Any], Any]  # s -> Miss t | Focus a
@@ -136,18 +157,37 @@ class Prism(NamedTuple):
     kind = OpticKind.PRISM
     _review = _runs("build")
 
-    def _preview(self, s):
-        # a composite's is one walk down that rebuilds nothing on a miss
-        res = self.match(s)
-        return res.value if isinstance(res, Focus) else None
+    # an affine traversal's runners too, each over its ``_at``
+    def _preview(self, s):  # a composite's is a walk that keeps nothing
+        res = self._at(s)
+        return None if isinstance(res, Miss) else res[0]
 
     def _tolist(self, s):  # lists a ``None`` focus, which ``over`` rewrites
-        res = self.match(s)
-        return [res.value] if isinstance(res, Focus) else []
+        res = self._at(s)
+        return [] if isinstance(res, Miss) else [res[0]]
 
     def _over(self, fn, s):
+        res = self._at(s)
+        return res.value if isinstance(res, Miss) else res[1](fn(res[0]))
+
+    def _down(self, wholes):
+        # the memo: per whole, the whole a miss returned or ``_HIT``
+        memo, foci = [], []
+        for res in map(self.match, wholes):
+            if isinstance(res, Miss):
+                memo.append(res.value)
+            else:
+                memo.append(_HIT)
+                foci.append(res.value)
+        return foci, memo
+
+    def _up(self, memo, bs):
+        build, bs = self.build, iter(bs)
+        return [build(next(bs)) if kept is _HIT else kept for kept in memo]
+
+    def _at(self, s):
         res = self.match(s)
-        return self.build(fn(res.value)) if isinstance(res, Focus) else res.value
+        return res if isinstance(res, Miss) else (res.value, self.build)
 
 
 @_optic
@@ -157,21 +197,20 @@ class AffineTraversal(NamedTuple):
     access: Callable[[Any], Any]
 
     kind = OpticKind.AFFINE_TRAVERSAL
+    _preview, _tolist, _over = Prism._preview, Prism._tolist, Prism._over
 
-    def _preview(self, s):  # as a prism's
-        res = self.access(s)
-        return res.value[0] if isinstance(res, Focus) else None
+    def _down(self, wholes):  # the memo: per whole, what ``access`` returned
+        memo = list(map(self.access, wholes))
+        return [res.value[0] for res in memo if not isinstance(res, Miss)], memo
 
-    def _tolist(self, s):
-        res = self.access(s)
-        return [res.value[0]] if isinstance(res, Focus) else []
+    def _up(self, memo, bs):
+        bs = iter(bs)
+        return [res.value if isinstance(res, Miss) else res.value[1](next(bs))
+                for res in memo]
 
-    def _over(self, fn, s):
+    def _at(self, s):
         res = self.access(s)
-        if isinstance(res, Focus):
-            focus, rebuild = res.value
-            return rebuild(fn(focus))
-        return res.value
+        return res if isinstance(res, Miss) else res.value
 
 
 @_optic
@@ -187,8 +226,23 @@ class Traversal(NamedTuple):
         return rebuild([fn(a) for a in foci])
 
     def _tolist(self, s):
-        # a composite's is one walk down that keeps nothing to rebuild with
+        # a composite's is one walk down that rebuilds nothing
         return list(self.extract(s)[0])
+
+    def _down(self, wholes):
+        # the memo: per whole, its rebuild and its number of foci
+        foci, memo = [], []
+        for inner, rebuild in map(self.extract, wholes):
+            foci += inner
+            memo += (rebuild, len(inner))
+        return foci, memo
+
+    def _up(self, memo, bs):
+        rebuilt, cursor, pairs = [], 0, iter(memo)
+        for rebuild, width in zip(pairs, pairs):
+            rebuilt.append(rebuild(bs[cursor:cursor + width]))
+            cursor += width
+        return rebuilt
 
 
 @_optic
@@ -248,6 +302,12 @@ class Fold(NamedTuple):
 
     def _tolist(self, s):
         return list(self.foci(s))
+
+    def _down(self, wholes):  # a fold chain's, which rebuilds nothing
+        foci = []
+        for s in wholes:
+            foci += self.foci(s)
+        return foci, None
 
 
 @_optic

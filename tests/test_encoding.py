@@ -186,8 +186,14 @@ def _counting(p):
     return p._replace(transform=transform), calls
 
 
+# The focus functions of the zoo kinds whose cases bring none.
+_FOCUS_FNS = {K.ALGEBRAIC_LENS: lambda m: type(m)(*reversed(m)),
+              K.MONADIC_LENS: lambda n: n + 1}
+_ONE_FOCUS = (K.LENS, K.ACHROMATIC_LENS, K.ALGEBRAIC_LENS, K.MONADIC_LENS)
+
+
 @pytest.mark.parametrize("kind", [
-    K.LENS, K.ACHROMATIC_LENS, K.PRISM, K.AFFINE_TRAVERSAL,
+    *_ONE_FOCUS, K.PRISM, K.AFFINE_TRAVERSAL,
 ], ids=lambda k: k.value)
 def test_a_normal_form_runs_one_probe_per_call(kind):
     """``prof2ex`` runs no probe, and each of ``view``, ``preview``,
@@ -202,12 +208,12 @@ def test_a_normal_form_runs_one_probe_per_call(kind):
         "over": lambda o, c: over(o, c["f"], c["s"]),
         "set_value": lambda o, c: set_value(o, c["s"], c.get("b", "New St")),
     }
-    if kind in (K.LENS, K.ACHROMATIC_LENS):
+    if kind in _ONE_FOCUS:
         runs["view"] = lambda o, c: view(o, c["s"])
     r = random.Random(zlib.crc32(b"one probe") + len(kind.value))
     hits = set()
     for _ in range(40):
-        case = entry.make_case(r)
+        case = {"f": _FOCUS_FNS.get(kind), **entry.make_case(r)}
         hits.add(preview(entry.optic, case["s"]) is not None)
         for name, run in runs.items():
             calls.clear()
@@ -218,6 +224,12 @@ def test_a_normal_form_runs_one_probe_per_call(kind):
         if kind in (K.LENS, K.ACHROMATIC_LENS):
             assert form.update(case["s"], "New St") == entry.optic.update(
                 case["s"], "New St")
+        elif kind is K.ALGEBRAIC_LENS:
+            assert form.classify(case["batch"], case["b"]) == \
+                entry.optic.classify(case["batch"], case["b"])
+        elif kind is K.MONADIC_LENS:
+            assert form.mupdate(case["s"], case["b"]) == entry.optic.mupdate(
+                case["s"], case["b"])
         elif kind is K.AFFINE_TRAVERSAL:
             got, want = form.access(case["s"]), entry.optic.access(case["s"])
             assert type(got) is type(want)
@@ -230,8 +242,7 @@ def test_a_normal_form_runs_one_probe_per_call(kind):
         else:
             assert form.match(case["s"]) == entry.optic.match(case["s"])
         assert len(calls) == 1, calls
-    assert hits == ({True} if kind in (K.LENS, K.ACHROMATIC_LENS)
-                    else {True, False})
+    assert hits == ({True} if kind in _ONE_FOCUS else {True, False})
 
 
 def test_a_prism_form_lists_a_none_focus_as_the_concrete_prism_does():
