@@ -30,7 +30,9 @@ from .errors import (
 )
 from .expr import _PARAMETERIZED, parse_expr, resolve_expr
 from .fixtures import mean, read_flower, registry
-from .values import VList, VNum, VText, each_traversal, parse_json, serialize
+from .values import (
+    VList, VNum, VText, _new, each_traversal, parse_json, serialize,
+)
 
 _RUNTIME_ERRORS = (FocusError, LengthError, EmptyTrainingError,
                    EmptyInputError, CompositionError)
@@ -45,11 +47,11 @@ class UsageError(OpticError):
 # function), and of aggregate: name -> the function of the list of foci
 _OVER = {
     "uppercase": (lambda v: isinstance(v, VText), "a text",
-                  lambda v: VText(v.value.upper())),
+                  lambda v: _new(VText, (v.value.upper(),))),
     "lowercase": (lambda v: isinstance(v, VText), "a text",
-                  lambda v: VText(v.value.lower())),
+                  lambda v: _new(VText, (v.value.lower(),))),
     "increment": (lambda v: isinstance(v, VNum), "a number",
-                  lambda v: VNum(v.value + 1)),
+                  lambda v: _new(VNum, (v.value + 1,))),
     "head": (lambda v: isinstance(v, VList) and v.items, "a non-empty list",
              lambda v: v.items[0]),
 }

@@ -4,7 +4,9 @@
 from a postal text to an address record, the nearest-neighbour algebraic
 lens from a flower record to its measurements, and the kaleidoscope that
 folds each number of measurements records. Each reads and builds its
-documents directly. ``read_flower``, ``Species`` and ``mean`` serve the
+documents directly: a record with the keys it needs, in the order it builds
+them and ``parse_json`` keeps, is read by position, and any other by key,
+with the same errors. ``read_flower``, ``Species`` and ``mean`` serve the
 CLI's flower summary and its folds.
 """
 
@@ -16,7 +18,7 @@ from math import fsum, sqrt
 from .errors import FocusError
 from .optics import AlgebraicLens, Focus, Kaleidoscope, Miss, Prism
 from .values import (
-    VNum, VRec, VText, Value, each_traversal, field_lens,
+    VNum, VRec, VText, Value, _new, each_traversal, field_lens,
 )
 
 
@@ -90,6 +92,12 @@ def read_flower(v: Value):
     """A flower record's measurements, as ``_measurements`` gives them, and
     ``Species``; ``FocusError`` for the first it lacks of a record, a text
     species, measurements and a known species."""
+    if type(v) is VRec and len(fields := v.fields) == 2:
+        (k0, m), (k1, species) = fields
+        if (k0 == "measurements" and k1 == "species"
+                and type(species) is VText
+                and (kind := _SPECIES.get(species.value)) is not None):
+            return (*_measurements(m), kind)
     if not isinstance(v, VRec):
         raise FocusError("expected a flower record")
     species = v.get("species")
@@ -112,15 +120,24 @@ def value_address_prism() -> Prism:
             raise FocusError("expected a text document")
         parts = _postal_parts(value.value)
         if parts is None:
-            return Miss(value)
-        return Focus(VRec(tuple(zip(_ADDRESS_KEYS, map(VText, parts)))))
+            return _new(Miss, (value,))
+        street, city, country = parts
+        return _new(Focus, (_new(VRec, ((
+            ("street", _new(VText, (street,))), ("city", _new(VText, (city,))),
+            ("country", _new(VText, (country,)))),)),))
 
     def build(address):
+        if type(address) is VRec and len(fields := address.fields) == 3:
+            (k0, street), (k1, city), (k2, country) = fields
+            if ((k0, k1, k2) == _ADDRESS_KEYS
+                    and type(street) is type(city) is type(country) is VText):
+                return _new(VText, (
+                    f"{street.value}, {city.value}, {country.value}",))
         street, city, country = _fields(address, "address", _ADDRESS_KEYS,
                                         VText, "text")
         return VText(f"{street.value}, {city.value}, {country.value}")
 
-    return Prism(match=match, build=build)
+    return _new(Prism, (match, build))
 
 
 def value_measure_lens() -> AlgebraicLens:

@@ -5,10 +5,12 @@ with ``@`` denotes a tagged variant. Records keep their key order, numbers
 are 64-bit floats, and serialization prints integral floats without a
 decimal point. The values are records (``records.record``); ``parse_json``
 makes them inside the standard decoder, numbers in its number hooks and
-records and tags in its one pairs hook, and converts the rest by exact type.
-Each call makes one node per distinct string and per distinct number literal
-of its document, so every repeated leaf is one shared node. Nodes are
-immutable and the optics copy on write, so no result shows the sharing.
+records and tags in its one pairs hook, which converts the decoder's own list
+of pairs in place, and converts the rest by exact type. Each call makes one
+node per distinct string and per distinct number literal of its document, so
+every repeated leaf is one shared node. Nodes are immutable and the optics
+copy on write, a field write with one copy of a record's pairs, so no result
+shows the sharing. ``serialize`` skips ``json``'s cycle check.
 """
 
 from __future__ import annotations
@@ -156,17 +158,20 @@ def parse_json(text: str) -> Value:
     numbers = _Numbers()
 
     def _record(pairs):
-        fields = tuple([(k, texts[v] if (kind := type(v)) is str
-                         else v if kind in _BUILT
-                         else _list(v, texts) if kind is list else _leaf(v))
-                        for k, v in pairs])
+        for i, (k, v) in enumerate(pairs):  # the decoder's own list, in place
+            if (kind := type(v)) is str:
+                pairs[i] = (k, texts[v])
+            elif kind is list:
+                pairs[i] = (k, _list(v, texts))
+            elif kind not in _BUILT:
+                pairs[i] = (k, _leaf(v))
         if len(dict(pairs)) != len(pairs):  # the scan runs only on a duplicate
             keys = [k for k, _ in pairs]
             dup = next(k for k in keys if keys.count(k) > 1)
             raise ParseError(f"duplicate key {dup!r}")
-        if len(fields) == 1 and (key := fields[0][0]).startswith("@"):
-            return _new(VTag, (key[1:], fields[0][1]))
-        return _new(VRec, (fields,))
+        if len(pairs) == 1 and (key := pairs[0][0]).startswith("@"):
+            return _new(VTag, (key[1:], pairs[0][1]))
+        return _new(VRec, (tuple(pairs),))
 
     try:
         raw = json.loads(text, object_pairs_hook=_record,
@@ -209,7 +214,9 @@ def _to_python(value: Value):
 
 def serialize(value: Value) -> str:
     try:
-        return json.dumps(_to_python(value), ensure_ascii=False)
+        # ``_to_python`` builds a fresh tree, which holds no cycle to check for
+        return json.dumps(_to_python(value), ensure_ascii=False,
+                          check_circular=False)
     except RecursionError:
         # records parse deeper than the conversion back can recurse
         raise ParseError("document nests too deeply") from None
@@ -241,8 +248,9 @@ def field_lens(key: str, *more: str) -> Lens:
             fields = value.fields
             for i, (k, _) in enumerate(fields):
                 if k == key:
-                    return _new(VRec, (fields[:i] + ((key, new),)
-                                       + fields[i + 1:],))
+                    fields = [*fields]
+                    fields[i] = (key, new)
+                    return _new(VRec, (tuple(fields),))
             raise FocusError(f"record has no key {key!r}")
 
         return _new(Lens, (view, update))
@@ -279,8 +287,9 @@ def field_lens(key: str, *more: str) -> Lens:
         pop = levels.pop
         for key in reversed(keys):
             i = pop()
-            fields = pop()
-            new = _new(VRec, (fields[:i] + ((key, new),) + fields[i + 1:],))
+            fields = [*pop()]
+            fields[i] = (key, new)
+            new = _new(VRec, (tuple(fields),))
         return new
 
     return _new(Lens, (view, update))
@@ -301,7 +310,7 @@ def each_traversal() -> Traversal:
 
         return list(items), rebuild
 
-    return Traversal(extract=extract)
+    return _new(Traversal, (extract,))
 
 
 def variant_prism(tag: str) -> Prism:

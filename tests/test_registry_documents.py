@@ -8,6 +8,9 @@ raises the same error class with the same message: a bad training flower
 before a bad query, and the first bad flower of a list.
 """
 
+import json
+import random
+
 from hypothesis import example, given, settings, strategies as st
 
 from mixoptic import (
@@ -20,7 +23,7 @@ from mixoptic.fixtures import (
     Species, mean, registry, value_address_prism, value_aggregate_kaleidoscope,
     value_measure_lens,
 )
-from mixoptic.values import VList, VNum, VRec, VText, field_lens
+from mixoptic.values import VList, VNum, VRec, VText, field_lens, parse_json
 
 from typed_examples import Address, iris
 from typed_registry import (
@@ -132,6 +135,9 @@ QUERY = measurements_to_value(iris[60].measurements)
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(postal.map(VText), others), address_records)
+# the keys in the order the prism builds them, but one is no text
+@example(VText("a, b, c"), VRec((("street", VText("s")), ("city", VNum(5.0)),
+                                 ("country", VText("c")))))
 def test_address_matches_the_typed_prism(doc, address):
     same(lambda n, s: preview(n["address"], s), doc)
     same(lambda n, s: over(n["address"], lambda a: a, s), doc)
@@ -158,6 +164,9 @@ def test_a_book_of_postal_strings_matches(postals):
 @given(flowers, st.one_of(measurement_records, others))
 @example(GOOD, VRec((("sepalLength", VNum(1e200)),
                      *((k, VNum(0.0)) for k in MEASUREMENT_KEYS[1:]))))
+# the keys in the parser's order: bad measurements before an unknown species
+@example(VRec((("measurements", VRec(())), ("species", VText("Rosa")))), QUERY)
+@example(VRec((("species", VText("Setosa")), ("measurements", QUERY))), QUERY)
 def test_measure_matches_the_typed_lens(flower, query):
     got = same(lambda n, s: view(n["measure"], s), flower)
     if got[0] == "value" and flower.get("measurements") == got[1]:
@@ -223,3 +232,55 @@ def test_value_codecs_round_trip():
     assert value_to_measurements(measurements_to_value(m)) == m
     f = iris[120]
     assert value_to_flower(flower_to_value(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# Records in the parser's key order are read by position.
+
+
+def _book_and_flowers(n=200):
+    r = random.Random(29)
+    book = [{"postal": ("PO Box 12" if i % 10 == 0 else
+                        f"{r.randrange(1, 999)} High Ln, York, UK")}
+            for i in range(n)]
+    flowers = [{"measurements": {k: round(r.uniform(0.1, 8.0), 1)
+                                 for k in MEASUREMENT_KEYS},
+                "species": r.choice([s.value for s in Species])}
+               for _ in range(n)]
+    return parse_json(json.dumps(book)), parse_json(json.dumps(flowers))
+
+
+def test_records_in_the_parsed_key_order_are_read_without_a_key_lookup(
+        monkeypatch):
+    calls = []
+    get = VRec.get
+    monkeypatch.setattr(VRec, "get",
+                        lambda self, key: calls.append(key) or get(self, key))
+
+    def counted(run, *args):
+        calls.clear()
+        run(*args)
+        return len(calls)
+
+    names = registry()
+    street = resolve_expr(parse_expr('each.field("postal").address.street'),
+                          names)
+    measure_each = resolve_expr(parse_expr("each.measure"), names)
+    book, flowers = _book_and_flowers()
+    assert counted(over, street, lambda t: VText(t.value.upper()),
+                   book) == 0  # 540 by key
+    assert counted(to_list_of, street, book) == 0
+    assert counted(to_list_of, measure_each, flowers) == 0  # 400 by key
+    assert counted(classify, names["measure"], flowers.items, QUERY) == 0
+    assert counted(aggregate, resolve_expr(parse_expr("measure.aggregate"),
+                                           names), mean, flowers.items) == 0
+
+    # any other key order is read by key
+    address = VRec((("city", VText("York")), ("street", VText("1 Low Rd")),
+                    ("country", VText("UK"))))
+    assert counted(review, names["address"], address) == 3
+    flower = VRec((("species", VText("Setosa")), ("measurements", QUERY)))
+    assert counted(view, names["measure"], flower) == 2
+    flower = VRec((("measurements", VRec(QUERY.fields[::-1])),
+                   ("species", VText("Setosa"))))
+    assert counted(view, names["measure"], flower) == 4

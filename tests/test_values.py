@@ -4,7 +4,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mixoptic import (
     VBool, VList, VNull, VNum, VRec, VTag, VText,
@@ -374,6 +374,47 @@ _pooled_leaves = st.sampled_from([
 @given(st.recursive(_pooled_leaves, _containers, max_leaves=24))
 def test_repeated_leaves_match_the_replaced_route(text):
     check_against_oracle(text)
+
+
+def _assert_tuples_only(value):
+    """Every record's fields, each of its pairs and every list's items in
+    ``value`` are exact tuples: no list of the decoder's is left in it."""
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is VRec:
+            assert type(node.fields) is tuple, node
+            for pair in node.fields:
+                assert type(pair) is tuple, node
+                stack.append(pair[1])
+        elif kind is VList:
+            assert type(node.items) is tuple, node
+            stack.extend(node.items)
+        elif kind is VTag:
+            stack.append(node.payload)
+
+
+@given(st.one_of(json_texts, st.recursive(_pooled_leaves, _containers,
+                                          max_leaves=24)))
+@example('[{"a": [{"b": {"c": []}}, "x"], "d": {"@t": {"e": [1, null]}}}, []]')
+def test_a_parse_leaves_no_list_of_the_decoder(text):
+    try:
+        doc = parse_json(text)
+    except ParseError:
+        return
+    _assert_tuples_only(doc)
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"a": 1e400, "a": 2}', "number out of range"),
+    ('{"b": {"c": 1, "c": 2}, "d": 1e400}', "duplicate key 'c'"),
+], ids=["own-values-first", "inner-object-first"])
+def test_an_object_converts_its_values_before_it_checks_its_keys(text,
+                                                                 message):
+    with pytest.raises(ParseError) as got:
+        parse_json(text)
+    assert str(got.value) == message
 
 
 def test_setting_one_shared_leaf_leaves_the_others_and_the_input_unchanged():
