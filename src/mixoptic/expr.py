@@ -12,9 +12,10 @@ through the string reader, which keeps each message and position. Segments
 resolve to optics through the registry (plain names) or through the
 parameterized forms ``field("key")`` and ``variant("tag")``; the whole chain
 is one call to the variadic ``compose``, at the join of all its kinds. A run
-of ``field`` segments before the first segment of another kind than lens,
-prism or affine traversal resolves to one ``field_lens`` of the run's keys,
-one segment of the chain.
+of ``field`` segments resolves to one ``field_lens`` of the run's keys, one
+segment of the chain, when every segment is a lens, prism, affine traversal
+or traversal; in any other expression only the runs before the first segment
+of another kind than lens, prism or affine traversal do.
 """
 
 from __future__ import annotations
@@ -120,31 +121,47 @@ def resolve_segment(segment: Segment, registry: Dict[str, object]):
     return found
 
 
-# The kinds before which a run of fields is one lens: an affine chain's
-# segments, which step to one focus. Down to the first segment of another
-# kind a chain reads one whole per level, so there the lens reads, rebuilds
-# and fails as the run's lenses would. Past a traversal, which reads many
-# wholes level by level and so decides the first error met, it does not.
+# The kinds a traversal chain runs as its segments, each level through the
+# segment's own steps, and of those the kinds of an affine chain's, which
+# step to one focus. In an expression of ``_STEPS`` alone, every run of
+# fields is one ``Field``: its steps read one level at a time, so it fails
+# where the run's lenses fail. Any other kind coerces the path after it to
+# one optic of its own, which runs a ``Field`` one whole at a time; only the
+# runs before the first segment outside ``_WALKS``, where the chain reads
+# one whole per level, are fused then.
+_STEPS = frozenset(_NATIVE[K.TRAVERSAL])
 _WALKS = frozenset(_NATIVE[K.AFFINE_TRAVERSAL])
 
 
 def resolve_expr(segments: List[Segment], registry: Dict[str, object]):
-    """Resolve every segment and compose the chain in one call. Each run of
-    ``field`` segments before the first segment of a kind outside
-    ``_WALKS`` resolves to one ``field_lens`` of its keys."""
-    optics, keys = [], []
-    walks = True  # no kind outside ``_WALKS`` met yet
+    """Resolve every segment and compose the chain in one call. A run of
+    ``field`` segments resolves to one ``field_lens`` of its keys when every
+    segment's kind is in ``_STEPS``, or else when it comes before the first
+    segment of a kind outside ``_WALKS``; any other run is one lens per
+    key."""
+    # parts: each optic, and the list of keys of each run of fields
+    parts, keys, first, steps = [], None, None, True
     for seg in segments:
-        if walks and seg.name == "field" and seg.argument is not None:
+        if seg.name == "field" and seg.argument is not None:
+            if keys is None:
+                keys = []
+                parts.append(keys)
             keys.append(seg.argument)
             continue
-        if keys:
-            optics.append(field_lens(*keys))
-            keys = []
+        keys = None
         optic = resolve_segment(seg, registry)
         if optic.kind not in _WALKS:
-            walks = False
-        optics.append(optic)
-    if keys:
-        optics.append(field_lens(*keys))
+            if first is None:
+                first = len(parts)
+            steps = steps and optic.kind in _STEPS
+        parts.append(optic)
+    cut = len(parts) if steps else first  # the runs before it are fused
+    optics = []
+    for i, part in enumerate(parts):
+        if type(part) is not list:
+            optics.append(part)
+        elif i < cut:
+            optics.append(field_lens(*part))
+        else:
+            optics += map(field_lens, part)
     return compose(*optics)

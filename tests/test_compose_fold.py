@@ -268,11 +268,11 @@ def test_resolving_builds_one_chain_per_kind(depth, monkeypatch):
     built.clear()
     optic = resolve_expr(parse_expr(".".join(fields * 2)), names)
     assert built == []
-    assert type(optic) is Lens
+    assert optic.kind is K.LENS
 
     # either side of a variant, each run of fields is one lens part
     built.clear()
     optic = resolve_expr(parse_expr(".".join(fields + ['variant("t")']
                                              + fields)), names)
     assert built == [K.AFFINE_TRAVERSAL]
-    assert [type(part) for part in optic.parts] == [Lens, Prism, Lens]
+    assert [part.kind for part in optic.parts] == [K.LENS, K.PRISM, K.LENS]

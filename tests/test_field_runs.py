@@ -1,9 +1,10 @@
 """A run of ``field`` segments resolves to one lens, and nothing shows it.
 
-``resolve_expr`` resolves each run of ``field("k")`` segments before the
-expression's first segment of another kind than lens, prism or affine
-traversal to one ``field_lens`` of the run's keys. The reference is the
-chain of one optic per segment,
+``resolve_expr`` resolves each run of ``field("k")`` segments to one
+``field_lens`` of the run's keys when every segment of the expression is a
+lens, prism, affine traversal or traversal, and otherwise each run before
+the expression's first segment of another kind than lens, prism or affine
+traversal. The reference is the chain of one optic per segment,
 ``compose(*[resolve_segment(s, names) for s in segments])``. Expressions
 and documents are drawn from one pool of names and keys, the registry's
 and one optic of each kind it lacks, and each document
@@ -19,15 +20,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from mixoptic import (
     AchromaticLens, Adapter, AlgebraicLens, Fold, Getter, Glass, Grate,
-    Kaleidoscope, Lens, MonadicLens, Setter, Traversal, aggregate, classify,
+    Kaleidoscope, MonadicLens, OpticKind as K, Setter, aggregate, classify,
     compose, grate_apply, over, parse_json, preview, serialize, set_value,
     to_list_of, view,
 )
+from mixoptic.composition import _Chain
 from mixoptic.effects import Writer
 from mixoptic.errors import FocusError, KindError
 from mixoptic.expr import parse_expr, resolve_expr, resolve_segment
 from mixoptic.fixtures import mean, registry
-from mixoptic.values import VList, VNum, VRec, VTag, VText, field_lens
+from mixoptic.values import VList, VNum, VRec, VTag, VText, Field, field_lens
 
 KEYS = ("a", "b", "c")
 TAGS = ("t", "u")
@@ -180,6 +182,16 @@ COMBINATORS = {
           parse_json('[{"a": {"b": 2}}]'), [parse_json('[{"a": 5}, {"b": 1}]')]))
 @example(('fold.field("a").field("b")', parse_json('[{"a": 5}, {"b": 1}]'),
           VRec(()), [VRec(())]))
+@example(('each.field("a").field("b").fold',
+          parse_json('[{"a": {"b": [1, 2]}}, {"a": {"c": [3]}}, {"a": 4}]'),
+          parse_json('[{"a": {"b": [5]}}]'),
+          [parse_json('[{"a": {"b": [6]}}]')]))
+@example(('each.field("a").field("b").field("c")',
+          # the first whole misses at ``c``, the second at ``b``: read level
+          # by level, the second's miss comes first
+          parse_json('[{"a": {"b": 5}}, {"a": {"c": 1}}, {"a": {"b": {"c": 1}}}]'),
+          parse_json('[{"a": {"b": {"c": 2}}}]'),
+          [parse_json('[{"a": 3}, {"b": {"a": 4}}]')]))
 @example(('field("a").field("b").measure',
           VRec((("a", VRec((("b", FLOWER),))),)), FLOWER,
           [VRec((("a", VRec((("c", FLOWER),))),)),
@@ -221,6 +233,29 @@ def test_after_a_traversal_the_first_error_is_met_level_by_level():
         "record has no key 'a'")
 
 
+def test_every_run_of_an_expression_of_walk_steps_is_one_lens():
+    optic = resolve_expr(parse_expr(
+        'each.field("a").field("b").variant("t").field("c").field("d")'), NAMES)
+    assert [part.kind for part in optic.parts] == \
+        [K.TRAVERSAL, K.LENS, K.PRISM, K.LENS]
+    assert optic.parts[1] == field_lens("a", "b")
+    assert optic.parts[3] == field_lens("c", "d")
+
+
+def test_over_and_set_through_a_path_walk_it_once(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a write ran view")
+
+    monkeypatch.setattr(Field, "view", refuse)
+    monkeypatch.setattr(Field, "_view", refuse)
+    optic = field_lens("a", "b", "c")
+    doc = parse_json('{"a": {"b": {"c": "x", "d": 1}, "e": 2}}')
+    assert serialize(set_value(optic, doc, NEW)) == \
+        '{"a": {"b": {"c": "new", "d": 1}, "e": 2}}'
+    assert serialize(over(optic, lambda t: VText(t.value.upper()), doc)) == \
+        '{"a": {"b": {"c": "X", "d": 1}, "e": 2}}'
+
+
 def test_a_run_before_an_algebraic_lens_refuses_to_classify():
     optic = resolve_expr(parse_expr('field("a").field("b").measure'), NAMES)
     # the join is a lens, which refuses to classify, fused or not
@@ -236,7 +271,7 @@ def test_a_run_before_an_algebraic_lens_refuses_to_classify():
 
 def test_a_run_before_a_traversal_fails_where_its_chain_fails():
     optic = resolve_expr(parse_expr('field("a").field("b").each'), NAMES)
-    assert [type(part) for part in optic.parts] == [Lens, Traversal]
+    assert [part.kind for part in optic.parts] == [K.LENS, K.TRAVERSAL]
     for text, message in (('{"b": []}', "record has no key 'a'"),
                           ('{"a": 1}', "expected a record with key 'b'"),
                           ('{"a": {"a": []}}', "record has no key 'b'"),
@@ -253,7 +288,7 @@ def test_a_run_before_a_traversal_fails_where_its_chain_fails():
 def test_ten_thousand_fields_are_one_lens_that_runs_at_any_depth():
     depth = 10_000
     optic = resolve_expr(parse_expr(".".join(['field("k")'] * depth)), NAMES)
-    assert type(optic) is Lens
+    assert optic.kind is K.LENS and not isinstance(optic, _Chain)
     doc = VText("leaf")
     for level in reversed(range(depth)):
         doc = VRec((("n", VNum(level)), ("k", doc)))

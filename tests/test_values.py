@@ -161,6 +161,26 @@ def test_variant_prism():
     assert review(p, hit) == doc
 
 
+def test_segments_are_tuples_of_their_argument_and_build_no_function():
+    a, b = field_lens("a"), field_lens("b")
+    assert a.view.__func__ is b.view.__func__
+    assert a.update.__func__ is b.update.__func__
+    assert variant_prism("t").match.__func__ is variant_prism("u").match.__func__
+    assert each_traversal() is each_traversal()
+    assert field_lens("a", "b") == field_lens("a", "b") != field_lens("a")
+    assert tuple(field_lens("a", "b")) == (("a", "b"),)
+    assert tuple(variant_prism("t")) == ("t",)
+
+
+def test_serialize_refuses_a_document_it_cannot_recurse_through():
+    deep = VList(())
+    for _ in range(5_000):
+        deep = VList((deep,))
+    with pytest.raises(ParseError) as got:
+        serialize(deep)
+    assert str(got.value) == "document nests too deeply"
+
+
 # ---------------------------------------------------------------------------
 # The decoder route ``parse_json`` and ``serialize`` replaced, kept verbatim
 # as the oracle: ``json.loads`` to plain Python objects, then an
