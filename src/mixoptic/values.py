@@ -8,10 +8,15 @@ makes them inside the standard decoder, numbers in its number hooks and
 records and tags in its one pairs hook, which converts the decoder's own list
 of pairs in place, and converts the rest by exact type. Each call makes one
 node per distinct string and per distinct number literal of its document, so
-every repeated leaf is one shared node. Nodes are immutable and the optics
-copy on write, a field write with one copy of a record's pairs, so no result
-shows the sharing. ``serialize`` prints with one encoder, built at import,
-and skips ``json``'s cycle check.
+every repeated leaf is one shared node. So is every repeated pair of a key
+and a leaf (a text, a number, ``true``, ``false`` or ``null``) or of a key
+and a list of leaves, and every repeated list of leaves, except one that
+holds a zero number (``0``, ``-0``, ``0.0``, ``-0.0``), whose literals are
+equal values that print apart. An address book parses to about 10.9 nodes
+the collector tracks a record, not 16.8, and a flower set to 5.1, not 10.0.
+Nodes are immutable and the optics copy on write, a field write with one
+copy of a record's pairs, so no result shows the sharing. ``serialize``
+prints with one encoder, built at import, and skips ``json``'s cycle check.
 
 The optics over values are three segment classes, ``Field``, ``Variant``
 and ``Each``: each the one-item tuple of its argument and a subclass of its
@@ -88,8 +93,8 @@ _new = tuple.__new__
 TRUE = _new(VBool, (True,))
 FALSE = _new(VBool, (False,))
 
-# What the decoder's hooks return as nodes already: numbers, records, tags.
-_BUILT = frozenset((VNum, VRec, VTag))
+# What the decoder's hooks return as nodes already, besides numbers.
+_BUILT = frozenset((VRec, VTag))
 
 
 class _Texts(dict):
@@ -128,6 +133,23 @@ class _Numbers(dict):
         return node
 
 
+class _Pairs(dict):
+    """One pair per distinct key and leaf of one document, keyed on the
+    decoder's own pair, whose leaf is still a string or a constant, or
+    already a ``VNum``; a number's pair is its own key (``setdefault``).
+    Nodes equal only nodes of their class, and ``VNum``s by value: ``1``
+    and ``1.0`` share a pair, which shows nowhere, but a zero is never
+    looked up, since ``0.0`` and ``-0.0`` are equal and print apart."""
+
+    __slots__ = ("texts",)
+
+    def __missing__(self, pair):  # a string or a constant
+        key, leaf = pair
+        node = self[pair] = (
+            key, self.texts[leaf] if type(leaf) is str else _leaf(leaf))
+        return node
+
+
 def _not_a_number(name):
     raise ParseError(f"{name} is not a JSON number")
 
@@ -135,15 +157,42 @@ def _not_a_number(name):
 # ``_list``, like ``_to_python`` below, recurses once per level of the
 # document. Both are loops, not comprehensions: a comprehension runs in a frame
 # of its own before Python 3.12, which would halve their depth.
-def _list(items, texts):
+def _list(items, texts, lists, k=None):
+    """The ``VList`` of the decoder's list ``items``, or, given a record's
+    key ``k``, the record's pair of it. A list of leaves only is one node per
+    document, kept in ``lists`` under its items, and so is its pair under
+    each key, kept under the key and the node's id. Nodes equal only nodes
+    of their class, so only a zero number, equal to the other zero, keeps a
+    list out of the table."""
+    leaves = True
     for i, x in enumerate(items):  # the decoder's own list, in place
         if (kind := type(x)) is str:
             items[i] = texts[x]
+        elif kind is VNum:
+            if not x[0]:
+                leaves = False
         elif kind is list:
-            items[i] = _list(x, texts)
-        elif kind not in _BUILT:
+            items[i] = _list(x, texts, lists)
+            leaves = False
+        elif kind in _BUILT:
+            leaves = False
+        else:
             items[i] = _leaf(x)
-    return _new(VList, (tuple(items),))
+    items = tuple(items)
+    if leaves:
+        node = lists.get(items)
+        if node is not None:
+            if k is None:
+                return node
+            pair = lists.get(key := (k, id(node)))
+            if pair is None:
+                pair = lists[key] = (k, node)
+            return pair
+        # a list new to the document is in no pair yet
+        node = lists[items] = _new(VList, (items,))
+    else:
+        node = _new(VList, (items,))
+    return node if k is None else (k, node)
 
 
 def _leaf(x):
@@ -159,19 +208,28 @@ def _leaf(x):
 
 def parse_json(text: str) -> Value:
     # A repeated string or number is one C-level lookup, with no Python
-    # frame. ``_record`` is the one closure and nothing refers back to the
-    # call, so the tables go when it returns, not at a collection.
+    # frame, and so is a repeated pair of a key and a leaf. ``_record`` is
+    # the one closure and nothing refers back to the call, so the tables go
+    # when it returns, not at a collection.
     texts = _Texts()
     numbers = _Numbers()
+    shared = _Pairs()
+    shared.texts = texts
+    numbered = shared.setdefault
+    lists = {}
 
     def _record(pairs):
         for i, (k, v) in enumerate(pairs):  # the decoder's own list, in place
             if (kind := type(v)) is str:
-                pairs[i] = (k, texts[v])
+                # a string new to the document is in no pair yet
+                pairs[i] = shared[pairs[i]] if v in texts else (k, texts[v])
+            elif kind is VNum:
+                if v[0]:
+                    pairs[i] = numbered(pair := pairs[i], pair)
             elif kind is list:
-                pairs[i] = (k, _list(v, texts))
+                pairs[i] = _list(v, texts, lists, k)
             elif kind not in _BUILT:
-                pairs[i] = (k, _leaf(v))
+                pairs[i] = shared[pairs[i]]
         if len(dict(pairs)) != len(pairs):  # the scan runs only on a duplicate
             keys = [k for k, _ in pairs]
             dup = next(k for k in keys if keys.count(k) > 1)
@@ -186,7 +244,7 @@ def parse_json(text: str) -> Value:
                          parse_int=numbers.__getitem__,
                          parse_constant=_not_a_number)
         # the root converts as a list's one item
-        return _list([raw], texts).items[0]
+        return _list([raw], texts, lists).items[0]
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     except ValueError:  # an integer past the digits int() reads

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from mixoptic import (
     VBool, VList, VNull, VNum, VRec, VTag, VText,
-    each_traversal, field_lens, parse_json, serialize, variant_prism,
+    compose, each_traversal, field_lens, parse_json, serialize, variant_prism,
     over, preview, review, set_value, to_list_of, view,
 )
 from mixoptic.errors import FocusError, LengthError, ParseError
@@ -379,6 +379,18 @@ def test_fault_order_and_edge_numbers_match_the_replaced_route(text):
     '{"a": "x", "b": ["x", {"@x": "x"}]}',  # a text as value, key and tag
     "[1e400, 1e400]",  # one literal out of range, twice
     '{"a": [1e400], "a": 2}',
+    # repeated pairs and lists of leaves, one shared node each, never keyed
+    # on a zero, whose literals print apart
+    '[{"a": -0}, {"a": 0}, {"a": -0.0}]',
+    "[[0, 1], [-0, 1], [0.0, 1]]",
+    "[[-0.0, 1], [0, 1], [-0.0, 1], [0.0]]",
+    '[{"a": 1}, {"a": 1.0}]',
+    '[{"a": null}, {"a": null}, {"b": null}]',
+    '[{"t": ["x"]}, {"t": ["x"]}, ["x"]]',
+    '[{"a": ["x"]}, {"b": ["x"]}, {"b": ["x"]}, {"a": ["x"]}, {"a": ["x"]}]',
+    # ``true`` equals ``1`` as a Python value, but never as a leaf
+    '[{"a": true}, {"a": 1}, [true], [1], {"a": [true]}, {"a": [1]}]',
+    '[["a", 2], {"a": 2}, ["a", 2], {"a": 2}]',
 ], ids=lambda text: text[:32])
 def test_literals_repeated_in_different_roles_match_the_replaced_route(text):
     check_against_oracle(text)
@@ -438,10 +450,17 @@ def test_an_object_converts_its_values_before_it_checks_its_keys(text,
 
 
 def test_setting_one_shared_leaf_leaves_the_others_and_the_input_unchanged():
-    doc = parse_json('[{"a": "x", "n": 1}, {"a": "x", "n": 1}, ["x", 1]]')
-    first, second, tail = doc.items
+    doc = parse_json('[{"a": "x", "n": 1, "t": ["x", 1]},'
+                     ' {"a": "x", "n": 1, "t": ["x", 1]},'
+                     ' {"a": "x", "n": 1, "t": ["x", 1]}, ["x", 1]]')
+    first, second, third, tail = doc.items
     assert first.get("a") is second.get("a") is tail.items[0]  # shared
     assert first.get("n") is second.get("n") is tail.items[1]
+    assert first.get("t") is second.get("t") is third.get("t")
+    # so is each pair of a key and a leaf or a list of leaves, from the
+    # first occurrence of its leaf or list on
+    assert first.fields[1] is second.fields[1]
+    assert all(p is q for p, q in zip(second.fields, third.fields))
     before = serialize(doc)
     lens = field_lens("a")
     out = set_value(lens, first, VText("y"))
@@ -449,6 +468,14 @@ def test_setting_one_shared_leaf_leaves_the_others_and_the_input_unchanged():
     assert view(lens, second) == VText("x") and tail.items[0] == VText("x")
     assert set_value(field_lens("n"), second, VNum(2.0)).get("n") == VNum(2.0)
     assert first.get("n") == VNum(1.0) and tail.items[1] == VNum(1.0)
+    out = over(compose(field_lens("t"), each_traversal()),
+               lambda v: VText("z"), second)
+    assert serialize(out) == '{"a": "x", "n": 1, "t": ["z", "z"]}'
+    out = set_value(field_lens("a"), second, VText("w"))
+    assert out.fields[0] == ("a", VText("w")) and out.fields[2] is third.fields[2]
+    assert serialize(third) == '{"a": "x", "n": 1, "t": ["x", 1]}'
+    assert third.fields[0] == ("a", VText("x"))
+    assert third.get("t").items == (VText("x"), VNum(1.0))
     assert serialize(doc) == before
 
 
@@ -497,12 +524,23 @@ def _flowers(r, n):
             for _ in range(n)]
 
 
-@pytest.mark.parametrize("make,bound", [(_address_book, 17), (_flowers, 10.1)],
-                         ids=["address", "flowers"])
+def _repeat_free(r, n):
+    # no string, number, pair or list of leaves occurs twice
+    return [{"id": i, "name": f"name {i}", "score": i + 0.5,
+             "tags": [f"t{i}", f"u{i}"]} for i in range(n)]
+
+
+@pytest.mark.parametrize("make,bound", [
+    (_address_book, 11.5), (_flowers, 5.5), (_repeat_free, 13.01),
+], ids=["address", "flowers", "repeat-free"])
 def test_tracked_nodes_per_parsed_record(make, bound):
     # A record is its node, its fields tuple and one tuple per pair; leaves
-    # add a node only where they are new to the document: one node per leaf
-    # would give 22 (address) and 15 (flowers).
+    # add a node only where they are new to the document, and so do pairs of
+    # a key and a leaf and lists of leaves. One node per leaf would give 22
+    # (address) and 15 (flowers), and one node per pair and list with shared
+    # leaves 16.9 and 10.0; the address book has about 11.0 and the flowers
+    # 5.2. A repeat-free record of four pairs, a list of two texts among them,
+    # is 13 nodes whether or not anything is shared; the root list adds two.
     import gc
     import random
 
