@@ -17,8 +17,8 @@ where it fails or falls back, ``compose`` raises or warns once, naming the
 first pair where the left fold of ``join_kind`` does. Achromatic-lens and
 prism join to affine-traversal, which review cannot reach, so only the
 flat ``compose(ach, prism, review)`` is a review; nested, it raises.
-For every kind the result is a flat chain: an instance of a subclass of
-the kind's record class holding ``parts``, its segments outermost first,
+For every kind the result is a flat chain, a view type (``records``) of
+the kind's record class that holds ``parts``, its segments outermost first,
 each coerced to the first kind of the chain's ``_NATIVE`` row it reaches:
 traversal and affine chains keep lens, prism and affine segments as they
 are. A chain's fields loop over the parts, and it overrides the runners
@@ -32,9 +32,12 @@ focus or the first miss and rebuild upwards from there; ``preview``
 algebraic-lens or monadic-lens chain reads each part's view once
 (``_one_walk``). A chain of the join splices its parts in, and so do a
 prism chain entering an affine or traversal chain and an affine chain
-entering a traversal.
-Segments collect in one list while the left fold's join stays the same,
-so building is linear in the operands and applying linear in depth.
+entering a traversal. A composite at the join is one optic of its kind,
+so ``_chain`` fuses adjacent field paths (``values.Field``) into one, and
+``_segments`` coerces a path one key at a time, so that a fold chain still
+steps level by level. Segments collect in one list while the left fold's
+join stays the same, and a run of paths fuses once, so building is linear
+in the operands and applying linear in depth.
 A coercion into getter, fold, setter or review, whatever its path, is one
 record holding the optic's own runner of that kind's combinator.
 ``encoding.ProfOptic.then`` stays nested: it is the independent oracle the
@@ -44,6 +47,7 @@ tests hold ``compose`` to.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import groupby
 from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
@@ -54,7 +58,7 @@ from .optics import (
     Fold, Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
     Review, Setter, Traversal,
 )
-from .records import record
+from .records import View, record, view_type
 
 K = OpticKind
 
@@ -249,15 +253,13 @@ def _coerce(optic: Any, kind: OpticKind) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Flat chains. A composite is an instance of a subclass of its kind's class
-# that holds ``parts``; the kind's functions are methods that loop over the
-# parts. Read-then-rebuild kinds walk down once, keeping each level's whole,
-# and rebuild upwards; continuation kinds nest one function per part.
+# Flat chains, whose fields are methods that loop over the parts.
+# Read-then-rebuild kinds walk down once, keeping each level's whole, and
+# rebuild upwards; continuation kinds nest one function per part.
 
 
-class _Chain:
-    """A chain is the one-item tuple of its parts, so it is as immutable and
-    compared as its kind's records are; its kind's fields are methods."""
+class _Chain(View):
+    """A chain is a view type (``records``) of the tuple of its parts."""
 
     __slots__ = ()
 
@@ -477,13 +479,8 @@ def _glass_run(self, h, s):
     return inner((), s)
 
 
-def _chain_type(base, *runs, **methods):
-    """The subclass of ``base`` whose fields are the ``runs``, in order."""
-    return type(base.__name__, (_Chain, base),
-                dict(zip(base._fields, runs), __slots__=(), **methods))
-
-
 _VIEW = _run_down("view")
+_chain_type = partial(view_type, _Chain)
 
 _CHAINS = {
     chain.kind: chain for chain in (
@@ -533,12 +530,37 @@ _SPLICED = {K.TRAVERSAL: (K.AFFINE_TRAVERSAL, K.PRISM),
 
 def _segments(optic: Any, kind: OpticKind) -> tuple:
     """A chain of ``kind``, or of a kind ``_SPLICED`` names for it, splices
-    in; any other optic is one segment."""
+    in; any other optic is one segment, but a path (``_unfused``) that must
+    be coerced is one segment per key."""
     if isinstance(optic, _Chain) and (optic.kind is kind or optic.kind
                                       in _SPLICED.get(kind, ())):
         return optic.parts
     segment = _SEGMENT[kind][optic.kind]
-    return (optic if optic.kind is segment else _coerce(optic, segment),)
+    if optic.kind is segment:
+        return (optic,)
+    pieces = optic._unfused() if hasattr(optic, "_unfused") else (optic,)
+    return tuple(_coerce(piece, segment) for piece in pieces)
+
+
+def _chain(kind: OpticKind, parts: list) -> Any:
+    """The chain of ``kind`` of ``parts``, each run of adjacent parts of one
+    class that has ``_fused`` made one part by it; a chain left with one
+    part of its own kind is that part."""
+    last = None
+    for part in parts:  # a loop: cheaper on a short chain than map and is_
+        if (cls := type(part)) is last and hasattr(part, "_fused"):
+            break
+        last = cls
+    else:
+        return _CHAINS[kind](tuple(parts))
+    fused = []
+    for _, run in groupby(parts, type):
+        run = [*run]
+        fused += [run[0]._fused(run)] if len(run) > 1 and hasattr(
+            run[0], "_fused") else run
+    if len(fused) == 1 and fused[0].kind is kind:
+        return fused[0]
+    return _CHAINS[kind](tuple(fused))
 
 
 def _fail_once(kinds: list, joined) -> OpticKind:
@@ -581,7 +603,7 @@ def compose(first: Any, *rest: Any) -> Any:
             # expression's join
             joined = target
         if parts is not None:
-            optic = _CHAINS[kind](tuple(parts))
+            optic = _chain(kind, parts)
         kind = joined
         parts = _segments(optic, kind) + _segments(nxt, kind)
-    return optic if parts is None else _CHAINS[kind](tuple(parts))
+    return optic if parts is None else _chain(kind, parts)

@@ -16,16 +16,17 @@ lens's ``s -> (s, view(s))`` and ``pair -> update(*pair)``) once per
 
 ``prof2ex`` checks that the transformer supports the probes the kind's
 record fields need and returns an instance of the kind's normal-form type,
-also built at import: the one-item tuple of the transformer, whose record
-fields are methods that each run the transformer on one identity probe per
-call. The lens, achromatic-lens, algebraic-lens, monadic-lens, prism,
-affine-traversal and adapter forms run ``over`` (so ``set``) as one
-``Replacing`` walk; the prism and affine forms ``preview`` as one
-``Previewing`` walk, and ``match`` and ``access`` as one ``Replacing`` walk
-that stops at the focus. A traversal's ``over``
-stays two walks, a fold and then a replace, so its focus function runs only
-after every view, as the concrete chain's does, and an error is the one the
-chain raises first.
+also built at import: a view type (``records``), the one-item tuple of the
+transformer, whose record fields are methods that each run the transformer
+on one identity probe per call. It shares that record helper with the
+chains of ``composition``, not how optics compose. The lens,
+achromatic-lens, algebraic-lens, monadic-lens, prism, affine-traversal and
+adapter forms run ``over`` (so ``set``) as one ``Replacing`` walk; the
+prism and affine forms ``preview`` as one ``Previewing`` walk, and
+``match`` and ``access`` as one ``Replacing`` walk that stops at the focus.
+A traversal's ``over`` stays two walks, a fold and then a replace, so its
+focus function runs only after every view, as the concrete chain's does,
+and an error is the one the chain raises first.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .optics import (
     Getter, Glass, Grate, Kaleidoscope, Lens, Miss, MonadicLens, Prism,
     Review, Setter, Traversal,
 )
-from .records import record
+from .records import View, record, view_type
 
 K = OpticKind
 _new = tuple.__new__  # builds a record without its ``__new__`` frame
@@ -314,9 +315,10 @@ def ex2prof(optic: Any) -> ProfOptic:
 
 
 # ---------------------------------------------------------------------------
-# prof2ex. A normal form is an instance of its kind's ``_Form`` type: the
-# one-item tuple of the transformer, whose record fields are methods. Each
-# method runs the transformer on one identity probe per call.
+# prof2ex. A normal form is an instance of its kind's view type
+# (``records.view_type``): the one-item tuple of the transformer, whose
+# record fields are methods. Each method runs the transformer on one
+# identity probe per call.
 
 _VIEW = c.Viewing(_ident)
 _OVER = c.Replacing(_ident)
@@ -327,18 +329,6 @@ _CLASSIFY = c.Classifying(lambda ss, b: b)
 _AGGREGATE = c.Aggregating(lambda foci, f: f(foci))
 _GRATE = c.Grating(lambda h: h(_ident))
 _GLASS = c.Glassing(lambda h, a: h(_ident))
-
-
-class _Form:
-    """A normal form is the one-item tuple of its transformer, so it is as
-    immutable and compared as its kind's records are; its kind's fields
-    are methods, and its ``len``, iteration and ``_replace`` are a
-    one-item tuple's."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self[0]!r})"
 
 
 def _probe(carrier):
@@ -426,10 +416,8 @@ _NEEDS = {
 def _form(base, *fields, **methods):
     """The normal-form type of ``base``'s kind, whose fields are the
     methods ``fields``, in order, and the probes they need."""
-    form = type(base.__name__, (_Form, base),
-                dict(zip(base._fields, fields), __slots__=(), **methods))
-    return form, frozenset().union(*(_NEEDS[name if name in _NEEDS else base]
-                                     for name in base._fields))
+    return view_type(View, base, *fields, **methods), frozenset().union(
+        *(_NEEDS[name if name in _NEEDS else base] for name in base._fields))
 
 
 _FORMS = {form[0].kind: form for form in (

@@ -1,4 +1,4 @@
-"""Small immutable records.
+"""Small immutable records, and the view types built on them.
 
 A record is a ``typing.NamedTuple`` class under ``@record``. It is built by
 position or by keyword, with defaults; its fields cannot be assigned; it
@@ -9,7 +9,7 @@ document values, the carriers, ``FunList`` and ``ProfOptic`` are
 records. A NamedTuple class is made without the code generation a
 dataclass runs when it is defined, so no module of the library loads
 ``dataclasses`` or ``inspect``; a copy with some fields changed is
-``r._replace(field=...)``.
+``r._replace(field=...)``. ``View`` is the base of the view types.
 """
 
 from __future__ import annotations
@@ -31,3 +31,24 @@ def record(cls):
     """Compare instances of the NamedTuple class ``cls`` by class first."""
     cls.__eq__, cls.__ne__ = _eq, _ne
     return cls
+
+
+class View:
+    """A view type shows one item as a record: it subclasses ``View`` and a
+    record class whose fields are its methods, run on the item. An instance
+    is the one-item tuple of the item, as immutable and compared as records
+    are, and building one makes no function; its ``len``, iteration and
+    ``_replace`` are a one-item tuple's. Chains, normal forms and document
+    segments are view types."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self[0]!r})"
+
+
+def view_type(view, base, *fields, **methods):
+    """The view type of ``view`` (``View`` or a subclass) and ``base`` whose
+    fields are the methods ``fields``, in order, besides ``methods``."""
+    return type(base.__name__, (view, base),
+                dict(zip(base._fields, fields), __slots__=(), **methods))

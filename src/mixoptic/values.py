@@ -19,9 +19,9 @@ copy of a record's pairs, so no result shows the sharing. ``serialize``
 prints with one encoder, built at import, and skips ``json``'s cycle check.
 
 The optics over values are three segment classes, ``Field``, ``Variant``
-and ``Each``: each the one-item tuple of its argument and a subclass of its
-kind's record class whose fields are methods, with the walk steps of its
-own that a chain runs (``optics``).
+and ``Each``: each a view type (``records``), the one-item tuple of its
+argument and a subclass of its kind's record class whose fields are
+methods, with the walk steps of its own that a chain runs (``optics``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple, Tuple, Union
 
 from .errors import FocusError, LengthError, ParseError
 from .optics import Focus, Lens, Miss, Prism, Traversal
-from .records import record
+from .records import View, record
 
 
 @record
@@ -292,33 +292,29 @@ def serialize(value: Value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Generic optics over values: one segment class per expression form, each a
-# subclass of its kind's record class whose fields are methods, as a chain
-# (``composition._chain_type``) and a normal form (``encoding._form``) are.
+# Generic optics over values: one segment class per expression form, built
+# by its factory (``field_lens``, ...).
 
 
-class _Segment:
-    """A document segment is the one-item tuple of its argument, so it is as
-    immutable and compared as its kind's records are, and building one makes
-    no function; its ``len``, iteration and ``_replace`` are a one-item
-    tuple's. Its factory (``field_lens``, ...) builds it."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self[0]!r})"
-
-
-class Field(_Segment, Lens):
+class Field(View, Lens):
     """Lens onto a path of one or more record fields, the tuple of its keys,
     outermost first. It reads, rebuilds and fails as the chain of one lens
     per key does: shape errors surface at application time, at the first
     level that is no record or lacks its key, with that level's message. The
     pair a level reads and replaces is the first with its key; the other
     pairs are shared. Its steps across many wholes (``_down``, ``_up``) go
-    one level at a time, as that chain's do, so they fail where it fails."""
+    one level at a time, as that chain's do, so they fail where it fails.
+    ``compose`` fuses adjacent paths into one (``_fused``) and coerces a
+    path into another kind one key at a time (``_unfused``)."""
 
     __slots__ = ()
+
+    @staticmethod
+    def _fused(run):  # the one path of a run of adjacent paths, built once
+        return _new(Field, (tuple(key for path in run for key in path[0]),))
+
+    def _unfused(self):  # one path per key; a path of one key is itself
+        return (self,) if len(self[0]) == 1 else tuple(map(field_lens, self[0]))
 
     def view(self, value):
         for key in self[0]:
@@ -423,7 +419,7 @@ def field_lens(key: str, *more: str) -> Field:
     return _new(Field, ((key, *more),))
 
 
-class Variant(_Segment, Prism):
+class Variant(View, Prism):
     """Prism onto the payload of one tagged-variant constructor, its tag."""
 
     __slots__ = ()
@@ -459,7 +455,7 @@ def _relist(n, bs):
     return _new(VList, (tuple(bs),))
 
 
-class Each(_Segment, Traversal):
+class Each(View, Traversal):
     """Traversal over the elements of a list value, in order. Its steps
     across many wholes hand the walk the items as they are and keep each
     list's length, so rebuilding makes no function."""

@@ -11,6 +11,8 @@ affine shape.
 
 import warnings
 from functools import reduce
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -148,11 +150,15 @@ def test_lens_laws_hold_at_depth(shape, depth):
     assert [b for a, b in zip(before, after) if a != b] == [new]  # only it
 
     if shape == "affine":
-        # the fields before the first variant are one lens part; every
-        # operand after it is a part as it is, with no wrapper
-        first = kinds.index("variant")
+        # each run of fields is one path, and every variant is a part as it
+        # is, with no wrapper
+        runs = [[optic for _, optic in run] for _, run in
+                groupby(zip(kinds, optics), itemgetter(0))]
+        want = [field_lens(*(f[0][0] for f in run)) if run[0].kind is K.LENS
+                else run[0] for run in runs]
+        assert list(optic.parts) == want
         assert all(part is operand for part, operand in
-                   zip(optic.parts[1:], optics[first:], strict=True))
+                   zip(optic.parts, want) if part.kind is K.PRISM)
         missed = document(kinds, miss_at=max(
             i for i, k in enumerate(kinds) if k == "variant"))
         assert read(optic, missed) is None
@@ -253,8 +259,9 @@ def test_bracketing_does_not_change_the_chain(shape):
     for other in (right, middle):
         assert other.kind is left.kind
         assert observe(other, other.kind, doc) == want
-    if shape == "lens":  # one kind throughout: every bracketing splices
-        assert len(left.parts) == len(right.parts) == len(middle.parts) == 64
+    assert left == right == middle  # the same parts, fused the same way
+    if shape == "lens":  # every bracketing fuses the fields into one path
+        assert left == field_lens(*(optic[0][0] for optic in optics))
 
 
 def test_chain_then_leaf_has_the_joined_kind():

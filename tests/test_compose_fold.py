@@ -36,6 +36,7 @@ from mixoptic.composition import _CHAINS, _Chain, _segments
 from mixoptic.errors import CompositionError, NormalFormError, OpticError
 from mixoptic.expr import parse_expr, resolve_expr
 from mixoptic.fixtures import registry
+from mixoptic.values import field_lens, variant_prism
 
 from conftest import OBSERVERS, zoo
 
@@ -251,18 +252,20 @@ def test_resolving_builds_one_chain_per_kind(depth, monkeypatch):
     cities = ["city"] * (depth // 2)
     fields = ['field("k")'] * (depth // 2)
 
-    # a registry lens is no field segment: a run of it is one lens chain
+    # the registry's ``city`` is a field path: ``compose`` fuses a run of it
+    # into one path and builds no chain
     optic = resolve_expr(parse_expr(".".join(cities * 2)), names)
-    assert built == [K.LENS]
-    assert len(optic.parts) == depth
+    assert built == []
+    assert optic == field_lens(*["city"] * depth)
 
-    # a variant half-way changes the kind once: the lens chain becomes one
-    # segment of the affine chain
+    # a variant half-way changes the kind once: the path before it becomes
+    # one segment of the affine chain, and the run after it another
     built.clear()
     optic = resolve_expr(parse_expr(".".join(cities + ['variant("t")']
                                              + cities)), names)
-    assert built == [K.LENS, K.AFFINE_TRAVERSAL]
-    assert len(optic.parts) == 2 + depth // 2
+    assert built == [K.AFFINE_TRAVERSAL]
+    path = field_lens(*["city"] * (depth // 2))
+    assert optic.parts == (path, variant_prism("t"), path)
 
     # a run of fields is one lens and builds no chain
     built.clear()

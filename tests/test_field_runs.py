@@ -1,35 +1,43 @@
-"""A run of ``field`` segments resolves to one lens, and nothing shows it.
+"""Field paths fuse in ``compose``, and nothing shows it.
 
-``resolve_expr`` resolves each run of ``field("k")`` segments to one
-``field_lens`` of the run's keys when every segment of the expression is a
-lens, prism, affine traversal or traversal, and otherwise each run before
-the expression's first segment of another kind than lens, prism or affine
-traversal. The reference is the chain of one optic per segment,
-``compose(*[resolve_segment(s, names) for s in segments])``. Expressions
-and documents are drawn from one pool of names and keys, the registry's
-and one optic of each kind it lacks, and each document
-is built along its expression with some level replaced by another value:
-a missing key, a record where a text is read, a wrong tag. So foci fail at
+``compose`` fuses adjacent field paths (``field_lens``), the registry's
+``city`` and ``street`` among them, into one path, and coerces a path into
+another segment kind one key at a time, so a fold or setter chain still
+steps level by level. ``resolve_expr`` hands it each run of ``field("k")``
+segments as one ``field_lens`` of the run's keys. The reference is the
+chain of one optic per segment in which every field path is a plain
+``Lens`` record of its ``view`` and ``update``, which ``compose`` cannot
+fuse. Expressions and documents are drawn from one pool of names and keys,
+the registry's and one optic of each kind it lacks, and each document is
+built along its expression with some level replaced by another value: a
+missing key, a record where a text is read, a wrong tag. So foci fail at
 different levels, and every combinator gives the same serialized value
-through both, or the same error class and message.
+through both, or the same error class and message. ``compose`` itself is
+held to the same reference over field paths, ``each``, variants and a
+chain of three prisms, however the operands are bracketed.
 """
 
+import time
 import warnings
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mixoptic import (
     AchromaticLens, Adapter, AlgebraicLens, Fold, Getter, Glass, Grate,
-    Kaleidoscope, MonadicLens, OpticKind as K, Setter, aggregate, classify,
-    compose, grate_apply, over, parse_json, preview, serialize, set_value,
-    to_list_of, view,
+    Kaleidoscope, Lens, MonadicLens, OpticKind as K, Setter, aggregate,
+    classify, compose, grate_apply, over, parse_json, preview, serialize,
+    set_value, to_list_of, view,
 )
 from mixoptic.composition import _Chain
 from mixoptic.effects import Writer
 from mixoptic.errors import FocusError, KindError
 from mixoptic.expr import parse_expr, resolve_expr, resolve_segment
 from mixoptic.fixtures import mean, registry
-from mixoptic.values import VList, VNum, VRec, VTag, VText, Field, field_lens
+from mixoptic.values import (
+    VList, VNum, VRec, VTag, VText, Field, each_traversal, field_lens,
+    variant_prism,
+)
 
 KEYS = ("a", "b", "c")
 TAGS = ("t", "u")
@@ -105,7 +113,7 @@ def along(draw, segments):
         pairs = [(key, draw(along(rest))), (sibling, draw(values))]
         return VRec(tuple(draw(st.permutations(pairs))))
     if name.startswith("variant"):
-        return VTag("t", draw(along(rest)))
+        return VTag(name[len('variant("'):-2], draw(along(rest)))
     if name == "each":
         return VList(tuple(draw(st.lists(along(rest), min_size=2,
                                          max_size=3))))
@@ -155,9 +163,20 @@ def caught(run, *args):
     return result, [str(w.message) for w in warned]
 
 
+def plain(optic):
+    """A field path as plain lens records, one per key, which ``compose``
+    cannot fuse; any other optic as it is."""
+    if not isinstance(optic, Field):
+        return [optic]
+    return [Lens(view=f.view, update=f.update)
+            for f in map(field_lens, optic[0])]
+
+
 def chained(segments, names):
-    """The reference: one optic per segment, composed in one call."""
-    return compose(*[resolve_segment(seg, names) for seg in segments])
+    """The reference: one optic per segment, each field path a plain lens,
+    composed in one call."""
+    return compose(*[lens for seg in segments
+                     for lens in plain(resolve_segment(seg, names))])
 
 
 COMBINATORS = {
@@ -200,6 +219,18 @@ COMBINATORS = {
           '.field("b")',
           parse_json('{"a": {"b": {"@t": {"c": [{"a": {"b": 1}}, {"a": 2}]}}}}'),
           VRec(()), [VRec(())]))
+@example(('field("a").city', parse_json('{"a": {"town": "x"}}'),
+          parse_json('{"a": {"city": "y"}}'),
+          [parse_json('{"a": {"city": "z"}}'), parse_json('{"a": 1}')]))
+@example(('fold.field("a").field("b")',
+          # level by level, the second whole's miss at ``a`` comes before
+          # the first's at ``b``
+          parse_json('[{"a": {"c": 1}}, {"b": 2}]'),
+          parse_json('[{"a": {"b": 3}}]'), [VRec(())]))
+@example(('kal.field("a").field("b")',
+          VRec((("b", parse_json('{"a": {"b": "x"}}')), ("c", NEW))),
+          VRec((("b", parse_json('{"a": {"c": "y"}}')),)),
+          [VRec((("b", parse_json('{"a": 1}')),))]))
 def test_a_field_run_resolves_as_its_chain_does(case):
     text, doc, other, training = case
     segments = parse_expr(text)
@@ -307,3 +338,94 @@ def test_ten_thousand_fields_are_one_lens_that_runs_at_any_depth():
     assert walked(over(optic, lambda leaf: VText(leaf.value.upper()), doc)) \
         == VText("LEAF")
     assert walked(doc) == VText("leaf")  # the input is left as it was
+
+
+# ---------------------------------------------------------------------------
+# ``compose`` fuses paths, however its operands are bracketed.
+
+OPERANDS = {
+    **{f'field("{k}")': field_lens(k) for k in KEYS},
+    'field("a").field("b")': field_lens("a", "b"),
+    "each": each_traversal(),
+    'variant("t")': variant_prism("t"),
+    'variant("t").variant("u").variant("t")': compose(
+        variant_prism("t"), variant_prism("u"), variant_prism("t")),
+}
+
+
+@st.composite
+def bracketed(draw):
+    """The expression some operands spell, and the operands composed in a
+    drawn bracketing."""
+    names = draw(st.lists(st.sampled_from(sorted(OPERANDS)), min_size=1,
+                          max_size=8))
+    operands = [OPERANDS[name] for name in names]
+    while len(operands) > 1:
+        i = draw(st.integers(0, len(operands) - 2))
+        operands[i:i + 2] = [compose(operands[i], operands[i + 1])]
+    return ".".join(names), operands[0]
+
+
+def fused(segments):
+    """The parts of the chain of ``segments``: each run of fields one path,
+    each other segment as it resolves."""
+    parts, keys = [], None
+    for seg in segments:
+        if seg.name != "field":
+            keys = None
+            parts.append(resolve_segment(seg, NAMES))
+        elif keys is None:
+            keys = [seg.argument]
+            parts.append(keys)
+        else:
+            keys.append(seg.argument)
+    return [field_lens(*p) if type(p) is list else p for p in parts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracketed(), st.data())
+def test_compose_fuses_paths_however_bracketed(case, data):
+    text, nested = case
+    segments = parse_expr(text)
+    flat = compose(*[resolve_segment(seg, NAMES) for seg in segments])
+    assert nested == flat and type(nested) is type(flat)
+    parts = flat.parts if isinstance(flat, _Chain) else (flat,)
+    assert list(parts) == fused(segments)
+
+    reference = chained(segments, NAMES)
+    doc = data.draw(along(text.split(".")))
+    for name, run in COMBINATORS.items():
+        got = caught(lambda o: shown(run(o, doc, doc, [doc])), nested)
+        want = caught(lambda o: shown(run(o, doc, doc, [doc])), reference)
+        assert got == want, name
+
+
+def test_forty_thousand_paths_fuse_into_one_in_linear_time():
+    depth = 40_000
+    start = time.perf_counter()
+    optic = compose(*[field_lens("k")] * depth)
+    # fused by one concatenation per operand, the build takes seconds
+    assert time.perf_counter() - start < 1.0
+    assert type(optic) is Field and optic[0] == ("k",) * depth
+    doc = VText("leaf")
+    for _ in range(depth):
+        doc = VRec((("k", doc),))
+    assert view(optic, doc) == VText("leaf")
+    out = set_value(optic, doc, NEW)
+    for _ in range(depth):  # walked down: a nested == would recurse
+        ((key, out),) = out.fields
+    assert out == NEW
+
+
+def test_a_path_is_coerced_one_key_at_a_time():
+    a, fold = field_lens("a"), KINDS["fold"]
+    # a one-key path is coerced as itself, not rebuilt
+    part = compose(fold, a).parts[1]
+    assert type(part) is Fold and part.foci.__self__ is a
+    with pytest.warns(UserWarning, match="compose only as a setter"):
+        part = compose(KINDS["kal"], a).parts[1]
+    assert type(part) is Setter and part.over.__self__ is a
+    # a longer path is one coerced segment per key
+    parts = compose(fold, field_lens("a", "b", "c")).parts[1:]
+    assert [part.foci.__self__ for part in parts] == [
+        field_lens("a"), field_lens("b"), field_lens("c")]

@@ -235,7 +235,8 @@ def test_a_prism_chain_in_a_traversal_reads_without_building():
 def test_single_focus_segments_stay_native():
     names = registry()
     city = resolve_expr(parse_expr('each.field("address").city'), names)
-    assert [p.kind for p in city.parts] == [K.TRAVERSAL, K.LENS, K.LENS]
+    assert [p.kind for p in city.parts] == [K.TRAVERSAL, K.LENS]
+    assert city.parts[1] == field_lens("address", "city")
     street = resolve_expr(parse_expr('each.field("postal").address.street'),
                           names)
     assert [p.kind for p in street.parts] == \
