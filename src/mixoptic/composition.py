@@ -33,11 +33,11 @@ algebraic-lens or monadic-lens chain reads each part's view once
 (``_one_walk``). A chain of the join splices its parts in, and so do a
 prism chain entering an affine or traversal chain and an affine chain
 entering a traversal. A composite at the join is one optic of its kind,
-so ``_chain`` fuses adjacent field paths (``values.Field``) into one, and
-``_segments`` coerces a path one key at a time, so that a fold chain still
-steps level by level. Segments collect in one list while the left fold's
-join stays the same, and a run of paths fuses once, so building is linear
-in the operands and applying linear in depth.
+so ``compose`` fuses each run of adjacent field paths (``values.Field``)
+once, when it ends; a path coerced into a fold is one segment per key, so
+that a fold chain still reads its wholes level by level. Segments collect
+in one list while the left fold's join stays the same, so building is
+linear in the operands and applying linear in depth.
 A coercion into getter, fold, setter or review, whatever its path, is one
 record holding the optic's own runner of that kind's combinator.
 ``encoding.ProfOptic.then`` stays nested: it is the independent oracle the
@@ -47,7 +47,6 @@ tests hold ``compose`` to.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import groupby
 from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
@@ -530,37 +529,27 @@ _SPLICED = {K.TRAVERSAL: (K.AFFINE_TRAVERSAL, K.PRISM),
 
 def _segments(optic: Any, kind: OpticKind) -> tuple:
     """A chain of ``kind``, or of a kind ``_SPLICED`` names for it, splices
-    in; any other optic is one segment, but a path (``_unfused``) that must
-    be coerced is one segment per key."""
+    in; any other optic is one segment, but a path (``_unfused``) coerced
+    into a fold is one segment per key."""
     if isinstance(optic, _Chain) and (optic.kind is kind or optic.kind
                                       in _SPLICED.get(kind, ())):
         return optic.parts
     segment = _SEGMENT[kind][optic.kind]
     if optic.kind is segment:
         return (optic,)
-    pieces = optic._unfused() if hasattr(optic, "_unfused") else (optic,)
-    return tuple(_coerce(piece, segment) for piece in pieces)
+    if segment is K.FOLD and hasattr(optic, "_unfused"):
+        return tuple(_coerce(key, segment) for key in optic._unfused())
+    return (_coerce(optic, segment),)
 
 
-def _chain(kind: OpticKind, parts: list) -> Any:
-    """The chain of ``kind`` of ``parts``, each run of adjacent parts of one
-    class that has ``_fused`` made one part by it; a chain left with one
-    part of its own kind is that part."""
-    last = None
-    for part in parts:  # a loop: cheaper on a short chain than map and is_
-        if (cls := type(part)) is last and hasattr(part, "_fused"):
-            break
-        last = cls
-    else:
-        return _CHAINS[kind](tuple(parts))
-    fused = []
-    for _, run in groupby(parts, type):
-        run = [*run]
-        fused += [run[0]._fused(run)] if len(run) > 1 and hasattr(
-            run[0], "_fused") else run
-    if len(fused) == 1 and fused[0].kind is kind:
-        return fused[0]
-    return _CHAINS[kind](tuple(fused))
+def _chain(kind: OpticKind, parts, run: int) -> Any:
+    """The chain of ``kind`` of ``parts``, whose last ``run`` parts, if more
+    than one, fuse; a chain left with one part of its kind is that part."""
+    if run > 1:
+        parts[-run:] = [parts[-1]._fused(parts[-run:])]
+        if len(parts) == 1 and parts[0].kind is kind:
+            return parts[0]
+    return _CHAINS[kind](tuple(parts))
 
 
 def _fail_once(kinds: list, joined) -> OpticKind:
@@ -589,21 +578,32 @@ def compose(first: Any, *rest: Any) -> Any:
         target = _fail_once(kinds, target)
     # parts: the segments of a chain of ``kind`` not built yet, or None; a
     # tuple until a third operand joins, so that a run of two copies a long
-    # chain's parts once
-    optic, kind, parts = first, first.kind, None
+    # chain's parts once. run: the paths (``_fused``) that end ``parts``, if
+    # more than one, to fuse once another segment follows or at the end
+    optic, kind, parts, run = first, first.kind, None, 0
     for nxt in rest:
         joined = _JOIN[kind][nxt.kind]
         if joined is kind and parts is not None:
             if type(parts) is tuple:
                 parts = [*parts]
-            parts.extend(_segments(nxt, kind))
-            continue
-        if _JOIN[target].get(joined) is not target:
-            # the pair falls back, or its join tie-broke away from the
-            # expression's join
-            joined = target
-        if parts is not None:
-            optic = _chain(kind, parts)
-        kind = joined
-        parts = _segments(optic, kind) + _segments(nxt, kind)
-    return optic if parts is None else _chain(kind, parts)
+            segments = _segments(nxt, kind)
+        else:
+            if _JOIN[target].get(joined) is not target:
+                # the pair falls back, or its join tie-broke away from the
+                # expression's join
+                joined = target
+            if parts is not None:
+                optic, run = _chain(kind, parts, run), 0
+            kind = joined
+            parts, segments = _segments(optic, kind), _segments(nxt, kind)
+        head = segments[0]
+        if type(head) is type(parts[-1]) and hasattr(head, "_fused"):
+            if type(parts) is tuple:
+                parts = [*parts]
+            parts.append(head)
+            run, segments = (run or 1) + 1, segments[1:]
+        if run > 1 and segments:
+            parts[-run:] = [parts[-1]._fused(parts[-run:])]
+            run = 0
+        parts += segments
+    return optic if parts is None else _chain(kind, parts, run)

@@ -305,7 +305,7 @@ class Field(View, Lens):
     pairs are shared. Its steps across many wholes (``_down``, ``_up``) go
     one level at a time, as that chain's do, so they fail where it fails.
     ``compose`` fuses adjacent paths into one (``_fused``) and coerces a
-    path into another kind one key at a time (``_unfused``)."""
+    path into a fold one key at a time (``_unfused``)."""
 
     __slots__ = ()
 

@@ -2,8 +2,8 @@
 
 ``compose`` fuses adjacent field paths (``field_lens``), the registry's
 ``city`` and ``street`` among them, into one path, and coerces a path into
-another segment kind one key at a time, so a fold or setter chain still
-steps level by level. ``resolve_expr`` hands it each run of ``field("k")``
+a fold one key at a time, so a fold chain still reads its wholes level by
+level; into a setter, glass or getter a path is one segment. ``resolve_expr`` hands it each run of ``field("k")``
 segments as one ``field_lens`` of the run's keys. The reference is the
 chain of one optic per segment in which every field path is a plain
 ``Lens`` record of its ``view`` and ``update``, which ``compose`` cannot
@@ -417,15 +417,58 @@ def test_forty_thousand_paths_fuse_into_one_in_linear_time():
     assert out == NEW
 
 
-def test_a_path_is_coerced_one_key_at_a_time():
-    a, fold = field_lens("a"), KINDS["fold"]
+def test_a_path_is_coerced_one_key_at_a_time_only_into_a_fold():
+    a, fold, path = field_lens("a"), KINDS["fold"], field_lens("a", "b", "c")
     # a one-key path is coerced as itself, not rebuilt
     part = compose(fold, a).parts[1]
     assert type(part) is Fold and part.foci.__self__ is a
     with pytest.warns(UserWarning, match="compose only as a setter"):
         part = compose(KINDS["kal"], a).parts[1]
     assert type(part) is Setter and part.over.__self__ is a
-    # a longer path is one coerced segment per key
-    parts = compose(fold, field_lens("a", "b", "c")).parts[1:]
+    # into a fold, a longer path is one coerced segment per key
+    parts = compose(fold, path).parts[1:]
     assert [part.foci.__self__ for part in parts] == [
         field_lens("a"), field_lens("b"), field_lens("c")]
+    # into a setter, glass or getter, it is one segment
+    with pytest.warns(UserWarning, match="compose only as a setter"):
+        (_, part) = compose(KINDS["kal"], path).parts
+    assert type(part) is Setter and part.over.__self__ is path
+    (_, part) = compose(KINDS["getter"], path).parts
+    assert type(part) is Getter and part.get.__self__ is path
+    (_, part) = compose(KINDS["glass"], path).parts
+    assert type(part) is Glass
+
+
+def test_a_fold_reads_a_path_level_by_level():
+    # a fold chain reads every whole at one level before the next, so the
+    # second whole's miss at ``a`` surfaces before the first's at ``b``;
+    # a path coerced whole would read the first whole down to ``b`` first
+    doc = parse_json('[{"a": {"c": 1}}, {"b": 2}]')
+    with pytest.raises(FocusError, match="record has no key 'a'"):
+        to_list_of(compose(KINDS["fold"], field_lens("a", "b")), doc)
+    with pytest.raises(FocusError, match="record has no key 'a'"):
+        to_list_of(compose(KINDS["fold"], A, B), doc)
+
+
+def test_a_deep_path_after_a_setter_or_glass_is_one_segment():
+    depth = 5_000
+    path = field_lens(*["a"] * depth)
+    doc = VText("leaf")
+    for _ in range(depth):
+        doc = VRec((("a", doc),))
+
+    def walked(whole):  # walked down: a nested == would recurse
+        for _ in range(depth):
+            ((key, whole),) = whole.fields
+        return whole
+
+    with pytest.warns(UserWarning, match="compose only as a setter"):
+        optic = compose(Kaleidoscope(aggregate=lambda f: f), path)
+    assert len(optic.parts) == 2
+    out = over(optic, lambda t: VText(t.value.upper()), doc)
+    assert walked(out) == VText("LEAF")
+    optic = compose(Glass(run=lambda k, s: k(lambda whole: whole)), path)
+    assert len(optic.parts) == 2
+    out = grate_apply(optic, lambda focus_of: VText(focus_of(doc).value * 2),
+                      doc)
+    assert walked(out) == VText("leafleaf")
