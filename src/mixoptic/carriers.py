@@ -8,6 +8,11 @@ act on ``(residual, value)`` pairs with the residual first, sum lifts act on
 value)`` pairs and flatten residuals, funlist lifts act on FunList
 containers, and closed lifts (``Replacing``, ``Grating``, ``Glassing``) act
 on functions into the focus.
+
+A class declares a lift by overriding ``Carrier``'s refusing method, and
+``encoding`` reads a transformer's ``supported`` off these declarations.
+The read-only carriers share one base, and so do the two over a list of
+wholes.
 """
 
 from __future__ import annotations
@@ -64,36 +69,50 @@ class Carrier(_Run):
         raise self._no("closed")
 
 
-class Viewing(Carrier):
-    """run: S -> A. Read-only; dimap discards the output map."""
+class _Reading(Carrier):
+    """The read-only carriers, whose ``run`` reads a whole: ``dimap``
+    discards the output map, and the product and list-algebra lifts read the
+    value of the pair."""
 
     __slots__ = ()
 
     def dimap(self, l, r):
-        return _new(Viewing, (lambda s: self.run(l(s)),))
+        return _new(type(self), (lambda s: self.run(l(s)),))
 
     def lift_product(self):
-        return _new(Viewing, (lambda pair: self.run(pair[1]),))
+        return _new(type(self), (lambda pair: self.run(pair[1]),))
 
     lift_list_algebra = lift_product
 
 
-class Previewing(Carrier):
-    """run: S -> A or None."""
+class Viewing(_Reading):
+    """run: S -> A."""
 
     __slots__ = ()
 
-    def dimap(self, l, r):
-        return _new(Previewing, (lambda s: self.run(l(s)),))
 
-    def lift_product(self):
-        return _new(Previewing, (lambda pair: self.run(pair[1]),))
+class Previewing(_Reading):
+    """run: S -> A or None."""
+
+    __slots__ = ()
 
     def lift_sum(self):
         return _new(Previewing, (
             lambda m: None if isinstance(m, Miss) else self.run(m.value),))
 
-    lift_list_algebra = lift_product
+
+class Folding(_Reading):
+    """run: S -> list of A."""
+
+    __slots__ = ()
+
+    def lift_sum(self):
+        return _new(Folding, (
+            lambda m: [] if isinstance(m, Miss) else self.run(m.value),))
+
+    def lift_funlist(self):
+        return _new(Folding, (lambda flist: [
+            a for src in fl.sources(flist) for a in self.run(src)],))
 
 
 class Replacing(Carrier):
@@ -141,39 +160,35 @@ class Replacing(Carrier):
         return _new(Replacing, (lifted,))
 
 
-class Classifying(Carrier):
+class _Batch(Carrier):
+    """The carriers that run on a list of wholes and one more argument: the
+    focus to classify by, or the function that aggregates the foci."""
+
+    __slots__ = ()
+
+    def dimap(self, l, r):
+        return _new(type(self), (
+            lambda ss, x: r(self.run([l(s) for s in ss], x)),))
+
+    def lift_list_algebra(self):
+        # residuals are themselves lists; the algebra flattens them
+        def lifted(pairs, x):
+            residual = [w for ws, _ in pairs for w in ws]
+            return residual, self.run([a for _, a in pairs], x)
+
+        return _new(type(self), (lifted,))
+
+
+class Classifying(_Batch):
     """run: (list of S, B) -> T."""
 
     __slots__ = ()
 
-    def dimap(self, l, r):
-        return _new(Classifying, (
-            lambda ss, b: r(self.run([l(s) for s in ss], b)),))
 
-    def lift_list_algebra(self):
-        # residuals are themselves lists; the algebra flattens them
-        def lifted(pairs, b):
-            residual = [w for ws, _ in pairs for w in ws]
-            return residual, self.run([a for _, a in pairs], b)
-
-        return _new(Classifying, (lifted,))
-
-
-class Aggregating(Carrier):
+class Aggregating(_Batch):
     """run: (list of S, list-of-A -> B) -> T."""
 
     __slots__ = ()
-
-    def dimap(self, l, r):
-        return _new(Aggregating, (
-            lambda ss, f: r(self.run([l(s) for s in ss], f)),))
-
-    def lift_list_algebra(self):
-        def lifted(pairs, f):
-            residual = [w for ws, _ in pairs for w in ws]
-            return residual, self.run([a for _, a in pairs], f)
-
-        return _new(Aggregating, (lifted,))
 
     def lift_funlist(self):
         # a list of FunLists is sequenced into a FunList of focus lists
@@ -194,28 +209,6 @@ class Updating(Carrier):
     def lift_product(self):
         return _new(Updating, (lambda b, pair: self.run(b, pair[1]).map(
             lambda t: (pair[0], t)),))
-
-
-class Folding(Carrier):
-    """run: S -> list of A."""
-
-    __slots__ = ()
-
-    def dimap(self, l, r):
-        return _new(Folding, (lambda s: self.run(l(s)),))
-
-    def lift_product(self):
-        return _new(Folding, (lambda pair: self.run(pair[1]),))
-
-    def lift_sum(self):
-        return _new(Folding, (
-            lambda m: [] if isinstance(m, Miss) else self.run(m.value),))
-
-    lift_list_algebra = lift_product
-
-    def lift_funlist(self):
-        return _new(Folding, (lambda flist: [
-            a for src in fl.sources(flist) for a in self.run(src)],))
 
 
 class Reviewing(Carrier):

@@ -34,10 +34,12 @@ algebraic-lens or monadic-lens chain reads each part's view once
 prism chain entering an affine or traversal chain and an affine chain
 entering a traversal. A composite at the join is one optic of its kind,
 so ``compose`` fuses each run of adjacent field paths (``values.Field``)
-once, when it ends; a path coerced into a fold is one segment per key, so
-that a fold chain still reads its wholes level by level. Segments collect
-in one list while the left fold's join stays the same, so building is
-linear in the operands and applying linear in depth.
+once, when it ends; into a setter, glass or getter chain it fuses the run
+first and coerces the fused path once (``_closed``), and a path coerced
+into a fold is one segment per key, so that a fold chain still reads its
+wholes level by level. Segments collect in one list while the left fold's
+join stays the same, so building is linear in the operands and applying
+linear in depth.
 A coercion into getter, fold, setter or review, whatever its path, is one
 record holding the optic's own runner of that kind's combinator.
 ``encoding.ProfOptic.then`` stays nested: it is the independent oracle the
@@ -382,8 +384,7 @@ def _extract(self, s):
         levels.append((p, memo))
 
     def rebuild(bs, _n=len(foci)):
-        if len(bs) != _n:
-            raise LengthError(f"expected {_n} replacements, got {len(bs)}")
+        LengthError.check(_n, bs)
         bs = list(bs)
         for p, memo in reversed(levels):
             bs = p._up(memo, bs)
@@ -542,11 +543,26 @@ def _segments(optic: Any, kind: OpticKind) -> tuple:
     return (_coerce(optic, segment),)
 
 
+# The chains that coerce a path (a lens) to one segment of their own kind:
+# setter, glass and getter. A fold chain takes it one key at a time.
+_PATH_SEGMENT = {kind: segment for kind, segment in (
+    (kind, _SEGMENT[kind].get(K.LENS)) for kind in OpticKind)
+    if segment not in (None, K.LENS, K.FOLD)}
+
+
+def _closed(kind: OpticKind, run: list) -> Any:
+    """The one segment a run of adjacent paths closes to in a chain of
+    ``kind``: the run fused, then coerced once if the chain coerces paths."""
+    path = run[0] if len(run) == 1 else run[-1]._fused(run)
+    segment = _PATH_SEGMENT.get(kind)
+    return path if segment is None else _coerce(path, segment)
+
+
 def _chain(kind: OpticKind, parts, run: int) -> Any:
-    """The chain of ``kind`` of ``parts``, whose last ``run`` parts, if more
-    than one, fuse; a chain left with one part of its kind is that part."""
-    if run > 1:
-        parts[-run:] = [parts[-1]._fused(parts[-run:])]
+    """The chain of ``kind`` of ``parts``, whose last ``run`` parts close
+    (``_closed``); a chain left with one part of its kind is that part."""
+    if run:
+        parts[-run:] = [_closed(kind, parts[-run:])]
         if len(parts) == 1 and parts[0].kind is kind:
             return parts[0]
     return _CHAINS[kind](tuple(parts))
@@ -579,14 +595,14 @@ def compose(first: Any, *rest: Any) -> Any:
     # parts: the segments of a chain of ``kind`` not built yet, or None; a
     # tuple until a third operand joins, so that a run of two copies a long
     # chain's parts once. run: the paths (``_fused``) that end ``parts``, if
-    # more than one, to fuse once another segment follows or at the end
+    # more than one or not coerced yet, to close (``_closed``) once another
+    # segment follows or at the end
     optic, kind, parts, run = first, first.kind, None, 0
     for nxt in rest:
         joined = _JOIN[kind][nxt.kind]
         if joined is kind and parts is not None:
             if type(parts) is tuple:
                 parts = [*parts]
-            segments = _segments(nxt, kind)
         else:
             if _JOIN[target].get(joined) is not target:
                 # the pair falls back, or its join tie-broke away from the
@@ -595,15 +611,23 @@ def compose(first: Any, *rest: Any) -> Any:
             if parts is not None:
                 optic, run = _chain(kind, parts, run), 0
             kind = joined
-            parts, segments = _segments(optic, kind), _segments(nxt, kind)
+            parts = _segments(optic, kind)
+        if kind in _PATH_SEGMENT and hasattr(nxt, "_fused"):
+            # a path joins its run as it is, to be coerced once the run closes
+            if type(parts) is tuple:
+                parts = [*parts]
+            parts.append(nxt)
+            run += 1
+            continue
+        segments = _segments(nxt, kind)
         head = segments[0]
         if type(head) is type(parts[-1]) and hasattr(head, "_fused"):
             if type(parts) is tuple:
                 parts = [*parts]
             parts.append(head)
             run, segments = (run or 1) + 1, segments[1:]
-        if run > 1 and segments:
-            parts[-run:] = [parts[-1]._fused(parts[-run:])]
+        if run and segments:
+            parts[-run:] = [_closed(kind, parts[-run:])]
             run = 0
         parts += segments
     return optic if parts is None else _chain(kind, parts, run)

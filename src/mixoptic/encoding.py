@@ -2,17 +2,19 @@
 
 ``ex2prof`` turns a concrete optic into a ``ProfOptic``: a function that
 rewrites any supported carrier over the focus pair into a carrier over the
-whole pair. Most transformers, as for a Tambara module, lift the carrier
-through an action, then apply one ``dimap``: a lens lifts through the
-product, a prism the sum, an affine traversal the product then the sum, a
-traversal FunList, a grate the closed action, a glass the closed action then
-the product, an algebraic lens the list algebra, and an adapter, getter and
-review through nothing; the other kinds build their carrier.
-
-Each kind has one row, built at import: the carriers its transformer
-supports and a builder. The builder makes the optic's own closures (a
-lens's ``s -> (s, view(s))`` and ``pair -> update(*pair)``) once per
-``ex2prof`` call, so a ``transform`` call makes only the carriers it lifts.
+whole pair. Each kind has one row, built at import. A lifting row, as for
+a Tambara module, names the lifts its transformer applies, in order, before
+one ``dimap``: a lens lifts through the product, a prism the sum, an affine
+traversal both, a traversal FunList, a grate the closed action, a glass the
+closed action then the product, an algebraic lens the list algebra, and an
+adapter through nothing. A building row maps each carrier class it builds
+to that carrier's builder, and refuses any other with one
+``CapabilityError`` that names the capability the kind asks for; an
+achromatic lens builds two carriers and lifts any other as a lens.
+``supported`` is read off the row: the carriers that declare every lift
+(``carriers``), and those the row builds, but for the traversal's
+``Aggregating`` (``_ROWS`` says why). ``ex2prof`` makes the optic's own
+closures (a lens's ``s -> (s, view(s))``) once per call.
 
 ``prof2ex`` checks that the transformer supports the probes the kind's
 record fields need and returns an instance of the kind's normal-form type,
@@ -48,13 +50,6 @@ from .records import View, record, view_type
 K = OpticKind
 _new = tuple.__new__  # builds a record without its ``__new__`` frame
 
-_ALL_CARRIERS = frozenset({
-    c.Viewing, c.Previewing, c.Replacing, c.Classifying,
-    c.Aggregating, c.Updating, c.Folding, c.Reviewing, c.Grating, c.Glassing,
-})
-# The carriers whose ``dimap`` discards the output map.
-_READ_ONLY = (c.Viewing, c.Previewing, c.Folding)
-
 
 @record
 class ProfOptic(NamedTuple):
@@ -79,8 +74,8 @@ class ProfOptic(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# ex2prof: one row per kind, ``_ROWS[kind] = (supported, builder)``. A
-# builder takes the optic and returns its ``transform``.
+# ex2prof: ``_ROWS[kind] = (supported, build, shape)``, and the optic's
+# transform is ``build(optic, shape)``.
 
 
 def _ident(x):
@@ -92,12 +87,48 @@ def _feed(s):
     return lambda k: k(s)
 
 
-def _adapter(optic):
-    fwd, bwd = optic.forward, optic.backward
-    return lambda p: p.dimap(fwd, bwd)
+def _lifting(lifts, maps, builds=None, unlisted=frozenset()):
+    """The row of a kind whose transformer lifts through ``lifts``, then
+    applies ``dimap(l, r)``; ``maps(optic, dimap)`` builds ``(l, r)`` and
+    returns ``dimap(l, r)``. With ``builds``, it builds those carriers."""
+    # ``lambda p: p.lift_a().lift_b().dimap(l, r)``, compiled once per row
+    # so that a transform calls each lift as a plain method
+    dimap = eval("lambda l, r: lambda p: p" + "".join(
+        f".{lift}()" for lift in lifts) + ".dimap(l, r)")
+    supported = frozenset(cls for cls in _CARRIERS if all(
+        getattr(cls, lift) is not getattr(c.Carrier, lift) for lift in lifts)
+    ) - unlisted
+    if builds is None:
+        return supported, maps, dimap
+    return supported | builds.keys(), _bind, (builds,
+                                               partial(maps, dimap=dimap))
 
 
-def _lens(optic):
+def _building(capability, builds):
+    """The row of a kind whose transformer builds the carriers ``builds``
+    maps to their builders, ``(optic, p) -> carrier``, and refuses any other
+    for lack of ``capability``."""
+    def refuse(p):
+        raise p._no(capability)
+
+    return frozenset(builds), _bind, (builds, lambda optic: refuse)
+
+
+def _bind(optic, shape):
+    """The transform of a row that builds carriers: a carrier of a class
+    the row builds is built, and any other goes to the row's other
+    transform, which lifts it or refuses it."""
+    builds, otherwise = shape
+    other = otherwise(optic)
+
+    def transform(p):
+        build = builds.get(type(p))
+        return other(p) if build is None else build(optic, p)
+
+    return transform
+
+
+def _lens(optic, dimap):
     v, u = optic.view, optic.update
 
     def l(s):
@@ -106,37 +137,19 @@ def _lens(optic):
     def r(pair):
         return u(*pair)
 
-    return lambda p: p.lift_product().dimap(l, r)
+    return dimap(l, r)
 
 
-def _achromatic(optic):
-    v, u, create = optic.view, optic.update, optic.create
-    t_lens = _lens(optic)
-
-    def t_ach(p):
-        if isinstance(p, c.Reviewing):
-            return _new(c.Reviewing, (lambda b: create(p.run(b)),))
-        if isinstance(p, c.Classifying):
-            def classify(ss, b):
-                b = p.run([v(s) for s in ss], b)
-                return u(ss[0], b) if ss else create(b)
-
-            return _new(c.Classifying, (classify,))
-        return t_lens(p)
-
-    return t_ach
-
-
-def _prism(optic):
-    match, build = optic.match, optic.build
+def _prism(optic, dimap):
+    build = optic.build
 
     def r(m):
         return m.value if isinstance(m, Miss) else build(m.value)
 
-    return lambda p: p.lift_sum().dimap(match, r)
+    return dimap(optic.match, r)
 
 
-def _affine(optic):
+def _affine(optic, dimap):
     access = optic.access
 
     def l(s):
@@ -152,25 +165,20 @@ def _affine(optic):
         rebuild, b = m.value
         return rebuild(b)
 
-    return lambda p: p.lift_product().lift_sum().dimap(l, r)
+    return dimap(l, r)
 
 
-def _traversal(optic):
+def _traversal(optic, dimap):
     extract = optic.extract
 
     def l(s):
         foci, rebuild = extract(s)
         return fl.of_extract(foci, rebuild)
 
-    return lambda p: p.lift_funlist().dimap(l, fl.fuse)
+    return dimap(l, fl.fuse)
 
 
-def _grate(optic):
-    grate = optic.run
-    return lambda p: p.lift_closed().dimap(_feed, grate)
-
-
-def _glass(optic):
+def _glass(optic, dimap):
     glass = optic.run
 
     def l(s):
@@ -179,55 +187,10 @@ def _glass(optic):
     def r(pair):
         return glass(pair[1], pair[0])
 
-    return lambda p: p.lift_closed().lift_product().dimap(l, r)
+    return dimap(l, r)
 
 
-def _setter(optic):
-    over_fn = optic.over
-
-    def t_setter(p):
-        if not isinstance(p, c.Replacing):
-            raise p._no("mapping")
-        return _new(c.Replacing, (lambda u: partial(over_fn, p.run(u)),))
-
-    return t_setter
-
-
-def _getter(optic):
-    get = optic.get
-
-    def t_getter(p):
-        if not isinstance(p, _READ_ONLY):
-            raise p._no("read-only")
-        return p.dimap(get, _ident)
-
-    return t_getter
-
-
-def _review(optic):
-    build = optic.build
-
-    def t_review(p):
-        if not isinstance(p, c.Reviewing):
-            raise p._no("write-only")
-        return p.dimap(_ident, build)
-
-    return t_review
-
-
-def _fold(optic):
-    foci = optic.foci
-
-    def t_fold(p):
-        if not isinstance(p, c.Folding):
-            raise p._no("folding")
-        return _new(c.Folding, (
-            lambda s: [x for a in foci(s) for x in p.run(a)],))
-
-    return t_fold
-
-
-def _algebraic(optic):
+def _algebraic(optic, dimap):
     v, classify = optic.view, optic.classify
 
     def l(s):
@@ -236,71 +199,60 @@ def _algebraic(optic):
     def r(pair):
         return classify(*pair)
 
-    return lambda p: p.lift_list_algebra().dimap(l, r)
+    return dimap(l, r)
 
 
-def _kaleidoscope(optic):
-    agg = optic.aggregate
+def _classifying(optic, p):
+    v, u, create = optic.view, optic.update, optic.create
 
-    def t_kal(p):
-        if isinstance(p, c.Aggregating):
-            return _new(c.Aggregating, (
-                lambda ss, f: agg(lambda foci: p.run(foci, f))(ss),))
-        if isinstance(p, c.Replacing):
-            def replacing(u):
-                f = p.run(u)
-                return lambda s: agg(lambda foci: f(foci[0]))([s])
+    def classify(ss, b):
+        b = p.run([v(s) for s in ss], b)
+        return u(ss[0], b) if ss else create(b)
 
-            return _new(c.Replacing, (replacing,))
-        raise p._no("funlist-applicative")
-
-    return t_kal
+    return _new(c.Classifying, (classify,))
 
 
-def _monadic(optic):
-    v, mupd = optic.view, optic.mupdate
-
-    def t_monadic(p):
-        if isinstance(p, c.Updating):
-            return _new(c.Updating, (
-                lambda b, s: p.run(b, v(s)).bind(partial(mupd, s)),))
-        if isinstance(p, c.Replacing):
-            def replacing(u):
-                f = p.run(u)
-                return lambda s: mupd(s, f(v(s))).value
-
-            return _new(c.Replacing, (replacing,))
-        if not isinstance(p, _READ_ONLY):
-            raise p._no("read-only")
-        return p.dimap(v, _ident)
-
-    return t_monadic
+def _mapping(optic, p):
+    """A ``Replacing`` walk through the optic's own ``over``."""
+    over = optic._over
+    return _new(c.Replacing, (lambda u: partial(over, p.run(u)),))
 
 
-_LENS_CARRIERS = frozenset({c.Viewing, c.Previewing, c.Replacing, c.Folding,
-                            c.Updating, c.Glassing})
+_CARRIERS = (c.Viewing, c.Previewing, c.Replacing, c.Classifying,
+             c.Aggregating, c.Updating, c.Folding, c.Reviewing, c.Grating,
+             c.Glassing)
+_READ_ONLY = tuple(cls for cls in _CARRIERS if issubclass(cls, c._Reading))
 _ROWS = {
-    K.ADAPTER: (_ALL_CARRIERS, _adapter),
-    K.LENS: (_LENS_CARRIERS, _lens),
-    K.ACHROMATIC_LENS: (_LENS_CARRIERS | {c.Reviewing, c.Classifying},
-                        _achromatic),
-    K.PRISM: (frozenset({c.Previewing, c.Replacing, c.Folding, c.Reviewing}),
-              _prism),
-    K.AFFINE_TRAVERSAL: (frozenset({c.Previewing, c.Replacing, c.Folding}),
-                         _affine),
-    K.TRAVERSAL: (frozenset({c.Replacing, c.Folding}), _traversal),
-    K.GRATE: (frozenset({c.Replacing, c.Grating, c.Glassing}), _grate),
-    K.GLASS: (frozenset({c.Replacing, c.Glassing}), _glass),
-    K.SETTER: (frozenset({c.Replacing}), _setter),
-    K.GETTER: (frozenset(_READ_ONLY), _getter),
-    K.REVIEW: (frozenset({c.Reviewing}), _review),
-    K.FOLD: (frozenset({c.Folding}), _fold),
-    K.ALGEBRAIC_LENS: (frozenset({c.Viewing, c.Previewing, c.Folding,
-                                  c.Replacing, c.Classifying, c.Aggregating}),
-                       _algebraic),
-    K.KALEIDOSCOPE: (frozenset({c.Aggregating, c.Replacing}), _kaleidoscope),
-    K.MONADIC_LENS: (frozenset({*_READ_ONLY, c.Updating, c.Replacing}),
-                     _monadic),
+    K.ADAPTER: _lifting((), lambda o, dimap: dimap(o.forward, o.backward)),
+    K.LENS: _lifting(("lift_product",), _lens),
+    K.ACHROMATIC_LENS: _lifting(("lift_product",), _lens, {
+        c.Reviewing: lambda o, p: p.dimap(_ident, o.create),
+        c.Classifying: _classifying}),
+    K.PRISM: _lifting(("lift_sum",), _prism),
+    K.AFFINE_TRAVERSAL: _lifting(("lift_product", "lift_sum"), _affine),
+    # Aggregating declares the funlist lift, and the transformer acts on it,
+    # but a kaleidoscope read off it would aggregate wholes, not foci
+    K.TRAVERSAL: _lifting(("lift_funlist",), _traversal,
+                          unlisted={c.Aggregating}),
+    K.GRATE: _lifting(("lift_closed",), lambda o, dimap: dimap(_feed, o.run)),
+    K.GLASS: _lifting(("lift_closed", "lift_product"), _glass),
+    K.ALGEBRAIC_LENS: _lifting(("lift_list_algebra",), _algebraic),
+    K.SETTER: _building("mapping", {c.Replacing: _mapping}),
+    K.GETTER: _building("read-only", dict.fromkeys(
+        _READ_ONLY, lambda o, p: p.dimap(o.get, _ident))),
+    K.REVIEW: _building("write-only", {
+        c.Reviewing: lambda o, p: p.dimap(_ident, o.build)}),
+    K.FOLD: _building("folding", {c.Folding: lambda o, p: _new(c.Folding, (
+        lambda s: [x for a in o.foci(s) for x in p.run(a)],))}),
+    K.KALEIDOSCOPE: _building("funlist-applicative", {
+        c.Aggregating: lambda o, p: _new(c.Aggregating, (
+            lambda ss, f: o.aggregate(lambda foci: p.run(foci, f))(ss),)),
+        c.Replacing: _mapping}),
+    K.MONADIC_LENS: _building("read-only", {
+        **dict.fromkeys(_READ_ONLY, lambda o, p: p.dimap(o.view, _ident)),
+        c.Updating: lambda o, p: _new(c.Updating, (lambda b, s: p.run(
+            b, o.view(s)).bind(partial(o.mupdate, s)),)),
+        c.Replacing: _mapping}),
 }
 
 
@@ -309,8 +261,8 @@ def ex2prof(optic: Any) -> ProfOptic:
     row = _ROWS.get(kind)
     if row is None:
         raise NormalFormError(f"no transformer for kind {kind!r}")
-    supported, build = row
-    return _new(ProfOptic, (build(optic), supported, optic.pure
+    supported, build, shape = row
+    return _new(ProfOptic, (build(optic, shape), supported, optic.pure
                             if kind is K.MONADIC_LENS else None))
 
 
@@ -373,8 +325,7 @@ def _access(self, s):
 
 
 def _refill(self, s, n, bs):
-    if len(bs) != n:
-        raise LengthError(f"expected {n} replacements, got {len(bs)}")
+    LengthError.check(n, bs)
     queue = iter(bs)
     return self[0].transform(_OVER).run(lambda _: next(queue))(s)
 

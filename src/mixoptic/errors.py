@@ -46,6 +46,12 @@ class FocusError(OpticError):
 class LengthError(OpticError):
     """A traversal rebuild received the wrong number of replacement foci."""
 
+    @staticmethod
+    def check(n, bs):
+        """Raise unless ``bs`` holds the ``n`` replacements a rebuild takes."""
+        if len(bs) != n:
+            raise LengthError(f"expected {n} replacements, got {len(bs)}")
+
 
 class EmptyTrainingError(OpticError):
     """classify was called with an empty training list."""

@@ -67,8 +67,7 @@ def no_fun(fl: FunList) -> Tuple[List[object], Callable[[Sequence[object]], obje
     n, inner = len(fl.sources), fl.rebuild
 
     def rebuild(bs):
-        if len(bs) != n:
-            raise LengthError(f"expected {n} replacements, got {len(bs)}")
+        LengthError.check(n, bs)
         return inner(bs)
 
     return list(fl.sources), rebuild

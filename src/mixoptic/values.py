@@ -450,8 +450,7 @@ def _items(value):
 
 
 def _relist(n, bs):
-    if len(bs) != n:
-        raise LengthError(f"expected {n} replacements, got {len(bs)}")
+    LengthError.check(n, bs)
     return _new(VList, (tuple(bs),))
 
 

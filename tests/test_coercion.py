@@ -70,14 +70,15 @@ def test_a_coercion_into_a_combinator_kind_is_one_record(kind, goal):
 
 
 def test_a_deep_setter_fallback_nests_one_call_per_part():
-    depth = 900
+    """After the fallback, the run of paths fuses into one path before it
+    is coerced, so the chain is two parts and runs at any depth."""
+    depth = 5000
     lenses = [field_lens("a")] * depth
     with pytest.warns(UserWarning, match="compose only as a setter"):
         optic = compose(Kaleidoscope(aggregate=lambda f: f), *lenses)
-    assert len(optic.parts) == depth + 1
-    for part, lens in zip(optic.parts[1:], lenses):
-        assert type(part) is Setter
-        assert part.over.__self__ is lens and part.over == lens._over
+    assert len(optic.parts) == 2
+    assert all(type(part) is Setter for part in optic.parts)
+    assert optic.parts[1].over.__self__ == field_lens(*["a"] * depth)
 
     doc = VText("leaf")
     for _ in range(depth):

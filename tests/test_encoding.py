@@ -8,9 +8,11 @@ import pytest
 from mixoptic import (
     Aggregating, Classifying, Focus, Folding, Glassing, Grating, Lens,
     OpticKind, Previewing, Replacing, Reviewing, Setter, Updating, Viewing,
-    Writer, ex2prof, prof2ex, preview, set_value, view, over,
+    VList, VNum, Writer, ex2prof, parse_json, prof2ex, preview, serialize,
+    set_value, view, over,
 )
 from mixoptic.errors import CapabilityError, NormalFormError
+from mixoptic.values import each_traversal
 
 from conftest import OBSERVERS, assert_extensionally_equal, zoo
 from typed_examples import address_prism, box_lens, street_lens
@@ -132,7 +134,8 @@ PROBES = {
 }
 
 # The carriers a transformer accepts beyond its ``supported``: a traversal
-# lifts ``Aggregating`` through FunList.
+# lifts ``Aggregating`` through FunList, but no kaleidoscope is read off it
+# (``test_a_traversal_acts_on_aggregating_but_is_no_kaleidoscope``).
 ACCEPTED_UNLISTED = {K.TRAVERSAL: {Aggregating}}
 
 
@@ -158,13 +161,35 @@ def test_supported_names_what_the_transformer_accepts(kind):
 @pytest.mark.parametrize("kind,capability", [
     (K.SETTER, "mapping"), (K.GETTER, "read-only"), (K.REVIEW, "write-only"),
     (K.FOLD, "folding"), (K.MONADIC_LENS, "read-only"),
+    (K.KALEIDOSCOPE, "funlist-applicative"),
 ], ids=lambda x: getattr(x, "value", x))
 def test_a_transformer_that_lifts_nothing_names_what_it_asks_for(
         kind, capability):
+    """A transformer that builds its carriers refuses every other carrier
+    with the one capability its kind asks for."""
     p = ex2prof(zoo()[kind].optic)
-    with pytest.raises(CapabilityError, match=(
-            f"^Classifying does not declare the {capability} capability$")):
-        p.transform(PROBES[Classifying])
+    refused = [cls for cls in PROBES if cls not in p.supported]
+    assert Classifying in refused
+    for cls in refused:
+        with pytest.raises(CapabilityError, match=(
+                f"^{cls.__name__} does not declare the {capability} "
+                "capability$")):
+            p.transform(PROBES[cls])
+
+
+def test_a_traversal_acts_on_aggregating_but_is_no_kaleidoscope():
+    """The traversal's transformer lifts ``Aggregating`` through FunList,
+    but its ``supported`` leaves it out: a kaleidoscope read off it would
+    pass the aggregating function the wholes, not the foci."""
+    p = ex2prof(each_traversal())
+    assert Aggregating not in p.supported
+    with pytest.raises(NormalFormError, match="does not act on Aggregating"):
+        prof2ex(p, K.KALEIDOSCOPE)
+    lifted = p.transform(Aggregating(run=lambda ss, f: f(ss)))
+    out = lifted.run(list(parse_json("[[1, 2], [3, 4]]").items), lambda rows: (
+        VList(tuple(VNum(sum(x.value for x in column))
+                    for column in zip(*(row.items for row in rows))))))
+    assert serialize(out) == "[4, 6]"
 
 
 def test_a_glass_names_the_first_lift_a_carrier_lacks():

@@ -439,6 +439,27 @@ def test_a_path_is_coerced_one_key_at_a_time_only_into_a_fold():
     assert type(part) is Glass
 
 
+def test_adjacent_paths_fuse_before_they_are_coerced():
+    """Into a setter, getter or glass, a run of path operands fuses into one
+    path, coerced once; a segment between two runs closes the first. Into
+    a fold, each key stays one segment."""
+    c = field_lens("c")
+    kal, getter = KINDS["kal"], KINDS["getter"]
+    with pytest.warns(UserWarning, match="compose only as a setter"):
+        parts = compose(kal, A, B, kal, c).parts
+    assert [type(part) for part in parts] == [Setter] * 4
+    assert parts[1].over.__self__ == field_lens("a", "b")
+    assert parts[3].over.__self__ is c
+    parts = compose(getter, A, B, getter, c).parts
+    assert [type(part) for part in parts] == [Getter] * 4
+    assert parts[1].get.__self__ == field_lens("a", "b")
+    assert parts[3].get.__self__ is c
+    parts = compose(KINDS["glass"], A, B, c).parts
+    assert [type(part) for part in parts] == [Glass] * 2
+    parts = compose(KINDS["fold"], A, B).parts[1:]
+    assert [part.foci.__self__ for part in parts] == [A, B]
+
+
 def test_a_fold_reads_a_path_level_by_level():
     # a fold chain reads every whole at one level before the next, so the
     # second whole's miss at ``a`` surfaces before the first's at ``b``;
